@@ -60,11 +60,9 @@ from .inversion import (
     g_symmetry_residual,
     gamma_apply,
     inverse_from_rho,
-    psi,
     rho_direct,
     rho_structured,
     solve,
-    theta,
 )
 
 __version__ = "0.1.0"

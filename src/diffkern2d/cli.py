@@ -6,17 +6,16 @@
 
 Exit codes: 0 all contracts pass, 1 contract failure, 2 usage/config
 error.  Reports are deterministic for a fixed (config, seed): sorted JSON
-keys, shortest round-trip float repr, no timestamps.  DIFFKERN2D_THREADS
-caps the worker count for the rho-table sweep.
+keys, shortest round-trip float repr, no timestamps.  ``rho`` evaluates
+the whole direct rho table from one batched solve against S.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -52,14 +51,6 @@ from .operators import (
 SCHEMA = "diffkern2d-report-1"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DIFFKERN2D_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def fit_order(sizes, residuals, exact_tol: float) -> dict:
     """Least-squares slope of log2(residual) against log2(n).
 
@@ -75,8 +66,9 @@ def fit_order(sizes, residuals, exact_tol: float) -> dict:
     return {"exact": False, "order": float(-slope), "residuals": list(res)}
 
 
-def _build_samples(cfg: RunConfig, n: int):
-    grid = cfg.make_grid(n, n)
+def _build_samples(cfg: RunConfig, n: Optional[int] = None):
+    """Kernel samples on the config's grid, or on an n x n one."""
+    grid = cfg.make_grid() if n is None else cfg.make_grid(n, n)
     samples = sample_kernel(cfg.build_model(), grid)
     if cfg.normalize:
         samples = normalize_kernel(samples)
@@ -195,42 +187,29 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 def cmd_rho(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     _require_dense(cfg.n1 * cfg.n2)
-    grid = cfg.make_grid()
-    samples = sample_kernel(cfg.build_model(), grid)
-    if cfg.normalize:
-        samples = normalize_kernel(samples)
+    samples = _build_samples(cfg)
+    grid = samples.grid
     S = ConvOperator(samples)
     ev = build_rho_evaluator(S, samples, symmetry_tol=tol["symmetry"])
 
     lams = [(l1, l2) for l2 in cfg.rho_lambda2 for l1 in cfg.rho_lambda1]
     mus = [(m1, m2) for m2 in cfg.rho_mu2 for m1 in cfg.rho_mu1]
-    pairs = [(lam, mu) for lam in lams for mu in mus]
-
-    def eval_pair(pair):
-        lam, mu = pair
-        d = rho_direct(S, lam, mu)
-        try:
-            s_val = rho_structured(ev, lam, mu)
-            return (lam, mu, d, s_val, None)
-        except (PoleProximityError, UnsupportedEvaluationError) as exc:
-            return (lam, mu, d, None, str(exc))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_pair, pairs))
-    else:
-        results = [eval_pair(p) for p in pairs]
+    direct = rho_direct(S, np.reshape(lams, (-1, 2)), np.reshape(mus, (-1, 2)))
 
     rows_direct, rows_struct, skipped = [], [], []
     errs = []
-    for lam, mu, d, s_val, reason in results:
-        rows_direct.append((lam, mu, d))
-        rows_struct.append((lam, mu, s_val))
-        if s_val is None:
-            skipped.append({"lam": list(lam), "mu": list(mu), "reason": reason})
-        else:
-            errs.append(abs(s_val - d) / max(abs(d), 1e-300))
+    for a, lam in enumerate(lams):
+        for b, mu in enumerate(mus):
+            d = complex(direct[a, b])
+            try:
+                s_val = rho_structured(ev, lam, mu)
+            except (PoleProximityError, UnsupportedEvaluationError) as exc:
+                s_val = None
+                skipped.append({"lam": list(lam), "mu": list(mu), "reason": str(exc)})
+            rows_direct.append((lam, mu, d))
+            rows_struct.append((lam, mu, s_val))
+            if s_val is not None:
+                errs.append(abs(s_val - d) / max(abs(d), 1e-300))
 
     evaluated = len(errs)
     max_err = max(errs) if errs else None
@@ -239,7 +218,7 @@ def cmd_rho(cfg: RunConfig, out: Path) -> int:
         "schema": SCHEMA,
         "command": "rho",
         "config": cfg.echo(),
-        "pairs_total": len(pairs),
+        "pairs_total": len(rows_direct),
         "pairs_evaluated": evaluated,
         "pairs_skipped": len(skipped),
         "skipped": skipped,
@@ -286,10 +265,7 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
             f"image is {img.shape[1]}x{img.shape[0]} (cols x rows) but the "
             f"grid needs {grid.n1}x{grid.n2}"
         )
-    samples = sample_kernel(cfg.build_model(), grid)
-    if cfg.normalize:
-        samples = normalize_kernel(samples)
-    S = ConvOperator(samples)
+    S = ConvOperator(_build_samples(cfg))
 
     f = img.reshape(grid.size)
     blurred = S.apply(f)
@@ -333,11 +309,8 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
 def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     _require_dense(cfg.n1 * cfg.n2)
-    grid = cfg.make_grid()
-    samples = sample_kernel(cfg.build_model(), grid)
-    if cfg.normalize:
-        samples = normalize_kernel(samples)
-    S = ConvOperator(samples)
+    S = ConvOperator(_build_samples(cfg))
+    grid = S.grid
 
     dense = S.dense()
     dense_inv = np.linalg.inv(dense)

@@ -255,8 +255,10 @@ class KernelModel:
                 + self.sigma(x1, x2))
 
 
-def _eval_checked(fn: Fun2, x1, x2, label: str) -> np.ndarray:
-    out = np.asarray(fn(x1, x2))
+def _eval_checked(label: str, fn: Callable, *args) -> np.ndarray:
+    """fn(*args) as an array; a non-finite value raises KernelEvaluationError
+    naming the evaluator and the first offending index."""
+    out = np.asarray(fn(*args))
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         idx = tuple(bad[0]) if bad.size else ()
@@ -334,37 +336,28 @@ def sample_kernel(model: KernelModel, grid: GridSpec) -> KernelSamples:
     L1 = (grid.p1 * grid.h1)[:, None]
     L2 = (grid.p2 * grid.h2)[None, :]
     x1, x2 = grid.x1, grid.x2
-
-    def ev1(fn, arg, label):
-        out = np.asarray(fn(arg))
-        if not np.all(np.isfinite(out)):
-            raise KernelEvaluationError(
-                f"kernel evaluator '{label}' returned a non-finite value"
-            )
-        return out
-
     return KernelSamples(
         grid=grid,
         model=model,
         c=model.c,
-        s_lat=_eval_checked(model.s_values, L1, L2, "s"),
-        sigma_lat=_eval_checked(model.sigma, L1, L2, "sigma"),
-        sigma_x1_lat=_eval_checked(model.sigma_x1, L1, L2, "sigma_x1"),
-        sigma_x2_lat=_eval_checked(model.sigma_x2, L1, L2, "sigma_x2"),
-        v_lat=_eval_checked(model.v, L1, L2, "v"),
-        dalpha_lat=ev1(model.dalpha, grid.p2 * grid.h2, "dalpha"),
-        dbeta_lat=ev1(model.dbeta, grid.p1 * grid.h1, "dbeta"),
-        alpha_pos=ev1(model.alpha, x2, "alpha"),
-        alpha_neg=ev1(model.alpha, -x2, "alpha"),
-        beta_pos=ev1(model.beta, x1, "beta"),
-        beta_neg=ev1(model.beta, -x1, "beta"),
-        sigma_x2_posmid=_eval_checked(model.sigma_x2, x1[:, None], L2, "sigma_x2"),
-        sigma_x2_negmid=_eval_checked(model.sigma_x2, -x1[:, None], L2, "sigma_x2"),
-        sigma_x1_posmid=_eval_checked(model.sigma_x1, L1, x2[None, :], "sigma_x1"),
-        sigma_x1_negmid=_eval_checked(model.sigma_x1, L1, -x2[None, :], "sigma_x1"),
-        sigma_pn=_eval_checked(model.sigma, x1[:, None], -x2[None, :], "sigma"),
-        sigma_np=_eval_checked(model.sigma, -x1[:, None], x2[None, :], "sigma"),
-        sigma_nn=_eval_checked(model.sigma, -x1[:, None], -x2[None, :], "sigma"),
+        s_lat=_eval_checked("s", model.s_values, L1, L2),
+        sigma_lat=_eval_checked("sigma", model.sigma, L1, L2),
+        sigma_x1_lat=_eval_checked("sigma_x1", model.sigma_x1, L1, L2),
+        sigma_x2_lat=_eval_checked("sigma_x2", model.sigma_x2, L1, L2),
+        v_lat=_eval_checked("v", model.v, L1, L2),
+        dalpha_lat=_eval_checked("dalpha", model.dalpha, grid.p2 * grid.h2),
+        dbeta_lat=_eval_checked("dbeta", model.dbeta, grid.p1 * grid.h1),
+        alpha_pos=_eval_checked("alpha", model.alpha, x2),
+        alpha_neg=_eval_checked("alpha", model.alpha, -x2),
+        beta_pos=_eval_checked("beta", model.beta, x1),
+        beta_neg=_eval_checked("beta", model.beta, -x1),
+        sigma_x2_posmid=_eval_checked("sigma_x2", model.sigma_x2, x1[:, None], L2),
+        sigma_x2_negmid=_eval_checked("sigma_x2", model.sigma_x2, -x1[:, None], L2),
+        sigma_x1_posmid=_eval_checked("sigma_x1", model.sigma_x1, L1, x2[None, :]),
+        sigma_x1_negmid=_eval_checked("sigma_x1", model.sigma_x1, L1, -x2[None, :]),
+        sigma_pn=_eval_checked("sigma", model.sigma, x1[:, None], -x2[None, :]),
+        sigma_np=_eval_checked("sigma", model.sigma, -x1[:, None], x2[None, :]),
+        sigma_nn=_eval_checked("sigma", model.sigma, -x1[:, None], -x2[None, :]),
     )
 
 

@@ -35,7 +35,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceError,
@@ -54,6 +53,7 @@ from .operators import (
     assemble_pi,
     k_op,
     line_integration_op,
+    lu_factor_cond,
 )
 
 __all__ = [
@@ -68,9 +68,6 @@ __all__ = [
     "JMat",
     "RhoEvaluator",
     "build_rho_evaluator",
-    "theta",
-    "assemble_G",
-    "psi",
     "rho_direct",
     "rho_structured",
     "gamma_apply",
@@ -87,29 +84,14 @@ __all__ = [
 
 COND_LIMIT = 1e12
 
+# right-hand-side entries per block of the backward-error check; the FFT
+# matvec pads each block to four times this many complex values
+CHECK_BLOCK = 1 << 16
+
 
 # --------------------------------------------------------------------------
 # solving against S
 # --------------------------------------------------------------------------
-
-
-def _lu_cond(S: ConvOperator) -> float:
-    lu, piv, anorm = S.solve_lu()
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or rcond == 0.0:
-        return np.inf
-    return 1.0 / rcond
-
-
-def _lu_solve_any(S: ConvOperator, B: np.ndarray) -> np.ndarray:
-    """LU solve that tolerates a real factorization with complex data."""
-    lu, piv, _ = S.solve_lu()
-    if np.iscomplexobj(B) and not np.iscomplexobj(lu):
-        re = scipy.linalg.lu_solve((lu, piv), B.real)
-        im = scipy.linalg.lu_solve((lu, piv), B.imag)
-        return re + 1j * im
-    return scipy.linalg.lu_solve((lu, piv), B)
 
 
 def solve_array(S: ConvOperator, rhs: np.ndarray,
@@ -117,49 +99,77 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
                 backward_tol: float = 1e-9,
                 iterative_tol: float = 1e-10,
                 max_restart_cycles: int = 100) -> np.ndarray:
-    """S^{-1} rhs: dense LU at desk scale, GMRES with FFT matvec above."""
-    rhs = np.asarray(rhs)
-    if rhs.shape != (S.grid.size,):
+    """S^{-1} rhs for an (N,) vector or for each column of an (N, m) block.
+
+    At desk scale (N <= DENSE_GUARD) the operator's cached LU solves every
+    column at once, after its condition estimate is checked against
+    ``cond_limit``; above it GMRES with the FFT matvec solves column by
+    column.  Either way each column's backward error ||S x - b|| / ||b||
+    must stay within ``backward_tol``.
+    """
+    B = np.asarray(rhs)
+    N = S.grid.size
+    if B.ndim not in (1, 2) or B.shape[0] != N:
         raise InvalidArgumentError(
-            f"rhs shape {rhs.shape}, expected ({S.grid.size},)"
+            f"rhs shape {B.shape}, expected ({N},) or ({N}, m)"
         )
-    if S.grid.size <= DENSE_GUARD:
-        try:
-            cond = _lu_cond(S)
-        except np.linalg.LinAlgError as exc:   # pragma: no cover
-            raise SingularOperatorError(str(exc)) from exc
+    if N <= DENSE_GUARD:
+        lu, piv, cond = S.solve_lu()
         if not np.isfinite(cond) or cond > cond_limit:
             raise SingularOperatorError(
                 f"operator condition estimate {cond:.3e} exceeds {cond_limit:.1e}",
                 cond=cond,
             )
-        x = _lu_solve_any(S, rhs)
-    else:
-        history = []
-        op = scipy.sparse.linalg.LinearOperator(
-            (S.grid.size, S.grid.size), matvec=S.apply_fft, dtype=complex
-        )
-        x, info = scipy.sparse.linalg.gmres(
-            op, rhs.astype(complex), rtol=iterative_tol, atol=0.0,
-            restart=50, maxiter=max_restart_cycles,
-            callback=lambda pr: history.append(float(pr)),
-            callback_type="pr_norm",
-        )
-        if info != 0:
-            raise ConvergenceError(
-                f"GMRES did not reach rtol={iterative_tol} (info={info})",
-                residuals=history,
-            )
 
-    rnorm = np.linalg.norm(rhs)
-    if rnorm > 0:
-        back = np.linalg.norm(S.apply(x) - rhs) / rnorm
-        if back > backward_tol:
-            raise ConvergenceError(
-                f"backward error {back:.3e} above {backward_tol:.1e}",
-                residuals=[back],
+        def lu_solve(b):
+            return scipy.linalg.lu_solve((lu, piv.copy()), b)
+
+        if np.iscomplexobj(B) and not np.iscomplexobj(lu):
+            X = lu_solve(B.real) + 1j * lu_solve(B.imag)
+        else:
+            X = lu_solve(B)
+    else:
+        op = scipy.sparse.linalg.LinearOperator((N, N), matvec=S.apply_fft, dtype=complex)
+        cols = B.reshape(N, -1)
+        X = np.empty(cols.shape, dtype=complex)
+        for j in range(cols.shape[1]):
+            history = []
+            X[:, j], info = scipy.sparse.linalg.gmres(
+                op, cols[:, j].astype(complex), rtol=iterative_tol, atol=0.0,
+                restart=50, maxiter=max_restart_cycles,
+                callback=lambda pr: history.append(float(pr)),
+                callback_type="pr_norm",
             )
-    return x
+            if info != 0:
+                raise ConvergenceError(
+                    f"GMRES did not reach rtol={iterative_tol} (info={info})",
+                    residuals=history,
+                )
+        X = X.reshape(B.shape)
+
+    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), backward_tol)
+    return X
+
+
+def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError if some column has ||S x - b|| / ||b|| > tol.
+
+    Columns go through the FFT matvec in blocks of about CHECK_BLOCK
+    entries, which bounds the work arrays however many columns there are.
+    """
+    step = max(1, CHECK_BLOCK // S.grid.size)
+    for j in range(0, B.shape[1], step):
+        b = B[:, j:j + step]
+        bnorm = np.linalg.norm(b, axis=0)
+        res = np.linalg.norm(S.apply_fft(X[:, j:j + step]) - b, axis=0)
+        back = np.divide(res, bnorm, out=np.zeros_like(res), where=bnorm > 0)
+        worst = int(np.argmax(back))
+        if back[worst] > tol:
+            raise ConvergenceError(
+                f"backward error {back[worst]:.3e} above {tol:.1e} "
+                f"(column {j + worst})",
+                residuals=[float(back[worst])],
+            )
 
 
 def solve(S: ConvOperator, rhs: GridFn, **kw) -> GridFn:
@@ -167,18 +177,6 @@ def solve(S: ConvOperator, rhs: GridFn, **kw) -> GridFn:
     if rhs.grid != S.grid:
         raise InvalidArgumentError("grid mismatch between operator and rhs")
     return GridFn(S.grid, solve_array(S, rhs.values, **kw))
-
-
-def _solve_columns(S: ConvOperator, B: np.ndarray,
-                   cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """S^{-1} B column by column (batched LU back-substitution)."""
-    cond = _lu_cond(S)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularOperatorError(
-            f"operator condition estimate {cond:.3e} exceeds {cond_limit:.1e}",
-            cond=cond,
-        )
-    return _lu_solve_any(S, B)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def compute_g(i: int, k: int, S: ConvOperator,
     first = np.zeros((2 * ni, 2 * nk), dtype=complex)
     first[:ni, :nk] = K3
     first[ni:, :nk] = K1
-    X = _solve_columns(S, pis[i].pi.mat)        # S^{-1} Pi_i, one solve per basis vector
+    X = solve_array(S, pis[i].pi.mat)        # S^{-1} Pi_i, one column per basis vector
     second = pis[k].pi_hat.mat @ X
     return GMatrix(g, i, k, first - second)
 
@@ -347,9 +345,9 @@ class RhoEvaluator:
     """Holds g_12, g_21 and the h samples; evaluates theta, psi and rho.
 
     Construction validates the flip relation between the two g blocks (a
-    corrupted pair is rejected).  psi solves are LU-factored and cached
-    per lam under a lock; the cache only ever grows, so concurrent reads
-    stay consistent.
+    corrupted pair is rejected).  psi and the condition estimate of G(lam)
+    are cached per lam under a lock; the cache only ever grows, so
+    concurrent reads stay consistent.
     """
 
     def __init__(self, g12: GMatrix, g21: GMatrix, h_values: np.ndarray,
@@ -371,7 +369,6 @@ class RhoEvaluator:
         self.h_values = h_values
         self.grid = grid
         self.cond_limit = cond_limit
-        self._lu_cache: Dict[Tuple[complex, complex], tuple] = {}
         self._psi_cache: Dict[Tuple[complex, complex], tuple] = {}
         self._lock = threading.Lock()
 
@@ -404,72 +401,45 @@ class RhoEvaluator:
         G[2 * n1:, :2 * n1] = 1j * l1 * self.g21.mat
         return G
 
-    def _g_lu(self, lam):
-        key = (complex(lam[0]), complex(lam[1]))
-        hit = self._lu_cache.get(key)
-        if hit is not None:
-            return hit
-        G = self.assemble_G(lam)
-        anorm = np.linalg.norm(G, 1)
-        lu, piv = scipy.linalg.lu_factor(G)
-        gecon = get_lapack_funcs("gecon", (lu,))
-        rcond, info = gecon(lu, anorm)
-        cond = np.inf if (info != 0 or rcond == 0) else 1.0 / rcond
-        if cond > self.cond_limit:
-            raise NearSingularGError(
-                f"G(lam) condition estimate {cond:.3e} exceeds {self.cond_limit:.1e} "
-                f"at lam={key}", lam=key, cond=cond,
-            )
-        entry = (lu, piv, cond)
-        with self._lock:
-            self._lu_cache.setdefault(key, entry)
-        return self._lu_cache[key]
-
-    def g_condition(self, lam) -> float:
-        return self._g_lu(lam)[2]
-
     # -- special solutions -------------------------------------------------
 
     def psi(self, lam) -> Tuple[np.ndarray, np.ndarray]:
         """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side."""
+        return self._psi_entry(lam)[:2]
+
+    def g_condition(self, lam) -> float:
+        return self._psi_entry(lam)[2]
+
+    def _psi_entry(self, lam) -> tuple:
+        """Cached (psi1, psi2, cond of G(lam)); G's LU lives only in this call."""
         key = (complex(lam[0]), complex(lam[1]))
         hit = self._psi_cache.get(key)
         if hit is not None:
             return hit
         g = self.grid
         n1, n2 = g.n1, g.n2
-        lu, piv, _ = self._g_lu(lam)
+        lu, piv, cond = lu_factor_cond(self.assemble_G(key))
+        if cond > self.cond_limit:
+            raise NearSingularGError(
+                f"G(lam) condition estimate {cond:.3e} exceeds {self.cond_limit:.1e} "
+                f"at lam={key}", lam=key, cond=cond,
+            )
         rhs = np.concatenate(
             [np.zeros(n1), np.ones(n1), np.zeros(n2), np.ones(n2)]
         ).astype(complex)
         x = scipy.linalg.lu_solve((lu, piv), rhs)
-        th = self.theta(lam)
-        psi1 = th * x[: 2 * n1]
-        psi2 = th * x[2 * n1:]
-        entry = (psi1, psi2)
+        th = self.theta(key)
+        entry = (th * x[: 2 * n1], th * x[2 * n1:], cond)
         with self._lock:
-            self._psi_cache.setdefault(key, entry)
-        return self._psi_cache[key]
+            return self._psi_cache.setdefault(key, entry)
 
 
 def build_rho_evaluator(S: ConvOperator, samples: KernelSamples,
                         symmetry_tol: float = 0.05) -> RhoEvaluator:
     """Assemble g blocks and h = S^{-1} y, then wrap them in an evaluator."""
     g12, g21 = compute_g_blocks(S, samples)
-    h = _solve_columns(S, y_samples(samples).astype(complex))
+    h = solve_array(S, y_samples(samples).astype(complex))
     return RhoEvaluator(g12, g21, h, S.grid, symmetry_tol=symmetry_tol)
-
-
-def theta(ev: RhoEvaluator, lam) -> complex:
-    return ev.theta(lam)
-
-
-def assemble_G(ev: RhoEvaluator, lam) -> np.ndarray:
-    return ev.assemble_G(lam)
-
-
-def psi(ev: RhoEvaluator, lam) -> Tuple[np.ndarray, np.ndarray]:
-    return ev.psi(lam)
 
 
 # --------------------------------------------------------------------------
@@ -477,20 +447,30 @@ def psi(ev: RhoEvaluator, lam) -> Tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _exp_grid(grid: GridSpec, lam) -> np.ndarray:
-    """e^{i lam x} sampled at the midpoints, flat layout."""
-    e1 = np.exp(1j * complex(lam[0]) * grid.x1)
-    e2 = np.exp(1j * complex(lam[1]) * grid.x2)
-    return grid.outer_flat(e1, e2)
+def _exp_grid(grid: GridSpec, lams) -> np.ndarray:
+    """Columns e^{i lam x} at the midpoints, flat layout: (N, k) for k pairs."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1, 2)
+    e1 = np.exp(1j * grid.x1[:, None] * lams[:, 0])
+    e2 = np.exp(1j * grid.x2[:, None] * lams[:, 1])
+    return (e2[:, None, :] * e1[None, :, :]).reshape(grid.size, -1)
 
 
-def rho_direct(S: ConvOperator, lam, mu) -> complex:
-    """rho(lam, mu) by one solve: quadrature of e^{-i mu x} S^{-1} e^{i lam x}."""
+def rho_direct(S: ConvOperator, lam, mu):
+    """rho(lam, mu) by quadrature of e^{-i mu x} S^{-1} e^{i lam x}.
+
+    ``lam`` and ``mu`` are each one pair (l1, l2), giving a complex, or a
+    (k, 2) array of pairs, giving the (k_lam, k_mu) block of rho from one
+    batched solve over the distinct lam.
+    """
     g = S.grid
-    el = _exp_grid(g, lam)
-    em = _exp_grid(g, (-complex(mu[0]), -complex(mu[1])))
-    x = solve_array(S, el)
-    return complex(g.h1 * g.h2 * np.sum(em * x))
+    lams, where = np.unique(np.asarray(lam, dtype=complex).reshape(-1, 2),
+                            axis=0, return_inverse=True)
+    X = solve_array(S, _exp_grid(g, lams))
+    Em = _exp_grid(g, -np.asarray(mu, dtype=complex))
+    R = g.h1 * g.h2 * (X.T @ Em)[where.reshape(-1)]
+    if np.ndim(lam) == 1 and np.ndim(mu) == 1:
+        return complex(R[0, 0])
+    return R
 
 
 def pole_tolerance(lam_k: complex, rtol: float = 1e-6) -> float:
@@ -642,7 +622,7 @@ def build_rho_table(S: ConvOperator) -> RhoTable:
     """rho on the full frequency grid via batched solves."""
     g = S.grid
     E = _exp_basis(g)
-    X = _solve_columns(S, E)
+    X = solve_array(S, E)
     R = g.h1 * g.h2 * (E.conj().T @ X)
     l1, l2 = dft_frequencies(g)
     return RhoTable(g, l1, l2, R)

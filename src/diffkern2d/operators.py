@@ -17,21 +17,24 @@ so only smooth samples and quadrature sums appear below.
 from __future__ import annotations
 
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgumentError
-from .grid import GridFn, GridSpec, KernelSamples, LineFn, PairFn
+from .grid import GridFn, GridSpec, KernelSamples, LineFn
 
 __all__ = [
     "Space",
     "LinOp",
     "ConvOperator",
     "PiPair",
-    "build_conv_operator",
+    "lu_factor_cond",
     "conv_apply",
     "integration_op",
     "integration_apply",
@@ -75,15 +78,6 @@ class Space:
             return 1
         n = self.grid.axis_n(self.axis)
         return n if self.kind == "line" else 2 * n
-
-    def wrap(self, values: np.ndarray):
-        if self.kind == "grid":
-            return GridFn(self.grid, values)
-        if self.kind == "line":
-            return LineFn(self.grid, self.axis, values)
-        if self.kind == "pair":
-            return PairFn(self.grid, self.axis, values)
-        return complex(values[0])
 
 
 @dataclass(frozen=True)
@@ -133,12 +127,11 @@ class ConvOperator:
     the BTTB matrix with entry W at offset (a-a', b-b').
     """
 
-    def __init__(self, samples: KernelSamples, dense_apply_limit: int = 1024):
+    def __init__(self, samples: KernelSamples):
         g = samples.grid
         self.grid = g
         self.samples = samples
         self.c = samples.c
-        self.dense_apply_limit = int(dense_apply_limit)
 
         n1, n2 = g.n1, g.n2
         W = (g.h1 * g.h2) * np.asarray(samples.v_lat, dtype=complex)
@@ -164,15 +157,16 @@ class ConvOperator:
     # -- application paths ------------------------------------------------
 
     def apply_fft(self, flat: np.ndarray) -> np.ndarray:
+        """S f for a flat (N,) vector, or for each column of an (N, m) block."""
         g = self.grid
-        f2 = np.asarray(flat).reshape(g.n2, g.n1)
-        pad = np.zeros((2 * g.n2, 2 * g.n1), dtype=np.result_type(f2.dtype, self.spectrum.dtype))
-        pad[: g.n2, : g.n1] = f2
-        out = scipy.fft.ifft2(scipy.fft.fft2(pad) * self.spectrum)
-        out = out[: g.n2, : g.n1]
+        flat = np.asarray(flat)
+        f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
+        spec = scipy.fft.fft2(f3, s=(2 * g.n2, 2 * g.n1))   # zero-padded
+        spec *= self.spectrum
+        out = scipy.fft.ifft2(spec, overwrite_x=True)[:, : g.n2, : g.n1]
         if np.isrealobj(flat) and not np.iscomplexobj(self.lattice_kernel):
             out = out.real
-        return out.reshape(g.size)
+        return out.reshape(-1, g.size).T.reshape(flat.shape)
 
     def apply_dense(self, flat: np.ndarray) -> np.ndarray:
         return self.dense() @ np.asarray(flat)
@@ -183,9 +177,7 @@ class ConvOperator:
             raise InvalidArgumentError(
                 f"grid mismatch: input shape {flat.shape}, expected ({self.grid.size},)"
             )
-        if self.grid.size > self.dense_apply_limit:
-            return self.apply_fft(flat)
-        return self.apply_dense(flat)
+        return self.apply_fft(flat)
 
     # -- dense assembly ----------------------------------------------------
 
@@ -217,27 +209,28 @@ class ConvOperator:
         return out
 
     def solve_lu(self):
-        """Cached LU of the dense assembly (desk-scale solves)."""
-        import warnings
-
-        import scipy.linalg
-
+        """Cached ``(lu, piv, cond)`` of the dense assembly, factored and
+        condition-estimated once (desk-scale solves).  Callers solving with
+        it pass a copy of ``piv``: scipy's getrs wrapper shifts the pivots
+        in place while it runs, which races between threads."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
-                    D = self.dense()
-                    anorm = np.linalg.norm(D, 1)
-                    with warnings.catch_warnings():
-                        # exact singularity is reported via the condition
-                        # estimate downstream, not as a warning here
-                        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                        lu, piv = scipy.linalg.lu_factor(D)
-                    self._lu = (lu, piv, anorm)
+                    self._lu = lu_factor_cond(self.dense())
         return self._lu
 
 
-def build_conv_operator(samples: KernelSamples, dense_apply_limit: int = 1024) -> ConvOperator:
-    return ConvOperator(samples, dense_apply_limit=dense_apply_limit)
+def lu_factor_cond(mat: np.ndarray):
+    """``(lu, piv, cond)``: the LU of ``mat`` and LAPACK's 1-norm condition
+    estimate, ``inf`` when the factor is exactly singular."""
+    anorm = np.linalg.norm(mat, 1)
+    with warnings.catch_warnings():
+        # exact singularity is reported through cond, not as a warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(mat)
+    rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
+    cond = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
+    return lu, piv, cond
 
 
 def conv_apply(S: ConvOperator, f: GridFn) -> GridFn:

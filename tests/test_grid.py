@@ -139,6 +139,14 @@ class TestSampleKernel:
             with pytest.raises(KernelEvaluationError):
                 sample_kernel(bad, grid8)
 
+    def test_non_finite_profile_names_evaluator_and_point(self, grid8):
+        # dbeta is sampled on the lattice p1 h1, p1 = -7..7; p1 = 5 is the
+        # first offset above 0.5, at index 5 + 7
+        bad = KernelModel(c=1.0, dbeta=lambda u: np.where(np.asarray(u) > 0.5, np.inf, 0.0))
+        with pytest.raises(KernelEvaluationError, match="'dbeta'") as err:
+            sample_kernel(bad, grid8)
+        assert err.value.point == (12,)
+
     def test_model_derivative_consistency(self, rng):
         # finite-difference cross-check of sigma_x1, sigma_x2, v against
         # sigma at random interior points, measured order ~2

@@ -64,6 +64,27 @@ class TestSolve:
         S = ConvOperator(samples_for(exp_kernel(), 8))
         with pytest.raises(InvalidArgumentError):
             solve_array(S, np.ones(63))
+        with pytest.raises(InvalidArgumentError):
+            solve_array(S, np.ones((64, 2, 2)))
+
+    @pytest.mark.parametrize("n", [8, 80])     # dense LU / GMRES above the guard
+    def test_block_rhs_matches_column_solves(self, n, rng):
+        S = ConvOperator(samples_for(exp_kernel(amp=0.05), n, normalize=False))
+        B = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
+        X = solve_array(S, B)
+        assert X.shape == B.shape
+        for j in range(3):
+            col = solve_array(S, B[:, j])
+            assert np.linalg.norm(X[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+
+    def test_backward_error_checked_for_every_column(self, rng):
+        from diffkern2d.errors import ConvergenceError
+
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        B = np.zeros((64, 3), dtype=complex)
+        B[:, 2] = rng.standard_normal(64)
+        with pytest.raises(ConvergenceError, match="column 2"):
+            solve_array(S, B, backward_tol=0.0)
 
     @pytest.mark.parametrize("tag", ["zero", "exp", "poly", "gaussian",
                                      "separable", "rich"])
@@ -90,6 +111,58 @@ class TestSolve:
             solve_array(S, np.ones(6400), iterative_tol=1e-300,
                         max_restart_cycles=2)
         assert len(err.value.residuals) > 0
+
+
+class TestSharedFactorizationThreads:
+    """One operator and one evaluator shared by several threads: every LU
+    solve must use its own pivot array, or concurrent solves corrupt it."""
+
+    def test_threads_match_serial(self, rng):
+        import sys
+        import threading
+
+        def build():
+            s = samples_for(exp_kernel(), 32)
+            S = ConvOperator(s)
+            return S, build_rho_evaluator(S, s)
+
+        S_ref, ev_ref = build()
+        rhs = [rng.standard_normal(1024) + 1j * rng.standard_normal(1024) for _ in range(6)]
+        lams = [(0.4 * k - 1.3, 1.1 - 0.3 * k) for k in range(8)]
+        want_x = [solve_array(S_ref, b) for b in rhs]
+        want_psi = [np.concatenate(ev_ref.psi(lam)) for lam in lams]
+
+        S, ev = build()
+        start = threading.Barrier(4)
+        errors = []
+
+        def work(t):
+            try:
+                start.wait(timeout=30)
+                for rep in range(5):
+                    for j in range(len(rhs)):
+                        k = (j + t + rep) % len(rhs)
+                        x = solve_array(S, rhs[k])
+                        assert np.linalg.norm(x - want_x[k]) <= 1e-12 * np.linalg.norm(want_x[k])
+                    for j in range(len(lams)):
+                        k = (j + 3 * t) % len(lams)
+                        p = np.concatenate(ev.psi(lams[k]))
+                        assert np.linalg.norm(p - want_psi[k]) <= 1e-12 * np.linalg.norm(want_psi[k])
+            except Exception as exc:      # reported by the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestComputeG:
@@ -310,6 +383,30 @@ class TestRhoDirect:
                 whole = rho_direct(S, lam, mu)
                 parts = rho_1d(k1, lam[0], mu[0]) * rho_1d(k2, lam[1], mu[1])
                 assert abs(whole - parts) <= 1e-10 * abs(whole)
+
+
+class TestRhoDirectBatch:
+    def test_block_matches_per_lambda_solves(self):
+        from diffkern2d.config import RunConfig
+
+        cfg = RunConfig()
+        S = ConvOperator(samples_for(exp_kernel(), 16))
+        g = S.grid
+        lams = [(l1, l2) for l2 in cfg.rho_lambda2 for l1 in cfg.rho_lambda1]
+        mus = [(m1, m2) for m2 in cfg.rho_mu2 for m1 in cfg.rho_mu1]
+        got = rho_direct(S, np.array(lams), np.array(mus))
+        assert got.shape == (25, 25)
+        X1, X2 = np.meshgrid(g.x1, g.x2)            # [b, a]: flat layout
+        x1, x2 = X1.reshape(-1), X2.reshape(-1)
+        for a, lam in enumerate(lams):
+            x = solve_array(S, np.exp(1j * (lam[0] * x1 + lam[1] * x2)))
+            for b, mu in enumerate(mus):
+                want = g.h1 * g.h2 * np.sum(np.exp(-1j * (mu[0] * x1 + mu[1] * x2)) * x)
+                assert abs(got[a, b] - want) <= 1e-12 * abs(want)
+        # the scalar call is the 1 x 1 block; a repeated lam repeats its row
+        assert rho_direct(S, lams[7], mus[11]) == pytest.approx(got[7, 11], rel=1e-14)
+        again = rho_direct(S, np.array([lams[3], lams[0], lams[3]]), np.array(mus))
+        assert_allclose(again, got[[3, 0, 3]], rtol=1e-14, atol=0)
 
 
 class TestRhoStructured:
