@@ -123,8 +123,9 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         agree = 0.0
         for _ in range(5):
             f = rng.standard_normal(S.grid.size) + 1j * rng.standard_normal(S.grid.size)
-            diff = np.linalg.norm(S.apply_fft(f) - S.apply_dense(f))
-            agree = max(agree, diff / np.linalg.norm(S.apply_dense(f)))
+            dense_f = S.apply_dense(f)
+            diff = np.linalg.norm(S.apply_fft(f) - dense_f)
+            agree = max(agree, diff / np.linalg.norm(dense_f))
 
         per_size[str(n)] = {
             "displacement_k1": r_k1, "displacement_k2": r_k2,

@@ -414,7 +414,10 @@ def normalize_model(model: KernelModel, grid: GridSpec) -> KernelModel:
 
 
 def normalize_kernel(samples: KernelSamples) -> KernelSamples:
-    """Sampled view of :func:`normalize_model`; idempotent to roundoff."""
+    """Sampled view of :func:`normalize_model`.  Samples that are already
+    normalized are returned as they are, so closures never nest."""
+    if samples.normalized:
+        return samples
     hat = normalize_model(samples.model, samples.grid)
     out = sample_kernel(hat, samples.grid)
     object.__setattr__(out, "normalized", True)

@@ -22,8 +22,10 @@ the discrete transform mirrors this with quadrature-weighted adjoints.
 
 Finally, sampling rho on the complete midpoint-compatible DFT frequency
 grid resolves S^{-1} exactly:  T = E R E^H / (omega1 omega2 n1 n2) where
-E holds the sampled exponentials (they are exactly orthogonal on the
-midpoint grid) and R[p, q] = rho(lam_q, mu_p).
+E = E2 (x) E1 holds the sampled exponentials (they are exactly orthogonal
+on the midpoint grid) and R[p, q] = rho(lam_q, mu_p).  Both products with
+E are evaluated axis by axis with the n_i x n_i factors E1 and E2, never
+with the N x N Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .operators import (
     ConvOperator,
     LinOp,
     PiPair,
+    apply_along,
     assemble_pi,
     k_op,
     line_integration_op,
@@ -259,7 +262,7 @@ class FlipOp:
     def permutation(self) -> np.ndarray:
         """The linear part (index reversal) on a pair, without conjugation."""
         rev = np.fliplr(np.eye(self.n))
-        return np.kron(np.eye(2), rev)
+        return scipy.linalg.block_diag(rev, rev)
 
 
 class JMat:
@@ -586,12 +589,15 @@ def dft_frequencies(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return 2 * np.pi * m1 / grid.omega1, 2 * np.pi * m2 / grid.omega2
 
 
-def _exp_basis(grid: GridSpec) -> np.ndarray:
-    """Columns e^{i lam x} for the full frequency grid, lam1-fastest."""
+def _apply_basis(grid: GridSpec, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """E X (or E^H X) for the DFT basis E = E2 (x) E1, columns lam1-fastest,
+    applied axis by axis with the n_i x n_i sampled exponentials E_i."""
     l1, l2 = dft_frequencies(grid)
-    E1 = np.exp(1j * grid.x1[:, None] * l1[None, :])   # (n1, n1)
-    E2 = np.exp(1j * grid.x2[:, None] * l2[None, :])   # (n2, n2)
-    return np.kron(E2, E1)
+    E1 = np.exp(1j * grid.x1[:, None] * l1)
+    E2 = np.exp(1j * grid.x2[:, None] * l2)
+    if adjoint:
+        E1, E2 = E1.conj().T, E2.conj().T
+    return apply_along(E2, apply_along(E1, X, grid, 1), grid, 2)
 
 
 @dataclass(frozen=True)
@@ -621,10 +627,10 @@ class RhoTable:
 def build_rho_table(S: ConvOperator) -> RhoTable:
     """rho on the full frequency grid via batched solves."""
     g = S.grid
-    E = _exp_basis(g)
-    X = solve_array(S, E)
-    R = g.h1 * g.h2 * (E.conj().T @ X)
     l1, l2 = dft_frequencies(g)
+    L1, L2 = np.meshgrid(l1, l2)                 # lam1-fastest pairs
+    X = solve_array(S, _exp_grid(g, np.column_stack([L1.ravel(), L2.ravel()])))
+    R = g.h1 * g.h2 * _apply_basis(g, X, adjoint=True)
     return RhoTable(g, l1, l2, R)
 
 
@@ -632,7 +638,8 @@ def inverse_from_rho(source) -> np.ndarray:
     """Dense S^{-1} from a rho table: T = E R E^H / (omega1 omega2 n1 n2).
 
     Exact at the discrete level because the sampled exponentials form an
-    orthogonal basis.  Accepts a ConvOperator (the table is built first)
+    orthogonal basis.  E R and E (E R)^H = (E R E^H)^H are each evaluated
+    axis by axis.  Accepts a ConvOperator (the table is built first)
     or a prebuilt RhoTable, which must be complete.
     """
     if isinstance(source, ConvOperator):
@@ -645,8 +652,8 @@ def inverse_from_rho(source) -> np.ndarray:
         )
     table.validate_complete()
     g = table.grid
-    E = _exp_basis(g)
-    return (E @ table.values @ E.conj().T) / (g.omega1 * g.omega2 * g.size)
+    ER = _apply_basis(g, table.values)
+    return _apply_basis(g, ER.conj().T).conj().T / (g.omega1 * g.omega2 * g.size)
 
 
 # --------------------------------------------------------------------------

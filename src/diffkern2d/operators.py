@@ -1,17 +1,19 @@
 """Discrete operators on the rectangle and the identity checks.
 
 Contains the convolution operator S (FFT fast path plus guarded dense
-assembly), the antiderivative operators A_k and their adjoints, the eight
-one-sided building blocks M_jk, the K-family, the factor pairs Pi_k /
-PiHat_k, and the residual / rank diagnostics for the two families of
-displacement identities
+assembly), the side antiderivatives calA_k, the eight one-sided building
+blocks M_jk, the K-family, the factor pairs Pi_k / PiHat_k, and the
+residual / rank diagnostics for the two families of displacement
+identities
 
     A_k S - S A_k^*           = i Pi_k PiHat_k            (on the rectangle)
     calA_i M_4k - M_4k A_i^*  = i (K_1i M_2i + K_2i K_4)  (on a side, i != k)
 
 All derivative-containing definitions are realized derivative-free: the
 sign factors of the kernel are expanded analytically (d/dx sgn = 2 delta),
-so only smooth samples and quadrature sums appear below.
+so only smooth samples and quadrature sums appear below.  The grid
+operators A_k and A_k^* are calA_k and its adjoint applied along axis k
+(:func:`apply_along`); no N x N Kronecker matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgumentError
-from .grid import GridFn, GridSpec, KernelSamples, LineFn
+from .grid import GridFn, GridSpec, KernelSamples
 
 __all__ = [
     "Space",
@@ -36,11 +38,8 @@ __all__ = [
     "PiPair",
     "lu_factor_cond",
     "conv_apply",
-    "integration_op",
-    "integration_apply",
-    "adjoint_integration_op",
     "line_integration_op",
-    "cal_a_apply",
+    "apply_along",
     "m_op",
     "k_op",
     "assemble_pi",
@@ -245,45 +244,36 @@ def conv_apply(S: ConvOperator, f: GridFn) -> GridFn:
 # --------------------------------------------------------------------------
 
 
-def _lower_stencil(n: int, h: float) -> np.ndarray:
-    """i h (strict lower cumulative + 1/2 current): midpoint antiderivative."""
-    return 1j * h * (np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n))
-
-
 def line_integration_op(grid: GridSpec, axis: int) -> LinOp:
-    """calA_k = i int_0^{x_k} on one side."""
+    """calA_k = i int_0^{x_k} on one side: i h (strict lower cumulative +
+    1/2 current), the midpoint antiderivative.  On grid functions A_k is
+    this matrix applied along axis k (:func:`apply_along`), and A_k^* its
+    conjugate transpose."""
     n = grid.axis_n(axis)
     h = grid.axis_h(axis)
     sp = Space("line", grid, axis)
-    return LinOp(sp, sp, _lower_stencil(n, h))
+    return LinOp(sp, sp, 1j * h * (np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)))
 
 
-def integration_op(grid: GridSpec, axis: int) -> LinOp:
-    """A_k = i int_0^{x_k} acting on grid functions along one axis."""
+def apply_along(mat: np.ndarray, x: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    """(I (x) mat) x for axis 1, (mat (x) I) x for axis 2.
+
+    ``mat`` is n_axis x n_axis; ``x`` is a flat (N,) grid function or an
+    (N, m) block of them, x1-fastest.  Uses (B (x) A) vec X = vec(A X B^T)
+    instead of forming the N x N Kronecker matrix.
+    """
     n = grid.axis_n(axis)
-    h = grid.axis_h(axis)
-    calA = _lower_stencil(n, h)
-    sp = Space("grid", grid)
+    x = np.asarray(x)
+    if mat.shape != (n, n) or x.shape[:1] != (grid.size,) or x.ndim > 2:
+        raise InvalidArgumentError(
+            f"apply_along: matrix {mat.shape} and input {x.shape} on a "
+            f"{grid.n1}x{grid.n2} grid, axis {axis}"
+        )
     if axis == 1:
-        mat = np.kron(np.eye(grid.n2), calA)
+        out = mat @ x.reshape(grid.n2, grid.n1, -1)
     else:
-        mat = np.kron(calA, np.eye(grid.n1))
-    return LinOp(sp, sp, mat)
-
-
-def adjoint_integration_op(grid: GridSpec, axis: int) -> LinOp:
-    """A_k^* = -i int_{x_k}^{omega_k}: exact conjugate transpose of A_k."""
-    op = integration_op(grid, axis)
-    return LinOp(op.source, op.target, op.mat.conj().T)
-
-
-def integration_apply(grid: GridSpec, axis: int, f: GridFn, adjoint: bool = False) -> GridFn:
-    op = adjoint_integration_op(grid, axis) if adjoint else integration_op(grid, axis)
-    return GridFn(grid, op.apply(f.values))
-
-
-def cal_a_apply(grid: GridSpec, axis: int, f: LineFn) -> LineFn:
-    return LineFn(grid, axis, line_integration_op(grid, axis).apply(f.values))
+        out = mat @ x.reshape(grid.n2, -1)
+    return out.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -434,14 +424,20 @@ def assemble_pi(samples: KernelSamples, k: int) -> PiPair:
     return PiPair(axis=k, pi=pi, pi_hat=pi_hat)
 
 
+def _displacement(S: ConvOperator, k: int) -> np.ndarray:
+    """A_k S - S A_k^* (dense), with S A_k^* = (A_k S^*)^*."""
+    D = S.dense()
+    calA = line_integration_op(S.grid, k).mat
+    return (apply_along(calA, D, S.grid, k)
+            - apply_along(calA, D.conj().T, S.grid, k).conj().T)
+
+
 def displacement_identity_residual(S: ConvOperator, pi: PiPair, k: int) -> float:
     """|| A_k S - S A_k^* - i Pi_k PiHat_k ||_F / ||S||_F (dense)."""
     if k != pi.axis:
         raise InvalidArgumentError(f"PiPair is for axis {pi.axis}, asked for {k}")
-    D = S.dense()
-    A = integration_op(S.grid, k).mat
-    R = A @ D - D @ A.conj().T - 1j * (pi.pi.mat @ pi.pi_hat.mat)
-    return float(np.linalg.norm(R) / np.linalg.norm(D))
+    R = _displacement(S, k) - 1j * (pi.pi.mat @ pi.pi_hat.mat)
+    return float(np.linalg.norm(R) / np.linalg.norm(S.dense()))
 
 
 def m4_identity_residual(samples: KernelSamples, i: int, k: int) -> float:
@@ -454,22 +450,19 @@ def m4_identity_residual(samples: KernelSamples, i: int, k: int) -> float:
     g = samples.grid
     M4k = m_op(samples, 4, k).mat
     calA = line_integration_op(g, i).mat
-    Astar = adjoint_integration_op(g, i).mat
+    M4k_Astar = apply_along(calA, M4k.conj().T, g, i).conj().T
     K1 = k_op(samples, "K11" if i == 1 else "K12").mat
     M2 = m_op(samples, 2, i).mat
     K2 = k_op(samples, "K21" if i == 1 else "K22").mat
     K4 = k_op(samples, "K4").mat
-    R = calA @ M4k - M4k @ Astar - 1j * (K1 @ M2 + K2 @ K4)
+    R = calA @ M4k - M4k_Astar - 1j * (K1 @ M2 + K2 @ K4)
     denom = np.linalg.norm(calA @ M4k)
     return float(np.linalg.norm(R) / max(denom, np.finfo(float).tiny))
 
 
 def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:
     """Numerical rank of A_k S - S A_k^* (singular values above rel_tol * s1)."""
-    D = S.dense()
-    A = integration_op(S.grid, k).mat
-    disp = A @ D - D @ A.conj().T
-    sv = np.linalg.svd(disp, compute_uv=False)
+    sv = np.linalg.svd(_displacement(S, k), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))

@@ -23,15 +23,16 @@ from .errors import InvalidArgumentError, SingularOperatorError
 from .grid import GridSpec, KernelSamples
 from .operators import (
     ConvOperator,
+    LinOp,
     Space,
     assemble_pi,
     displacement_identity_residual,
     export_dense_csv,
     m4_identity_residual,
+    m_op,
 )
 
 __all__ = [
-    "DenseOp",
     "Kernel1D",
     "oracle_m_op",
     "extract_generating_kernel",
@@ -42,24 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DenseOp:
-    """Dense matrix with its space descriptors."""
-
-    source: Space
-    target: Space
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if self.mat.shape != (self.target.dim, self.source.dim):
-            raise InvalidArgumentError(
-                f"shape {self.mat.shape} inconsistent with spaces"
-            )
-        if not np.all(np.isfinite(self.mat)):
-            raise InvalidArgumentError("oracle operator has non-finite entries")
-
-
-def oracle_m_op(samples: KernelSamples, j: int, k: int) -> DenseOp:
+def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
     """M_jk by literal quadrature of s and centered differences.
 
     The derivative step is h/2, which puts every s evaluation on the
@@ -77,10 +61,7 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> DenseOp:
 
     if (j, k) in ((2, 1), (2, 2), (3, 1), (3, 2)):
         # no derivative involved: the quadrature/broadcast form is already exact
-        from .operators import m_op
-
-        a = m_op(samples, j, k)
-        return DenseOp(a.source, a.target, a.mat)
+        return m_op(samples, j, k)
 
     if (j, k) == (1, 1):
         # (M_11 f)(x) = d/dx2 int s(x1, x2 - t2) f(t2) dt2
@@ -89,34 +70,39 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> DenseOp:
         Fp = model.s_values(x1[:, None, None], (D + d)[None, :, :])
         Fm = model.s_values(x1[:, None, None], (D - d)[None, :, :])
         M = h2 * (Fp - Fm) / (2 * d)                      # [a, b, b']
-        return DenseOp(line2, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n2))
+        source, target, mat = (line2, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n2))
 
-    if (j, k) == (1, 2):
+    elif (j, k) == (1, 2):
         d = 0.5 * h1
         D = x1[:, None] - x1[None, :]                     # (a, a')
         Fp = model.s_values((D + d)[:, None, :], x2[None, :, None])
         Fm = model.s_values((D - d)[:, None, :], x2[None, :, None])
         M = h1 * (Fp - Fm) / (2 * d)                      # [a, b, a']
-        return DenseOp(line1, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n1))
+        source, target, mat = (line1, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n1))
 
-    if (j, k) == (4, 1):
+    elif (j, k) == (4, 1):
         # (M_41 f)(x2) = -d/dx2 int s(-t1, x2 - t2) f(t) dt
         d = 0.5 * h2
         D = x2[:, None] - x2[None, :]                     # (b, b')
         Fp = model.s_values(-x1[:, None, None], (D + d)[None, :, :])
         Fm = model.s_values(-x1[:, None, None], (D - d)[None, :, :])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a', b, b']
-        return DenseOp(grid_sp, line2, M.transpose(1, 2, 0).reshape(n2, g.size))
+        source, target, mat = (grid_sp, line2, M.transpose(1, 2, 0).reshape(n2, g.size))
 
-    if (j, k) == (4, 2):
+    elif (j, k) == (4, 2):
         d = 0.5 * h1
         D = x1[:, None] - x1[None, :]                     # (a, a')
         Fp = model.s_values((D + d)[:, None, :], -x2[None, :, None])
         Fm = model.s_values((D - d)[:, None, :], -x2[None, :, None])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a, b', a']
-        return DenseOp(grid_sp, line1, M.reshape(n1, g.size))
+        source, target, mat = (grid_sp, line1, M.reshape(n1, g.size))
 
-    raise InvalidArgumentError(f"no operator M_{j}{k}")
+    else:
+        raise InvalidArgumentError(f"no operator M_{j}{k}")
+    # the values come from a user-supplied kernel model
+    if not np.all(np.isfinite(mat)):
+        raise InvalidArgumentError("oracle operator has non-finite entries")
+    return LinOp(source, target, mat)
 
 
 # --------------------------------------------------------------------------

@@ -84,6 +84,16 @@ def dense_oracle_S(samples) -> np.ndarray:
     return S
 
 
+def kron_integration(g, axis) -> np.ndarray:
+    """A_k as an N x N Kronecker matrix with a hand-built midpoint stencil
+    i h (strict lower cumulative + 1/2 current)."""
+    n, h = g.axis_n(axis), g.axis_h(axis)
+    stencil = 1j * h * (np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n))
+    if axis == 1:
+        return np.kron(np.eye(g.n2), stencil)
+    return np.kron(stencil, np.eye(g.n1))
+
+
 def convergence_orders(values):
     """Successive log2 ratios of a decreasing residual sequence."""
     v = np.asarray(values, dtype=float)

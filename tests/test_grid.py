@@ -13,6 +13,7 @@ from diffkern2d.grid import (
     grid_inner,
     make_grid,
     normalize_kernel,
+    normalize_model,
     quadrant_sum_residual,
     sample_kernel,
 )
@@ -173,7 +174,9 @@ class TestSampleKernel:
 class TestNormalize:
     def test_fixed_point(self):
         s = samples_for(exp_kernel(), 4)          # already normalized
-        again = normalize_kernel(s)
+        assert normalize_kernel(s) is s           # no second layer of closures
+        g = s.grid
+        again = sample_kernel(normalize_model(normalize_model(exp_kernel(), g), g), g)
         assert np.abs(again.sigma_lat - s.sigma_lat).max() <= 1e-14
         assert np.abs(again.sigma_x1_lat - s.sigma_x1_lat).max() <= 1e-14
         assert np.abs(again.sigma_nn - s.sigma_nn).max() <= 1e-14

@@ -10,13 +10,16 @@ from diffkern2d.operators import (
     assemble_pi,
     displacement_identity_residual,
     displacement_rank,
-    integration_op,
+    k_op,
+    line_integration_op,
     m4_identity_residual,
+    m_op,
 )
 
 from conftest import (
     MODEL_BUILDERS,
     convergence_orders,
+    kron_integration,
     rich_model,
     samples_for,
     x1_only_model,
@@ -125,6 +128,32 @@ class TestAnisotropicGrids:
             vals.append(displacement_identity_residual(S, assemble_pi(s, 1), 1))
         assert vals[0] / vals[1] >= 1.6
 
+    @pytest.mark.parametrize("tag", ["rich", "separable"])
+    def test_diagnostics_match_kron_formula_off_square(self, tag):
+        # residual, rank and side identity against N x N Kronecker
+        # matrices built here, on an odd non-square grid
+        s = samples_for(MODEL_BUILDERS[tag](), 5, n2=7, omega1=1.7, omega2=0.9)
+        S = ConvOperator(s)
+        g, D = s.grid, S.dense()
+        for k in (1, 2):
+            A = kron_integration(g, k)
+            disp = A @ D - D @ A.conj().T
+            pp = assemble_pi(s, k)
+            want = np.linalg.norm(disp - 1j * pp.pi.mat @ pp.pi_hat.mat) / np.linalg.norm(D)
+            got = displacement_identity_residual(S, pp, k)
+            assert abs(got - want) <= 1e-12 * want
+            sv = np.linalg.svd(disp, compute_uv=False)
+            assert displacement_rank(S, k) == int(np.sum(sv > 1e-10 * sv[0]))
+
+            i = 3 - k
+            M4k = m_op(s, 4, k).mat
+            line = line_integration_op(g, i).mat
+            side = line @ M4k - M4k @ kron_integration(g, i).conj().T - 1j * (
+                k_op(s, "K11" if i == 1 else "K12").mat @ m_op(s, 2, i).mat
+                + k_op(s, "K21" if i == 1 else "K22").mat @ k_op(s, "K4").mat)
+            want = np.linalg.norm(side) / np.linalg.norm(line @ M4k)
+            assert abs(m4_identity_residual(s, i, k) - want) <= 1e-12 * want
+
 
 class TestJumpCaseClosedForm:
     def test_displacement_is_row_constant_block(self):
@@ -133,7 +162,7 @@ class TestJumpCaseClosedForm:
         s = samples_for(identity_kernel(c=1.0), 4)
         S = ConvOperator(s)
         g = s.grid
-        A = integration_op(g, 1).mat
+        A = kron_integration(g, 1)
         D = S.dense()
         disp = A @ D - D @ A.conj().T
         want = 1j * g.h1 * np.kron(np.eye(4), np.ones((4, 4)))

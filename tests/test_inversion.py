@@ -36,7 +36,7 @@ from diffkern2d.inversion import (
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separable_kernel
 from diffkern2d.operators import ConvOperator, assemble_pi, k_op
 
-from conftest import convergence_orders, samples_for
+from conftest import MODEL_BUILDERS, convergence_orders, samples_for
 
 
 class TestSolve:
@@ -492,6 +492,14 @@ class TestInverseFromRho:
 
     def test_exp_kernel_matches_dense_inverse(self):
         S = ConvOperator(samples_for(exp_kernel(), 8))
+        T = inverse_from_rho(S)
+        want = np.linalg.inv(S.dense())
+        assert np.linalg.norm(T - want) / np.linalg.norm(want) <= 1e-9
+
+    @pytest.mark.parametrize("tag", ["rich", "gaussian"])
+    def test_odd_non_square_grid_matches_dense_inverse(self, tag):
+        # 5 x 7 with unequal sides: an axis swap in E = E2 (x) E1 shows here
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 5, n2=7, omega1=1.7, omega2=0.9))
         T = inverse_from_rho(S)
         want = np.linalg.inv(S.dense())
         assert np.linalg.norm(T - want) / np.linalg.norm(want) <= 1e-9

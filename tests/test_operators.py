@@ -5,21 +5,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError
-from diffkern2d.grid import GridFn, LineFn, grid_inner, make_grid
+from diffkern2d.grid import GridFn, grid_inner, make_grid
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
 from diffkern2d.operators import (
     ConvOperator,
-    adjoint_integration_op,
+    apply_along,
     assemble_pi,
     conv_apply,
     export_dense_csv,
-    integration_op,
     k_op,
     line_integration_op,
     m_op,
 )
 
-from conftest import dense_oracle_S, samples_for
+from conftest import dense_oracle_S, kron_integration, samples_for
 
 
 class TestConvApply:
@@ -87,8 +86,8 @@ class TestConvApply:
 class TestIntegrationOps:
     def test_antiderivative_of_ones_is_ix(self):
         g = make_grid(1.0, 1.0, 4, 4)
-        A1 = integration_op(g, 1)
-        out = A1.apply(np.ones(16).astype(complex))
+        calA = line_integration_op(g, 1).mat
+        out = apply_along(calA, np.ones(16).astype(complex), g, 1)
         want = g.outer_flat(1j * g.x1, np.ones(4))
         assert_allclose(out, want, rtol=0, atol=1e-15)
 
@@ -96,29 +95,44 @@ class TestIntegrationOps:
         # (A1 + A1*) 1 = i (2 x1 - omega1): the two integration ranges
         # join into the full interval minus the reflected part
         g = make_grid(1.0, 1.0, 4, 4)
-        out = (integration_op(g, 1).mat + adjoint_integration_op(g, 1).mat) @ np.ones(16)
+        calA = line_integration_op(g, 1).mat
+        ones = np.ones(16)
+        out = apply_along(calA, ones, g, 1) + apply_along(calA.conj().T, ones, g, 1)
         want = g.outer_flat(1j * (2 * g.x1 - g.omega1), np.ones(4))
         assert_allclose(out, want, rtol=0, atol=1e-15)
 
-    def test_axis2_against_kron_oracle(self, rng):
-        g = make_grid(1.0, 2.0, 8, 8)
-        stencil = 1j * g.h2 * (np.tril(np.ones((8, 8)), -1) + 0.5 * np.eye(8))
-        oracle = np.kron(stencil, np.eye(8))
-        f = rng.standard_normal(64)
-        assert_allclose(integration_op(g, 2).apply(f.astype(complex)),
-                        oracle @ f, rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["fwd", "adj"])
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vec", "block"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_against_kron_oracle(self, rng, axis, cols, adjoint):
+        # non-square grid with unequal sides; a real (N,) vector or a
+        # complex (N, m) block
+        g = make_grid(1.3, 2.0, 5, 8)
+        calA = line_integration_op(g, axis).mat
+        oracle = kron_integration(g, axis)
+        if adjoint:
+            calA, oracle = calA.conj().T, oracle.conj().T
+        if cols is None:
+            f = rng.standard_normal(g.size)
+        else:
+            f = rng.standard_normal((g.size, cols)) + 1j * rng.standard_normal((g.size, cols))
+        out = apply_along(calA, f, g, axis)
+        assert out.shape == f.shape
+        assert_allclose(out, oracle @ f, rtol=0, atol=1e-14)
 
-    def test_typed_apply_and_adjoint_flag(self):
+    def test_shape_check(self):
+        g = make_grid(1.0, 1.0, 4, 6)
+        with pytest.raises(InvalidArgumentError):
+            apply_along(np.eye(4), np.ones(24), g, 2)
+        with pytest.raises(InvalidArgumentError):
+            apply_along(np.eye(4), np.ones(23), g, 1)
+
+    def test_adjoint_on_ones(self):
+        # A1* 1 = -i (omega1 - x1): integration from x1 up to the far side
         g = make_grid(1.0, 1.0, 4, 4)
-        from diffkern2d.operators import integration_apply
-
-        ones = GridFn(g, np.ones(16).astype(complex))
-        fwd = integration_apply(g, 1, ones)
-        assert_allclose(fwd.values, g.outer_flat(1j * g.x1, np.ones(4)),
-                        rtol=0, atol=1e-15)
-        adj = integration_apply(g, 1, ones, adjoint=True)
-        assert_allclose(adj.values,
-                        g.outer_flat(-1j * (g.omega1 - g.x1), np.ones(4)),
+        calA = line_integration_op(g, 1).mat
+        adj = apply_along(calA.conj().T, np.ones(16).astype(complex), g, 1)
+        assert_allclose(adj, g.outer_flat(-1j * (g.omega1 - g.x1), np.ones(4)),
                         rtol=0, atol=1e-15)
 
     def test_adjoint_consistency(self, rng):
@@ -126,10 +140,9 @@ class TestIntegrationOps:
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         h = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         for axis in (1, 2):
-            A = integration_op(g, axis)
-            Astar = adjoint_integration_op(g, axis)
-            lhs = grid_inner(g, A.apply(f), h)
-            rhs = grid_inner(g, f, Astar.apply(h))
+            calA = line_integration_op(g, axis).mat
+            lhs = grid_inner(g, apply_along(calA, f, g, axis), h)
+            rhs = grid_inner(g, f, apply_along(calA.conj().T, h, g, axis))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_line_op_matches_grid_stencil(self):
@@ -137,14 +150,6 @@ class TestIntegrationOps:
         calA = line_integration_op(g, 2)
         out = calA.apply(np.ones(6).astype(complex))
         assert_allclose(out, 1j * g.x2, rtol=0, atol=1e-15)
-
-    def test_cal_a_apply_typed(self):
-        from diffkern2d.operators import cal_a_apply
-
-        g = make_grid(1.0, 1.0, 4, 6)
-        out = cal_a_apply(g, 2, LineFn(g, 2, np.ones(6).astype(complex)))
-        assert out.axis == 2
-        assert_allclose(out.values, 1j * g.x2, rtol=0, atol=1e-15)
 
 
 class TestMOps:

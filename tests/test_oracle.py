@@ -1,5 +1,6 @@
 """Brute-force reference implementations and their agreement contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError, SingularOperatorError
-from diffkern2d.grid import make_grid
+from diffkern2d.grid import KernelModel, make_grid
 from diffkern2d.kernels import exp_kernel, identity_kernel, separable_factors
-from diffkern2d.operators import ConvOperator, integration_op, m_op
+from diffkern2d.operators import ConvOperator, m_op
 from diffkern2d.oracle import (
     Kernel1D,
     dense_everything,
@@ -21,7 +22,7 @@ from diffkern2d.oracle import (
     rho_1d,
 )
 
-from conftest import rich_model, samples_for
+from conftest import kron_integration, rich_model, samples_for
 
 
 class TestOracleMOps:
@@ -41,6 +42,15 @@ class TestOracleMOps:
         s = samples_for(identity_kernel(c=1.0), 6)
         for j, k in ((1, 1), (1, 2), (4, 1), (4, 2)):
             assert np.abs(oracle_m_op(s, j, k).mat - m_op(s, j, k).mat).max() <= 1e-14
+
+    def test_non_finite_model_rejected(self):
+        # the oracle evaluates the model off the sampled lattice, where the
+        # samples' own finite check never looked
+        s = samples_for(exp_kernel(), 4)
+        bad = KernelModel(c=1.0, name="nan",
+                          sigma=lambda x1, x2: np.full(np.broadcast(x1, x2).shape, np.nan))
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            oracle_m_op(dataclasses.replace(s, model=bad), 1, 1)
 
     @pytest.mark.parametrize("jk", [(1, 1), (1, 2), (4, 1), (4, 2)])
     def test_disagreement_with_analytic_path_halves(self, jk):
@@ -71,7 +81,7 @@ class TestGeneratingKernel:
         # Q = A1: q(x, t) = i h1 (strict-upper cumulative + 1/2 current)
         # of the indicator along axis 1, computed by hand
         g = make_grid(1.0, 1.0, 4, 4)
-        A1 = integration_op(g, 1).mat
+        A1 = kron_integration(g, 1)
         a, b = 3, 2
         q = extract_generating_kernel(A1, g, (a, b))
         chi = np.zeros((4, 4))
