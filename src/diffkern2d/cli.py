@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import fileio
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_sizes
 from .errors import (
     DiffKernError,
     InvalidArgumentError,
@@ -369,22 +369,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.sizes:
-            try:
-                cfg.sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise InvalidArgumentError(f"bad --sizes: {exc}") from exc
+        if args.sizes is not None:
+            cfg.sizes = parse_sizes(args.sizes, field="--sizes")
         if args.seed is not None:
             cfg.seed = args.seed
         for item in args.tol_override:
             if "=" not in item:
                 raise InvalidArgumentError(f"bad --tol-override {item!r}, expected KEY=VALUE")
-            key, val = item.split("=", 1)
-            if key not in cfg.tolerances:
-                raise InvalidArgumentError(
-                    f"unknown tolerance {key!r}; known: {sorted(cfg.tolerances)}"
-                )
-            cfg.tolerances[key] = float(val)
+            cfg.set_tolerance(*item.split("=", 1))
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

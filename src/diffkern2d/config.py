@@ -25,6 +25,7 @@ rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   comma float lists
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -41,7 +42,8 @@ from .kernels import (
     with_profiles,
 )
 
-__all__ = ["RunConfig", "parse_config_text", "load_config", "default_tolerances"]
+__all__ = ["RunConfig", "parse_config_text", "parse_sizes", "load_config",
+           "default_tolerances"]
 
 _FAMILIES = ("identity", "exp", "poly", "gaussian", "separable")
 _PROFILE_KINDS = ("none", "exp", "sin", "cos")
@@ -101,6 +103,21 @@ class RunConfig:
     rho_mu2: List[float] = field(default_factory=lambda: [-1.2, -0.1, 0.85, 1.75, 2.6])
     tolerances: Dict[str, float] = field(default_factory=default_tolerances)
 
+    def set_tolerance(self, key: str, raw, line: Optional[int] = None) -> None:
+        """Set a named tolerance; it must be a finite number >= 0."""
+        if key not in self.tolerances:
+            raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(self.tolerances)}",
+                              line=line, field=key)
+        try:
+            val = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse value {raw!r}: {exc}",
+                              line=line, field=key) from exc
+        if not (math.isfinite(val) and val >= 0):
+            raise ConfigError(f"tolerance must be finite and >= 0, got {raw!r}",
+                              line=line, field=key)
+        self.tolerances[key] = val
+
     def make_grid(self, n1: Optional[int] = None, n2: Optional[int] = None) -> GridSpec:
         return make_grid(self.omega1, self.omega2,
                          self.n1 if n1 is None else n1,
@@ -157,6 +174,19 @@ class RunConfig:
         }
 
 
+def parse_sizes(raw: str, line: Optional[int] = None, field: str = "sizes") -> List[int]:
+    """Comma list of square grid sizes for a convergence study: integers
+    >= 2, at least two of them distinct (an order needs two points)."""
+    try:
+        sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse value {raw!r}: {exc}", line=line, field=field) from exc
+    if any(n < 2 for n in sizes) or len(set(sizes)) < 2:
+        raise ConfigError(f"sizes must be integers >= 2, at least two distinct; got {raw!r}",
+                          line=line, field=field)
+    return sizes
+
+
 def _parse_value(key: str, raw: str, line_no: int):
     raw = raw.strip()
     try:
@@ -172,7 +202,7 @@ def _parse_value(key: str, raw: str, line_no: int):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if key in _LIST_INT_KEYS:
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
+            return parse_sizes(raw, line_no, key)
         if key in _LIST_FLOAT_KEYS:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
         return raw
@@ -229,13 +259,8 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError("need at least 2 points per side",
                                   line=lines[key], field=key)
             setattr(cfg, key, val)
-        elif key == "sizes":
-            if not val or any(n < 2 for n in val):
-                raise ConfigError("sizes must be integers >= 2",
-                                  line=lines[key], field=key)
-            cfg.sizes = val
         elif key == "rho_max_rel_err":
-            cfg.tolerances["rho_max_rel_err"] = val
+            cfg.set_tolerance(key, val, line=lines[key])
         else:
             setattr(cfg, key, val)
 

@@ -153,9 +153,21 @@ def write_convergence_svg(path, sizes, series: dict,
 def read_image(path):
     """Read a plain-text P2 graymap or a CSV matrix.
 
-    Returns (array (rows, cols) float, maxval or None).
+    Returns (array (rows, cols) float, maxval or None).  A non-finite
+    pixel is an error that names the file and its (row, col), 0-based.
     """
     p = Path(path)
+    arr, maxval = _read_pixels(p)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        raise InvalidArgumentError(
+            f"{p}: non-finite pixel {arr[row, col]} at (row, col) = ({row}, {col})"
+        )
+    return arr, maxval
+
+
+def _read_pixels(p: Path):
     text = p.read_text()
     if text.lstrip().startswith("P2"):
         tokens = []

@@ -79,6 +79,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("line", [
+        "rho_max_rel_err = nan", "rho_max_rel_err = inf", "rho_max_rel_err = -0.1",
+        "sizes = 8", "sizes = 8,8", "sizes = 1,8",
+    ])
+    def test_bad_tolerance_or_sizes_reports_field(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"kernel = exp\n{line}\n")
+        assert err.value.line == 2
+        assert err.value.field == line.split(" =")[0]
+
 
 class TestVerifyCommand:
     def test_identity_kernel_passes(self, tmp_path):
@@ -112,6 +122,23 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--tol-override", "nope=1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-10", "abc"])
+    def test_bad_tolerance_value_exits_2(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--sizes", "8,12", "--tol-override", f"rank_rel={value}"])
+        assert code == 2
+        assert "rank_rel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["8", "8,8"])
+    def test_fewer_than_two_sizes_exits_2(self, tmp_path, capsys, sizes):
+        # one distinct size cannot give a convergence order
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--sizes", sizes])
+        assert code == 2
+        assert "--sizes" in capsys.readouterr().err
 
     def test_dense_guard_refusal(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
@@ -195,6 +222,22 @@ class TestDeconvCommand:
         code = main(["deconv", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--input", str(tmp_path / "in.pgm")])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_non_finite_pixel_exits_2(self, tmp_path, capsys, fmt):
+        cfg = write_cfg(tmp_path, IDENTITY_CFG)
+        rows = [" ".join(["7"] * 8)] * 8
+        rows[2] = "7 7 7 7 7 nan 7 7"
+        path = tmp_path / f"in.{fmt}"
+        if fmt == "csv":
+            path.write_text("\n".join(r.replace(" ", ",") for r in rows) + "\n")
+        else:
+            path.write_text("P2\n8 8\n255\n" + "\n".join(rows) + "\n")
+        code = main(["deconv", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "(2, 5)" in err
 
     def test_csv_input(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffkern2d import operators
 from diffkern2d.errors import InvalidArgumentError
 from diffkern2d.kernels import exp_kernel, identity_kernel
 from diffkern2d.operators import (
@@ -107,6 +108,83 @@ class TestDisplacementRank:
         loose = displacement_rank(S, 1, rel_tol=1e-2)
         tight = displacement_rank(S, 1, rel_tol=1e-14)
         assert loose <= tight
+
+
+SVD_CASES = [(tag, n1, n2) for tag in sorted(MODEL_BUILDERS)
+             for n1, n2 in ((8, 8), (16, 16), (5, 7), (12, 20))] + [("rich", 32, 32)]
+
+
+class TestSketchedRank:
+    # the sketched, certified rank against a dense SVD of the displacement
+    # built here from N x N Kronecker matrices; n = 32 for one kernel only,
+    # where rel_tol = 1e-14 doubles the probes up to N
+    @pytest.mark.parametrize("tag,n1,n2", SVD_CASES,
+                             ids=[f"{t}-{a}x{b}" for t, a, b in SVD_CASES])
+    def test_matches_dense_svd(self, tag, n1, n2):
+        omegas = {} if n1 == n2 else {"omega1": 1.7, "omega2": 0.9}
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, **omegas))
+        D = S.dense()
+        for k in (1, 2):
+            A = kron_integration(S.grid, k)
+            sv = np.linalg.svd(A @ D - D @ A.conj().T, compute_uv=False)
+            for rel_tol in (1e-2, 1e-10, 1e-14):
+                want = int(np.sum(sv > rel_tol * sv[0]))
+                assert displacement_rank(S, k, rel_tol=rel_tol) == want
+
+    @pytest.mark.parametrize("tag", sorted(MODEL_BUILDERS))
+    def test_certificate_holds_at_first_sketch(self, tag, monkeypatch):
+        # at the default rel_tol one sketch of 2 n_i + 12 probes suffices:
+        # no resketch, so no SVD of anything N x N
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 12, n2=20, omega1=1.7, omega2=0.9))
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kw):
+            shapes.append(a.shape)
+            return qr(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        for k, n_i in ((1, 20), (2, 12)):
+            shapes.clear()
+            displacement_rank(S, k)
+            assert shapes == [(240, 2 * n_i + 12)]
+
+    def test_deterministic(self):
+        S = ConvOperator(samples_for(rich_model(), 16))
+        first = displacement_rank(S, 1)
+        np.random.seed(3)   # global numpy state plays no part
+        assert displacement_rank(S, 1) == first
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-10])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        S = ConvOperator(samples_for(exp_kernel(), 4))
+        with pytest.raises(InvalidArgumentError):
+            displacement_rank(S, 1, rel_tol=rel_tol)
+
+
+class TestRankCertificate:
+    # a displacement with a spectrum set here, on an 8 x 8 grid: N = 64 and
+    # the first sketch has p0 = 2 * 8 + 12 = 28 probes, so each count below
+    # is out of reach of one sketch and needs the doubling loop
+    P0 = 28
+
+    def rank_of(self, monkeypatch, sv):
+        rng = np.random.default_rng(11)
+        N = sv.size
+        U = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))[0]
+        V = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))[0]
+        disp = (U * sv) @ V.conj().T
+        monkeypatch.setattr(operators, "_displacement", lambda S, k: disp)
+        return displacement_rank(ConvOperator(samples_for(exp_kernel(), 8)), 1)
+
+    def test_exact_rank_above_first_sketch(self, monkeypatch):
+        sv = np.r_[np.linspace(1.0, 0.5, self.P0 + 5), np.zeros(64 - self.P0 - 5)]
+        assert self.rank_of(monkeypatch, sv) == self.P0 + 5
+
+    def test_geometric_decay_across_cutoff(self, monkeypatch):
+        # 0.25^16 = 2.3e-10 is above the 1e-10 cutoff, 0.25^17 = 5.8e-11 below
+        sv = np.r_[np.ones(self.P0), 0.25 ** np.arange(1, 64 - self.P0 + 1)]
+        assert self.rank_of(monkeypatch, sv) == self.P0 + 16
 
 
 class TestAnisotropicGrids:
