@@ -18,8 +18,9 @@ operators A_k and A_k^* are calA_k and its adjoint applied along axis k
 The displacement rank is read from a randomized sketch, not a dense SVD:
 2 n_i + 12 complex Gaussian probes from a fixed seed (0), with Q = qr(D
 Omega) and B = Q^H D.  The count is certified by ||D - Q B||_F <= 0.1
-rel_tol s1(B), and the probes double until it holds or reach N.  Counts
-below roughly N * eps relative to s1 are roundoff for any method.
+rel_tol s1(B), and the probes double until it holds.  Where doubling
+stops paying (the residual is at roundoff, below roughly N * eps relative
+to s1) or would reach N, the singular values of D itself are counted.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ class ConvOperator:
     The three convolution parts and the jump are folded into one combined
     difference-lattice kernel W so the fast path is a single 2-D circular
     convolution with a precomputed spectral table; the dense assembly is
-    the BTTB matrix with entry W at offset (a-a', b-b').
+    the BTTB matrix with entry W at offset (a-a', b-b').  When W is real
+    the table's half spectrum is kept too, and real input is convolved
+    with ``rfft2``/``irfft2``; complex input or a complex W takes the
+    full ``fft2`` path.
     """
 
     def __init__(self, samples: KernelSamples):
@@ -154,6 +158,9 @@ class ConvOperator:
         p2 = np.arange(-(n2 - 1), n2)
         C[np.ix_(p2 % (2 * n2), p1 % (2 * n1))] = W.T
         self.spectrum = scipy.fft.fft2(C)
+        # rfft2(C) for a real C: the non-negative frequencies of the last axis
+        self.half_spectrum = (None if np.iscomplexobj(C)
+                              else self.spectrum[:, : n1 + 1].copy())
 
         self._dense: Optional[np.ndarray] = None
         self._lu = None
@@ -162,15 +169,25 @@ class ConvOperator:
     # -- application paths ------------------------------------------------
 
     def apply_fft(self, flat: np.ndarray) -> np.ndarray:
-        """S f for a flat (N,) vector, or for each column of an (N, m) block."""
+        """S f for a flat (N,) vector, or for each column of an (N, m) block.
+
+        Real input through a real kernel is convolved in real arithmetic
+        (``rfft2``/``irfft2``, half the spectrum) and gives a real result;
+        otherwise the full complex ``fft2`` path runs.
+        """
         g = self.grid
         flat = np.asarray(flat)
         f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
-        spec = scipy.fft.fft2(f3, s=(2 * g.n2, 2 * g.n1))   # zero-padded
-        spec *= self.spectrum
-        out = scipy.fft.ifft2(spec, overwrite_x=True)[:, : g.n2, : g.n1]
-        if np.isrealobj(flat) and not np.iscomplexobj(self.lattice_kernel):
-            out = out.real
+        shape = (2 * g.n2, 2 * g.n1)   # zero-padded to the circulant embedding
+        if self.half_spectrum is not None and np.isrealobj(flat):
+            spec = scipy.fft.rfft2(f3, s=shape)
+            spec *= self.half_spectrum
+            out = scipy.fft.irfft2(spec, s=shape, overwrite_x=True)
+        else:
+            spec = scipy.fft.fft2(f3, s=shape)
+            spec *= self.spectrum
+            out = scipy.fft.ifft2(spec, overwrite_x=True)
+        out = out[:, : g.n2, : g.n1]
         return out.reshape(-1, g.size).T.reshape(flat.shape)
 
     def apply_dense(self, flat: np.ndarray) -> np.ndarray:
@@ -475,25 +492,33 @@ def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:
     number of singular values of B above ``rel_tol * s1(B)``, accepted when
     ||D - Q B||_F <= 0.1 rel_tol s1(B): by Weyl's inequality every singular
     value of D is then within that margin of B's, so the cutoff holds for
-    D itself.  Otherwise p doubles.  p starts at min(N, 2 n_i + 12),
-    i = 3 - k, ten above the identity's 2 n_i + 2 bound; at p = N, Q is
-    square and the loop stops.  Counts below roughly N * eps relative to
-    s1 are roundoff for any method.
+    D itself.  Otherwise p doubles, starting from 2 n_i + 12, i = 3 - k,
+    ten above the identity's 2 n_i + 2 bound.  When doubling p does not
+    at least halve ||D - Q B||_F, or the next p would reach N, the
+    residual is at roundoff (a ``rel_tol`` below roughly N * eps) and the
+    singular values of D itself are counted, as a square Q would give.
+    Counts below that floor are roundoff for any method.
     """
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
         raise InvalidArgumentError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     D = _displacement(S, k)
     N = D.shape[0]
     rng = np.random.default_rng(0)
-    p = min(N, 2 * S.grid.axis_n(3 - k) + 12)
-    while True:
+    p = 2 * S.grid.axis_n(3 - k) + 12
+    last = np.inf
+    while p < N:
         omega = rng.standard_normal((N, p)) + 1j * rng.standard_normal((N, p))
         Q = np.linalg.qr(D @ omega)[0]
         B = Q.conj().T @ D
         sv = np.linalg.svd(B, compute_uv=False)
-        if p == N or np.linalg.norm(D - Q @ B) <= 0.1 * rel_tol * sv[0]:
+        resid = np.linalg.norm(D - Q @ B)
+        if resid <= 0.1 * rel_tol * sv[0]:
             return int(np.sum(sv > rel_tol * sv[0]))
-        p = min(N, 2 * p)
+        if resid > 0.5 * last:
+            break
+        last, p = resid, 2 * p
+    sv = np.linalg.svd(D, compute_uv=False)
+    return int(np.sum(sv > rel_tol * sv[0]))
 
 
 def export_dense_csv(mat: np.ndarray, path) -> None:

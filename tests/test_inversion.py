@@ -107,10 +107,42 @@ class TestSolve:
         from diffkern2d.errors import ConvergenceError
 
         S = ConvOperator(samples_for(exp_kernel(), 80, normalize=False))
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"column 0\)") as err:
             solve_array(S, np.ones(6400), iterative_tol=1e-300,
                         max_restart_cycles=2)
         assert len(err.value.residuals) > 0
+        # a real S solves a complex block as its real and imaginary parts;
+        # here only the imaginary part of column 1 is non-zero
+        B = np.zeros((6400, 2), dtype=complex)
+        B[:, 1] = 1j
+        with pytest.raises(ConvergenceError, match="column 1, imaginary part"):
+            solve_array(S, B, iterative_tol=1e-300, max_restart_cycles=2)
+
+    @pytest.mark.parametrize("n", [8, 80])     # dense LU / GMRES above the guard
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    def test_result_dtype(self, n, kernel, rng):
+        # the result is real exactly when S and the right-hand side are real
+        amp = 0.05 if kernel == "real" else 0.05 + 0.1j
+        S = ConvOperator(samples_for(exp_kernel(amp=amp), n, normalize=False))
+        b = rng.standard_normal(n * n)
+        want = np.float64 if kernel == "real" else np.complex128
+        assert solve_array(S, b).dtype == want
+        assert solve_array(S, b + 1j * b).dtype == np.complex128
+
+    def test_iterative_complex_block_is_real_and_imaginary_solves(self, rng):
+        S = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
+        B = rng.standard_normal((6400, 3)) + 1j * rng.standard_normal((6400, 3))
+        X = solve_array(S, B)
+        parts = solve_array(S, B.real) + 1j * solve_array(S, B.imag)
+        assert np.linalg.norm(X - parts) <= 1e-12 * np.linalg.norm(parts)
+
+    def test_iterative_zero_imaginary_part_round_trips(self, rng):
+        # the imaginary part is a zero real GMRES column
+        S = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
+        f0 = rng.standard_normal(6400)
+        rec = solve_array(S, S.apply(f0).astype(complex))
+        assert rec.dtype == np.complex128 and not np.any(rec.imag)
+        assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-8
 
 
 class TestSharedFactorizationThreads:

@@ -18,7 +18,7 @@ from diffkern2d.operators import (
     m_op,
 )
 
-from conftest import dense_oracle_S, kron_integration, samples_for
+from conftest import dense_oracle_S, kron_integration, rich_model, samples_for
 
 
 class TestConvApply:
@@ -52,6 +52,23 @@ class TestConvApply:
                 f = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
                 diff = np.linalg.norm(S.apply_fft(f) - D @ f) / np.linalg.norm(D @ f)
                 assert diff <= 1e-12
+
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (7, 4)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_fft_matches_dense_any_input(self, rng, kernel, n1, n2, dtype, cols):
+        # the half-spectrum path (real input, real kernel) and the full
+        # complex path, on square and odd non-square grids
+        model = rich_model() if kernel == "real" else exp_kernel(amp=0.05 + 0.1j)
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+        shape = (n1 * n2,) if cols is None else (n1 * n2, cols)
+        f = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            f += 1j * rng.standard_normal(shape)
+        got, want = S.apply_fft(f), S.dense() @ f
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dense_has_constant_diagonals(self):
         s = samples_for(exp_kernel(), 6)
