@@ -75,15 +75,6 @@ def _build_samples(cfg: RunConfig, n: Optional[int] = None):
     return samples
 
 
-def _build_operator(cfg: RunConfig) -> ConvOperator:
-    """S on the config's grid, from the raw kernel samples.
-
-    S reads only c, v, alpha' and beta'; normalization re-centres sigma
-    alone, so it would leave S unchanged and is skipped here.
-    """
-    return ConvOperator(sample_kernel(cfg.build_model(), cfg.make_grid()))
-
-
 def _require_dense(points: int) -> None:
     if points > DENSE_GUARD:
         raise InvalidArgumentError(
@@ -275,7 +266,7 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
             f"image is {img.shape[1]}x{img.shape[0]} (cols x rows) but the "
             f"grid needs {grid.n1}x{grid.n2}"
         )
-    S = _build_operator(cfg)
+    S = ConvOperator(_build_samples(cfg))
 
     f = img.reshape(grid.size)
     blurred = S.apply(f)
@@ -319,7 +310,7 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
 def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     _require_dense(cfg.n1 * cfg.n2)
-    S = _build_operator(cfg)
+    S = ConvOperator(_build_samples(cfg))
     grid = S.grid
 
     dense = S.dense()

@@ -110,9 +110,10 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
     column.  Either way each column's backward error ||S x - b|| / ||b||
     must stay within ``backward_tol``.
 
-    A real S is solved in real arithmetic on both paths: a complex
-    right-hand side is solved as its real and imaginary parts.  The result
-    is real exactly when S and ``rhs`` are real.
+    The result is real exactly when S and ``rhs`` are real: the LU path
+    solves a complex ``rhs`` against a real S as its real and imaginary
+    parts, and GMRES runs over real vectors when S and ``rhs`` are both
+    real, over complex ones otherwise.
     """
     B = np.asarray(rhs)
     N = S.grid.size
@@ -136,33 +137,24 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
         else:
             X = lu_solve(B)
     else:
-        dtype = complex if np.iscomplexobj(S.lattice_kernel) else float
+        dtype = np.result_type(S.lattice_kernel, B, float)
         op = scipy.sparse.linalg.LinearOperator((N, N), matvec=S.apply_fft, dtype=dtype)
-
-        def gmres_solve(cols, part=""):
-            X = np.empty(cols.shape, dtype=dtype)
-            for j in range(cols.shape[1]):
-                history = []
-                X[:, j], info = scipy.sparse.linalg.gmres(
-                    op, cols[:, j].astype(dtype), rtol=iterative_tol, atol=0.0,
-                    restart=50, maxiter=max_restart_cycles,
-                    callback=lambda pr: history.append(float(pr)),
-                    callback_type="pr_norm",
-                )
-                if info != 0:
-                    raise ConvergenceError(
-                        f"GMRES did not reach rtol={iterative_tol} "
-                        f"(info={info}, column {j}{part})",
-                        residuals=history,
-                    )
-            return X
-
         cols = B.reshape(N, -1)
-        if np.iscomplexobj(cols) and dtype is float:
-            X = (gmres_solve(cols.real, ", real part")
-                 + 1j * gmres_solve(cols.imag, ", imaginary part"))
-        else:
-            X = gmres_solve(cols)
+        X = np.empty(cols.shape, dtype=dtype)
+        for j in range(cols.shape[1]):
+            history = []
+            X[:, j], info = scipy.sparse.linalg.gmres(
+                op, cols[:, j].astype(dtype), rtol=iterative_tol, atol=0.0,
+                restart=50, maxiter=max_restart_cycles,
+                callback=lambda pr: history.append(float(pr)),
+                callback_type="pr_norm",
+            )
+            if info != 0:
+                raise ConvergenceError(
+                    f"GMRES did not reach rtol={iterative_tol} "
+                    f"(info={info}, column {j})",
+                    residuals=history,
+                )
         X = X.reshape(B.shape)
 
     _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), backward_tol)

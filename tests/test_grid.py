@@ -18,9 +18,8 @@ from diffkern2d.grid import (
     sample_kernel,
 )
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
-from diffkern2d.operators import ConvOperator
 
-from conftest import MODEL_BUILDERS, samples_for
+from conftest import samples_for
 
 
 class TestMakeGrid:
@@ -203,13 +202,3 @@ class TestNormalize:
         assert_allclose(s.v_lat, raw.v_lat, rtol=0, atol=1e-15)
         assert_allclose(s.dalpha_lat, raw.dalpha_lat)
         assert s.c == raw.c
-
-    @pytest.mark.parametrize("tag", sorted(MODEL_BUILDERS))
-    @pytest.mark.parametrize("n1,n2,omegas", [(8, 8, {}),
-                                              (5, 7, {"omega1": 1.7, "omega2": 0.9})])
-    def test_conv_operator_identical(self, tag, n1, n2, omegas):
-        # deconv and reconstruct build S from raw samples on the strength
-        # of this: normalization must not change S by a single bit
-        raw = samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, normalize=False, **omegas)
-        assert np.array_equal(ConvOperator(normalize_kernel(raw)).lattice_kernel,
-                              ConvOperator(raw).lattice_kernel)

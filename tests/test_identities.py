@@ -186,6 +186,29 @@ class TestRankCertificate:
         sv = np.r_[np.ones(self.P0), 0.25 ** np.arange(1, 64 - self.P0 + 1)]
         assert self.rank_of(monkeypatch, sv) == self.P0 + 16
 
+    def test_roundoff_tail_stops_doubling(self, monkeypatch):
+        # 16 x 16 grid: N = 256 and p0 = 2 * 16 + 12 = 44.  Below rel_tol =
+        # 1e-16 the residual is roundoff and does not halve from 44 to 88
+        # probes, so D's own singular values are counted after the second
+        # sketch, not after sketches of 176 and 256 probes
+        rng = np.random.default_rng(11)
+        U = np.linalg.qr(rng.standard_normal((256, 256)))[0]
+        V = np.linalg.qr(rng.standard_normal((256, 256)))[0]
+        disp = (U * np.r_[np.ones(10), np.full(246, 1e-17)]) @ V.T
+        monkeypatch.setattr(operators, "_displacement", lambda S, k: disp)
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kw):
+            shapes.append(a.shape)
+            return qr(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        got = displacement_rank(ConvOperator(samples_for(exp_kernel(), 16)), 1, rel_tol=1e-16)
+        assert shapes == [(256, 44), (256, 88)]
+        sv = np.linalg.svd(disp, compute_uv=False)
+        assert got == int(np.sum(sv > 1e-16 * sv[0]))
+
 
 class TestAnisotropicGrids:
     # rectangular grids with unequal sides catch axis mixups that square

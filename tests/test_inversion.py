@@ -111,11 +111,10 @@ class TestSolve:
             solve_array(S, np.ones(6400), iterative_tol=1e-300,
                         max_restart_cycles=2)
         assert len(err.value.residuals) > 0
-        # a real S solves a complex block as its real and imaginary parts;
-        # here only the imaginary part of column 1 is non-zero
+        # column 0 is zero and converges at once; column 1 fails
         B = np.zeros((6400, 2), dtype=complex)
         B[:, 1] = 1j
-        with pytest.raises(ConvergenceError, match="column 1, imaginary part"):
+        with pytest.raises(ConvergenceError, match=r"column 1\)"):
             solve_array(S, B, iterative_tol=1e-300, max_restart_cycles=2)
 
     @pytest.mark.parametrize("n", [8, 80])     # dense LU / GMRES above the guard
@@ -129,20 +128,15 @@ class TestSolve:
         assert solve_array(S, b).dtype == want
         assert solve_array(S, b + 1j * b).dtype == np.complex128
 
-    def test_iterative_complex_block_is_real_and_imaginary_solves(self, rng):
+    def test_iterative_complex_block_round_trips(self, rng):
+        # real S, complex block above the guard; column 1 has a zero
+        # imaginary part
         S = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
-        B = rng.standard_normal((6400, 3)) + 1j * rng.standard_normal((6400, 3))
-        X = solve_array(S, B)
-        parts = solve_array(S, B.real) + 1j * solve_array(S, B.imag)
-        assert np.linalg.norm(X - parts) <= 1e-12 * np.linalg.norm(parts)
-
-    def test_iterative_zero_imaginary_part_round_trips(self, rng):
-        # the imaginary part is a zero real GMRES column
-        S = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
-        f0 = rng.standard_normal(6400)
-        rec = solve_array(S, S.apply(f0).astype(complex))
-        assert rec.dtype == np.complex128 and not np.any(rec.imag)
-        assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-8
+        F = rng.standard_normal((6400, 2)) + 1j * rng.standard_normal((6400, 2))
+        F[:, 1] = F[:, 1].real
+        rec = solve_array(S, S.apply_fft(F))
+        assert np.linalg.norm(rec - F) <= 1e-8 * np.linalg.norm(F)
+        assert np.linalg.norm(rec[:, 1].imag) <= 1e-8 * np.linalg.norm(F[:, 1])
 
 
 class TestSharedFactorizationThreads:
