@@ -45,7 +45,6 @@ __all__ = [
     "sample_kernel",
     "normalize_kernel",
     "grid_inner",
-    "line_inner",
 ]
 
 
@@ -105,14 +104,6 @@ class GridSpec:
     def axis_h(self, axis: int) -> float:
         self._check_axis(axis)
         return self.h1 if axis == 1 else self.h2
-
-    def axis_omega(self, axis: int) -> float:
-        self._check_axis(axis)
-        return self.omega1 if axis == 1 else self.omega2
-
-    def axis_midpoints(self, axis: int) -> np.ndarray:
-        self._check_axis(axis)
-        return self.x1 if axis == 1 else self.x2
 
     @staticmethod
     def _check_axis(axis: int):
@@ -200,11 +191,6 @@ def make_grid(omega1: float, omega2: float, n1: int, n2: int) -> GridSpec:
 def grid_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> complex:
     """h1 h2 sum f conj(g) on the rectangle."""
     return grid.h1 * grid.h2 * complex(np.sum(np.asarray(f) * np.conj(g)))
-
-
-def line_inner(grid: GridSpec, axis: int, f: np.ndarray, g: np.ndarray) -> complex:
-    """h_i sum f conj(g) on one side; a PairFn uses the same weight."""
-    return grid.axis_h(axis) * complex(np.sum(np.asarray(f) * np.conj(g)))
 
 
 # --------------------------------------------------------------------------

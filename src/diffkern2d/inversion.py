@@ -104,11 +104,23 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
                 max_restart_cycles: int = 100) -> np.ndarray:
     """S^{-1} rhs for an (N,) vector or for each column of an (N, m) block.
 
-    At desk scale (N <= DENSE_GUARD) the operator's cached LU solves every
-    column at once, after its condition estimate is checked against
-    ``cond_limit``; above it GMRES with the FFT matvec solves column by
-    column.  Either way each column's backward error ||S x - b|| / ||b||
-    must stay within ``backward_tol``.
+    Above DENSE_GUARD GMRES with the FFT matvec solves column by column.
+    At desk scale (N <= DENSE_GUARD) one cost rule picks the backend: the
+    operator's LU when it is already cached, otherwise GMRES when its
+    modelled cost m (T_COL + (k + 1) t_it(N)), plus the condition
+    estimate's solves when none is cached, is below the LU's modelled
+    cost t_lu(N, m).  k is the iteration count of the estimate's first
+    solve, 1 before any estimate.  The GMRES work below the guard,
+    estimate included, may spend at most t_lu(N, m); a run that would
+    overdraw it, or that does not converge, hands over to the LU, so the
+    worst case costs about twice the LU path.
+
+    Below the guard every returned solve has passed a condition check
+    against ``cond_limit``: LAPACK's ``gecon`` estimate on the LU path,
+    the operator's cached Hager-Higham estimate on the GMRES path (see
+    :func:`_cond_estimate`).  Above the guard no condition is estimated.
+    Either way each column's backward error ||S x - b|| / ||b|| must stay
+    within ``backward_tol``.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
@@ -121,44 +133,206 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
         raise InvalidArgumentError(
             f"rhs shape {B.shape}, expected ({N},) or ({N}, m)"
         )
-    if N <= DENSE_GUARD:
-        lu, piv, cond = S.solve_lu()
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularOperatorError(
-                f"operator condition estimate {cond:.3e} exceeds {cond_limit:.1e}",
-                cond=cond,
-            )
-
-        def lu_solve(b):
-            return scipy.linalg.lu_solve((lu, piv.copy()), b)
-
-        if np.iscomplexobj(B) and not np.iscomplexobj(lu):
-            X = lu_solve(B.real) + 1j * lu_solve(B.imag)
-        else:
-            X = lu_solve(B)
+    if N > DENSE_GUARD:
+        X = _gmres(S, B, iterative_tol, max_restart_cycles)[0]
     else:
-        dtype = np.result_type(S.lattice_kernel, B, float)
-        op = scipy.sparse.linalg.LinearOperator((N, N), matvec=S.apply_fft, dtype=dtype)
-        cols = B.reshape(N, -1)
-        X = np.empty(cols.shape, dtype=dtype)
-        for j in range(cols.shape[1]):
-            history = []
-            X[:, j], info = scipy.sparse.linalg.gmres(
-                op, cols[:, j].astype(dtype), rtol=iterative_tol, atol=0.0,
-                restart=50, maxiter=max_restart_cycles,
-                callback=lambda pr: history.append(float(pr)),
-                callback_type="pr_norm",
-            )
-            if info != 0:
-                raise ConvergenceError(
-                    f"GMRES did not reach rtol={iterative_tol} "
-                    f"(info={info}, column {j})",
-                    residuals=history,
-                )
-        X = X.reshape(B.shape)
+        X = None
+        if S._lu is None:
+            X = _gmres_within_lu_cost(S, B, cond_limit, iterative_tol,
+                                      max_restart_cycles)
+        if X is None:
+            X = _lu_solve(S, B, cond_limit)
 
     _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), backward_tol)
     return X
+
+
+# Modelled seconds of the two backends below DENSE_GUARD (see solve_array),
+# fitted by nonnegative least squares on relative error, with BLAS at 1
+# thread on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4, scipy 1.17).
+#
+# LU path, s (assembly + lu_factor + gecon + lu_solve of m real columns):
+#
+#   grid   measured m = 1 / 64 / 1024     _t_lu m = 1 / 64 / 1024
+#   16^2   0.0017  0.0025  0.0153         0.0018  0.0021  0.0067
+#   24^2   0.0106  0.0133  0.0552         0.0105  0.0120  0.0356
+#   32^2   0.0366  0.0421  0.1229         0.0403  0.0452  0.1198
+#   48^2   0.339   0.368   0.640          0.307   0.332   0.710
+#   64^2   1.72    1.81    2.57           1.43    1.51    2.70
+#
+# GMRES, ms per complex column of a 4-column block, k iterations per
+# column (zero, exp, separable and rich kernels); _gmres_cost is within
+# 10% of every entry except 16^2 at k = 1 (0.73x):
+#
+#   grid   k = 1   k = 2   k = 4   k = 6
+#   16^2   0.31    0.30    0.56    0.77
+#   24^2   0.24    0.39    0.66    0.93
+#   32^2   0.35    0.51    0.83    1.19
+#   48^2   0.60    0.81    1.39    1.91
+#   64^2   0.85    1.46    2.25    3.10
+#
+# Complex columns are fitted because every multi-column caller passes
+# them; a real column costs about 0.75x as much.  Per iteration Gram-Schmidt
+# work grows with k, so at k = 32 (the deconv kernel) the model reads
+# 0.4-0.9x of the measured time; GMRES is then cheaper than LU by an order
+# of magnitude from 48^2 up, and the budget bounds the loss below that.
+T_COL = 1.3e-5
+ESTIMATE_SOLVES = 5     # solves of _cond_estimate, in the model
+
+
+def _t_it(N: int) -> float:
+    """Modelled seconds of one GMRES iteration at N unknowns."""
+    return 9.2e-5 + 7.1e-9 * N * np.log2(N)
+
+
+def _t_lu(N: int, m: int) -> float:
+    """Modelled seconds of the LU path for m columns: assembly, factor,
+    ``gecon`` and the triangular solves."""
+    return 15.2e-12 * N ** 3 + 22.7e-9 * N ** 2 + 0.074e-9 * N ** 2 * m
+
+
+def _gmres_cost(N: int, columns: int, iterations: int) -> float:
+    """Modelled seconds of GMRES over ``columns`` columns that took
+    ``iterations`` iterations in all (one more matvec per column)."""
+    return columns * T_COL + (iterations + columns) * _t_it(N)
+
+
+class _OverBudget(Exception):
+    """A GMRES run below the guard would overdraw its modelled budget."""
+
+
+def _lu_solve(S: ConvOperator, B: np.ndarray, cond_limit: float) -> np.ndarray:
+    lu, piv, cond = S.solve_lu()
+    _check_cond(cond, cond_limit)
+
+    def lu_solve(b):
+        return scipy.linalg.lu_solve((lu, piv.copy()), b)
+
+    if np.iscomplexobj(B) and not np.iscomplexobj(lu):
+        return lu_solve(B.real) + 1j * lu_solve(B.imag)
+    return lu_solve(B)
+
+
+def _check_cond(cond: float, cond_limit: float) -> None:
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularOperatorError(
+            f"operator condition estimate {cond:.3e} exceeds {cond_limit:.1e}",
+            cond=cond,
+        )
+
+
+def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray, cond_limit: float,
+                          tol: float, cycles: int) -> Optional[np.ndarray]:
+    """S^{-1} B by GMRES when the cost rule of :func:`solve_array` picks it
+    and it finishes within the LU's modelled cost; None hands over to LU."""
+    N = S.grid.size
+    m = B.reshape(N, -1).shape[1]
+    budget = _t_lu(N, m)
+    est = S._cond_est
+    k = 1 if est is None else est[1]
+    cost = _gmres_cost(N, m, m * k)
+    if est is None:
+        cost += _gmres_cost(N, ESTIMATE_SOLVES, ESTIMATE_SOLVES * k)
+    if cost > budget:
+        return None
+    try:
+        if est is None:
+            cond, k, spent = _cond_estimate(S, tol, cycles, budget)
+            est = S._cond_est = (cond, k)
+            budget -= spent
+        _check_cond(est[0], cond_limit)
+        if _gmres_cost(N, m, m * est[1]) > budget:
+            return None
+        return _gmres(S, B, tol, cycles, budget=budget)[0]
+    except (_OverBudget, ConvergenceError):
+        return None
+
+
+def _gmres(S: ConvOperator, B: np.ndarray, tol: float, cycles: int,
+           adjoint: bool = False, budget: float = np.inf):
+    """``(X, iterations)``: S^{-1} B, or S^{-H} B with ``adjoint``, by
+    GMRES with the FFT matvec, one column at a time.
+
+    Raises ConvergenceError for a column that misses ``tol`` within
+    ``cycles`` restart cycles, and _OverBudget once the modelled cost
+    (:func:`_gmres_cost`) of the iterations so far exceeds ``budget``
+    seconds.  ``iterations`` counts them over all columns.
+    """
+    N = S.grid.size
+    dtype = np.result_type(S.lattice_kernel, B, float)
+    op = scipy.sparse.linalg.LinearOperator(
+        (N, N), matvec=lambda x: S.apply_fft(x, adjoint=adjoint), dtype=dtype)
+    cols = B.reshape(N, -1)
+    X = np.empty(cols.shape, dtype=dtype)
+    used = 0
+    for j in range(cols.shape[1]):
+        history = []
+
+        def step(pr):
+            history.append(float(pr))
+            if _gmres_cost(N, j + 1, used + len(history)) > budget:
+                raise _OverBudget
+
+        X[:, j], info = scipy.sparse.linalg.gmres(
+            op, cols[:, j].astype(dtype), rtol=tol, atol=0.0,
+            restart=50, maxiter=cycles, callback=step, callback_type="pr_norm",
+        )
+        used += len(history)
+        if info != 0:
+            raise ConvergenceError(
+                f"GMRES did not reach rtol={tol} (info={info}, column {j})",
+                residuals=history,
+            )
+    return X.reshape(B.shape), used
+
+
+def _cond_estimate(S: ConvOperator, tol: float, cycles: int, budget: float):
+    """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
+    solves, the iterations of its first solve and their modelled seconds.
+
+    Hager's estimator of ||S^{-1}||_1 with t = 1 (Hager, SIAM J. Sci.
+    Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988, as in LAPACK
+    ``xLACN2``): from x = ones / N it alternates y = S^{-1} x and
+    z = S^{-H} sign(y), moving x to the unit vector at the largest |z_j|,
+    for at most 5 rounds; it stops early when |z_j| <= Re z^H x, when
+    sign(y) repeats or when ||y||_1 stops growing.  One extra solve with
+    x_i = (-1)^i (1 + i / (N - 1)) gives the lower bound
+    2 ||S^{-1} x||_1 / (3 N).  The larger value times the exact ||S||_1
+    is the estimate, which never uses random numbers.  The solves share
+    ``budget`` (see :func:`_gmres`).
+    """
+    N = S.grid.size
+    spent, first = 0.0, None
+
+    def inv(b, adjoint=False):
+        nonlocal spent, first
+        x, iters = _gmres(S, b, tol, cycles, adjoint, budget - spent)
+        spent += _gmres_cost(N, 1, iters)
+        first = iters if first is None else first
+        return x
+
+    x = np.full(N, 1.0 / N)
+    est, xi = 0.0, None
+    for _ in range(5):
+        y = inv(x)
+        mag = np.abs(y)
+        nonzero = mag > 0
+        sign = np.where(nonzero, y, 1.0) / np.where(nonzero, mag, 1.0)
+        norm = float(mag.sum())
+        if norm <= est or (xi is not None and np.array_equal(sign, xi)):
+            est = max(est, norm)
+            break
+        est, xi = norm, sign
+        z = inv(xi, adjoint=True)
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= np.real(np.vdot(z, x)):
+            break
+        x = np.zeros(N)
+        x[j] = 1.0
+    i = np.arange(N)
+    alt = (-1.0) ** i * (1.0 + i / max(N - 1, 1))
+    est = max(est, 2.0 * float(np.abs(inv(alt)).sum()) / (3 * N))
+    return est * S.norm1(), first, spent
 
 
 def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray, tol: float) -> None:
@@ -225,26 +399,32 @@ def compute_g(i: int, k: int, S: ConvOperator,
     """
     if i == k:
         raise InvalidArgumentError("g_ik needs i != k")
-    g = S.grid
+    return _g_block(i, k, S.grid, pis, kops, solve_array(S, pis[i].pi.mat))
+
+
+def _g_block(i: int, k: int, g: GridSpec, pis: Dict[int, PiPair],
+             kops: Dict[str, LinOp], X: np.ndarray) -> GMatrix:
+    """g_ik from X = S^{-1} Pi_i, one column per pair basis vector."""
     ni = g.axis_n(i)
     nk = g.axis_n(k)
-    K3 = kops[f"K3{i}"].mat
-    K1 = kops[f"K1{i}"].mat
     first = np.zeros((2 * ni, 2 * nk), dtype=complex)
-    first[:ni, :nk] = K3
-    first[ni:, :nk] = K1
-    X = solve_array(S, pis[i].pi.mat)        # S^{-1} Pi_i, one column per basis vector
-    second = pis[k].pi_hat.mat @ X
-    return GMatrix(g, i, k, first - second)
+    first[:ni, :nk] = kops[f"K3{i}"].mat
+    first[ni:, :nk] = kops[f"K1{i}"].mat
+    return GMatrix(g, i, k, first - pis[k].pi_hat.mat @ X)
 
 
 def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, GMatrix]:
-    """Both blocks (g_12, g_21) from one operator."""
+    """Both blocks (g_12, g_21) from one operator.
+
+    Pi_1 and Pi_2 are solved in one call, so the backend choice of
+    :func:`solve_array` weighs all 2 (n1 + n2) columns against one LU.
+    """
     pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K12", "K31", "K32")}
-    g12 = compute_g(1, 2, S, pis, kops)
-    g21 = compute_g(2, 1, S, pis, kops)
-    return g12, g21
+    X = solve_array(S, np.hstack([pis[1].pi.mat, pis[2].pi.mat]))
+    split = 2 * S.grid.n2                      # Pi_1 has 2 n2 columns
+    return (_g_block(1, 2, S.grid, pis, kops, X[:, :split]),
+            _g_block(2, 1, S.grid, pis, kops, X[:, split:]))
 
 
 class FlipOp:
@@ -258,13 +438,6 @@ class FlipOp:
         self.grid = grid
         self.axis = axis
         self.n = grid.axis_n(axis)
-
-    def apply_line(self, vec: np.ndarray) -> np.ndarray:
-        return np.conj(np.asarray(vec)[::-1])
-
-    def apply_pair(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec)
-        return np.concatenate([np.conj(v[: self.n][::-1]), np.conj(v[self.n:][::-1])])
 
     def permutation(self) -> np.ndarray:
         """The linear part (index reversal) on a pair, without conjugation."""
@@ -448,7 +621,7 @@ def build_rho_evaluator(S: ConvOperator, samples: KernelSamples,
                         symmetry_tol: float = 0.05) -> RhoEvaluator:
     """Assemble g blocks and h = S^{-1} y, then wrap them in an evaluator."""
     g12, g21 = compute_g_blocks(S, samples)
-    h = solve_array(S, y_samples(samples).astype(complex))
+    h = solve_array(S, y_samples(samples))
     return RhoEvaluator(g12, g21, h, S.grid, symmetry_tol=symmetry_tol)
 
 
@@ -675,11 +848,6 @@ class StructureReport:
     grid: GridSpec
     residual: float
     offset_means: np.ndarray   # (2n1-1, 2n2-1), [p1 + n1-1, p2 + n2-1]
-
-    @property
-    def center_value(self) -> complex:
-        n1, n2 = self.grid.n1, self.grid.n2
-        return complex(self.offset_means[n1 - 1, n2 - 1])
 
     @property
     def axis1_profile(self) -> np.ndarray:

@@ -164,16 +164,20 @@ class ConvOperator:
 
         self._dense: Optional[np.ndarray] = None
         self._lu = None
+        self._cond_est = None   # (estimate, GMRES iterations of its first solve)
         self._lock = threading.RLock()  # solve_lu assembles under the lock
 
     # -- application paths ------------------------------------------------
 
-    def apply_fft(self, flat: np.ndarray) -> np.ndarray:
-        """S f for a flat (N,) vector, or for each column of an (N, m) block.
+    def apply_fft(self, flat: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """S f for a flat (N,) vector, or for each column of an (N, m) block;
+        S^H f with ``adjoint``.
 
         Real input through a real kernel is convolved in real arithmetic
         (``rfft2``/``irfft2``, half the spectrum) and gives a real result;
-        otherwise the full complex ``fft2`` path runs.
+        otherwise the full complex ``fft2`` path runs.  S = P^T C P for the
+        zero padding P and the circulant embedding C, so S^H = P^T C^H P
+        multiplies by the conjugated (half) spectrum instead.
         """
         g = self.grid
         flat = np.asarray(flat)
@@ -181,14 +185,24 @@ class ConvOperator:
         shape = (2 * g.n2, 2 * g.n1)   # zero-padded to the circulant embedding
         if self.half_spectrum is not None and np.isrealobj(flat):
             spec = scipy.fft.rfft2(f3, s=shape)
-            spec *= self.half_spectrum
+            spec *= self.half_spectrum.conj() if adjoint else self.half_spectrum
             out = scipy.fft.irfft2(spec, s=shape, overwrite_x=True)
         else:
             spec = scipy.fft.fft2(f3, s=shape)
-            spec *= self.spectrum
+            spec *= self.spectrum.conj() if adjoint else self.spectrum
             out = scipy.fft.ifft2(spec, overwrite_x=True)
         out = out[:, : g.n2, : g.n1]
         return out.reshape(-1, g.size).T.reshape(flat.shape)
+
+    def norm1(self) -> float:
+        """||S||_1 in O(N): column (a', b') of |S| sums the n1 x n2 window
+        of |lattice_kernel| starting at (n1-1-a', n2-1-b'), read from 2-D
+        prefix sums."""
+        n1, n2 = self.grid.n1, self.grid.n2
+        P = np.zeros((2 * n1, 2 * n2))
+        P[1:, 1:] = np.abs(self.lattice_kernel).cumsum(0).cumsum(1)
+        windows = P[n1:, n2:] - P[:n1, n2:] - P[n1:, :n2] + P[:n1, :n2]
+        return float(windows.max())
 
     def apply_dense(self, flat: np.ndarray) -> np.ndarray:
         return self.dense() @ np.asarray(flat)
@@ -427,10 +441,6 @@ class PiPair:
     axis: int
     pi: LinOp       # PairFn(i) -> GridFn
     pi_hat: LinOp   # GridFn -> PairFn(i)
-
-    @property
-    def other_axis(self) -> int:
-        return 2 if self.axis == 1 else 1
 
 
 def assemble_pi(samples: KernelSamples, k: int) -> PiPair:

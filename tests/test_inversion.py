@@ -39,6 +39,13 @@ from diffkern2d.operators import ConvOperator, assemble_pi, k_op
 from conftest import MODEL_BUILDERS, convergence_orders, samples_for
 
 
+def deconv_model():
+    """The deconv benchmark's kernel: GMRES needs about 32 iterations."""
+    from diffkern2d.kernels import gaussian_kernel
+
+    return gaussian_kernel(amp=8.0, width=0.15)
+
+
 class TestSolve:
     def test_identity_returns_rhs(self, rng):
         S = ConvOperator(samples_for(identity_kernel(c=1.0), 8))
@@ -59,6 +66,21 @@ class TestSolve:
                                      normalize=False))
         with pytest.raises(SingularOperatorError):
             solve_array(S, np.ones(36))
+
+    def test_rank_one_operator_rejected_on_iterative_path(self):
+        # one column at 40^2 starts on GMRES, whose rank-one solves fail
+        # and hand over to the LU and its condition check
+        S = ConvOperator(samples_for(poly_kernel(c=0.0, amp=1.0, q=0.0), 40,
+                                     normalize=False))
+        with pytest.raises(SingularOperatorError):
+            solve_array(S, np.ones(1600))
+
+    def test_condition_limit_from_estimate(self):
+        S = ConvOperator(samples_for(deconv_model(), 48))
+        with pytest.raises(SingularOperatorError) as err:
+            solve_array(S, np.ones(48 * 48), cond_limit=1.0)
+        assert S._dense is None
+        assert err.value.cond == S._cond_est[0] > 1.0
 
     def test_shape_check(self):
         S = ConvOperator(samples_for(exp_kernel(), 8))
@@ -137,6 +159,62 @@ class TestSolve:
         rec = solve_array(S, S.apply_fft(F))
         assert np.linalg.norm(rec - F) <= 1e-8 * np.linalg.norm(F)
         assert np.linalg.norm(rec[:, 1].imag) <= 1e-8 * np.linalg.norm(F[:, 1])
+
+
+class TestBackendChoice:
+    """Below the guard the cost rule of solve_array picks LU or GMRES."""
+
+    @pytest.fixture
+    def gmres_calls(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        real = scipy.sparse.linalg.gmres
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
+        return calls
+
+    def test_one_column_at_8_takes_lu(self, rng, gmres_calls):
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        f0 = rng.standard_normal(64)
+        rec = solve_array(S, S.apply(f0))
+        assert S._lu is not None and gmres_calls == []
+        assert np.linalg.norm(rec - f0) <= 1e-12 * np.linalg.norm(f0)
+
+    def test_one_deconv_column_at_48_takes_gmres(self, rng, gmres_calls):
+        S = ConvOperator(samples_for(deconv_model(), 48))
+        f0 = rng.standard_normal(48 * 48)
+        rec = solve_array(S, S.apply(f0))
+        assert S._dense is None and S._lu is None
+        assert S._cond_est is not None and len(gmres_calls) > 1
+        assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
+
+    def test_rho_table_block_at_32_takes_lu(self, rng, gmres_calls):
+        S = ConvOperator(samples_for(exp_kernel(), 32))
+        B = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+        solve_array(S, B)
+        assert S._lu is not None and gmres_calls == []
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (12, 9)])
+    def test_within_factor_three_of_exact(self, tag, n1, n2):
+        from diffkern2d.inversion import _cond_estimate
+
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+        D = S.dense()
+        exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
+        cond, k, spent = _cond_estimate(S, 1e-10, 100, np.inf)
+        # a lower bound up to the GMRES tolerance, and deterministic
+        assert exact / 3 <= cond <= exact * (1 + 1e-9)
+        assert k >= 1 and spent > 0
+        assert _cond_estimate(S, 1e-10, 100, np.inf)[0] == cond
 
 
 class TestSharedFactorizationThreads:
@@ -273,6 +351,16 @@ def evaluator_for(model, n, **kw):
     s = samples_for(model, n, **kw)
     S = ConvOperator(s)
     return S, s, build_rho_evaluator(S, s)
+
+
+class TestEvaluatorH:
+    @pytest.mark.parametrize("amp,want", [(0.05, np.float64), (0.05 + 0.1j, np.complex128)])
+    def test_h_dtype_follows_kernel(self, amp, want):
+        s = samples_for(exp_kernel(amp=amp), 8)
+        S = ConvOperator(s)
+        ev = build_rho_evaluator(S, s)
+        assert ev.h_values.dtype == want
+        assert np.linalg.norm(S.apply(ev.h_values) - y_samples(s)) <= 1e-12 * np.linalg.norm(y_samples(s))
 
 
 class TestTheta:
