@@ -39,10 +39,10 @@ from .kernels import (
 )
 from .operators import (
     ConvOperator,
-    LinOp,
     PiPair,
     assemble_pi,
     conv_apply,
+    discrete_generator,
     displacement_identity_residual,
     displacement_rank,
     k_op,

@@ -42,9 +42,12 @@ from .inversion import (
 from .operators import (
     DENSE_GUARD,
     ConvOperator,
+    apply_along,
     assemble_pi,
+    discrete_generator,
     displacement_identity_residual,
     displacement_rank,
+    line_integration_op,
     m4_identity_residual,
 )
 
@@ -120,7 +123,11 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         ranks = {k: displacement_rank(S, k, rel_tol=tol["rank_rel"]) for k in (1, 2)}
         bounds = {1: 2 * S.grid.n2 + 2, 2: 2 * S.grid.n1 + 2}
 
-        agree = 0.0
+        # the same probes check D_k w = A_k S w - S A_k^* w, applied
+        # through the FFT, against the generator factors G (H w)
+        gens = [(k, line_integration_op(S.grid, k), *discrete_generator(S, k))
+                for k in (1, 2)]
+        agree = gen_agree = 0.0
         for probe in range(5):
             f = rng.standard_normal(S.grid.size) + 1j * rng.standard_normal(S.grid.size)
             if probe == 0:
@@ -128,6 +135,11 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
             dense_f = S.apply_dense(f)
             diff = np.linalg.norm(S.apply_fft(f) - dense_f)
             agree = max(agree, diff / np.linalg.norm(dense_f))
+            for k, calA, G, H in gens:
+                disp_f = (apply_along(calA, S.apply_fft(f), S.grid, k)
+                          - S.apply_fft(apply_along(calA.conj().T, f, S.grid, k)))
+                diff = np.linalg.norm(disp_f - G @ (H @ f))
+                gen_agree = max(gen_agree, float(diff / np.linalg.norm(disp_f)))
 
         per_size[str(n)] = {
             "displacement_k1": r_k1, "displacement_k2": r_k2,
@@ -136,6 +148,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
             "rank_k1": ranks[1], "rank_k2": ranks[2],
             "rank_bound_k1": bounds[1], "rank_bound_k2": bounds[2],
             "fft_dense_agreement": agree,
+            "generator_agreement": gen_agree,
         }
         series["displacement_k1"].append(r_k1)
         series["displacement_k2"].append(r_k2)
@@ -151,6 +164,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
                           invol, tol["involution"]))
         contracts.append(("fft_dense_agreement_n%d" % n, agree <= tol["agreement"],
                           agree, tol["agreement"]))
+        contracts.append(("generator_agreement_n%d" % n, gen_agree <= tol["agreement"],
+                          gen_agree, tol["agreement"]))
 
     orders = {}
     for name, vals in series.items():

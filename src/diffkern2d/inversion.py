@@ -50,7 +50,6 @@ from .grid import GridFn, GridSpec, KernelSamples
 from .operators import (
     DENSE_GUARD,
     ConvOperator,
-    LinOp,
     PiPair,
     apply_along,
     assemble_pi,
@@ -67,8 +66,6 @@ __all__ = [
     "compute_g_blocks",
     "pair_flip_transform",
     "g_symmetry_residual",
-    "FlipOp",
-    "JMat",
     "RhoEvaluator",
     "build_rho_evaluator",
     "rho_direct",
@@ -110,7 +107,7 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
     modelled cost m (T_COL + (k + 1) t_it(N)), plus the condition
     estimate's solves when none is cached, is below the LU's modelled
     cost t_lu(N, m).  k is the iteration count of the estimate's first
-    solve, 1 before any estimate.  The GMRES work below the guard,
+    solve, 2 before any estimate.  The GMRES work below the guard,
     estimate included, may spend at most t_lu(N, m); a run that would
     overdraw it, or that does not converge, hands over to the LU, so the
     worst case costs about twice the LU path.
@@ -229,7 +226,9 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray, cond_limit: float,
     m = B.reshape(N, -1).shape[1]
     budget = _t_lu(N, m)
     est = S._cond_est
-    k = 1 if est is None else est[1]
+    # before any estimate, 2: the fewest iterations measured on any kernel
+    # but a multiple of the identity
+    k = 2 if est is None else est[1]
     cost = _gmres_cost(N, m, m * k)
     if est is None:
         cost += _gmres_cost(N, ESTIMATE_SOLVES, ESTIMATE_SOLVES * k)
@@ -391,7 +390,7 @@ class GMatrix:
 
 
 def compute_g(i: int, k: int, S: ConvOperator,
-              pis: Dict[int, PiPair], kops: Dict[str, LinOp]) -> GMatrix:
+              pis: Dict[int, PiPair], kops: Dict[str, np.ndarray]) -> GMatrix:
     """g_ik = [K_3i; K_1i] [I 0] - PiHat_k S^{-1} Pi_i, assembled densely.
 
     The first term acts on the first pair component only; the second is
@@ -399,18 +398,18 @@ def compute_g(i: int, k: int, S: ConvOperator,
     """
     if i == k:
         raise InvalidArgumentError("g_ik needs i != k")
-    return _g_block(i, k, S.grid, pis, kops, solve_array(S, pis[i].pi.mat))
+    return _g_block(i, k, S.grid, pis, kops, solve_array(S, pis[i].pi))
 
 
 def _g_block(i: int, k: int, g: GridSpec, pis: Dict[int, PiPair],
-             kops: Dict[str, LinOp], X: np.ndarray) -> GMatrix:
+             kops: Dict[str, np.ndarray], X: np.ndarray) -> GMatrix:
     """g_ik from X = S^{-1} Pi_i, one column per pair basis vector."""
     ni = g.axis_n(i)
     nk = g.axis_n(k)
     first = np.zeros((2 * ni, 2 * nk), dtype=complex)
-    first[:ni, :nk] = kops[f"K3{i}"].mat
-    first[ni:, :nk] = kops[f"K1{i}"].mat
-    return GMatrix(g, i, k, first - pis[k].pi_hat.mat @ X)
+    first[:ni, :nk] = kops[f"K3{i}"]
+    first[ni:, :nk] = kops[f"K1{i}"]
+    return GMatrix(g, i, k, first - pis[k].pi_hat @ X)
 
 
 def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, GMatrix]:
@@ -421,76 +420,31 @@ def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, 
     """
     pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K12", "K31", "K32")}
-    X = solve_array(S, np.hstack([pis[1].pi.mat, pis[2].pi.mat]))
+    X = solve_array(S, np.hstack([pis[1].pi, pis[2].pi]))
     split = 2 * S.grid.n2                      # Pi_1 has 2 n2 columns
     return (_g_block(1, 2, S.grid, pis, kops, X[:, :split]),
             _g_block(2, 1, S.grid, pis, kops, X[:, split:]))
 
 
-class FlipOp:
-    """U_i: reflect across the side midpoint and conjugate (antilinear).
-
-    On midpoint samples the reflection omega_i - x_i^(a) = x_i^(n-1-a) is
-    an exact index reversal; on a PairFn it acts componentwise.
-    """
-
-    def __init__(self, grid: GridSpec, axis: int):
-        self.grid = grid
-        self.axis = axis
-        self.n = grid.axis_n(axis)
-
-    def permutation(self) -> np.ndarray:
-        """The linear part (index reversal) on a pair, without conjugation."""
-        rev = np.fliplr(np.eye(self.n))
-        return scipy.linalg.block_diag(rev, rev)
-
-
-class JMat:
-    """J_i = i [[0, -I], [I, 0]] on a pair; self-adjoint involution."""
-
-    def __init__(self, grid: GridSpec, axis: int):
-        self.grid = grid
-        self.axis = axis
-        self.n = grid.axis_n(axis)
-
-    def matrix(self) -> np.ndarray:
-        n = self.n
-        Z = np.zeros((n, n))
-        I = np.eye(n)
-        return 1j * np.block([[Z, -I], [I, Z]])
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec)
-        return np.concatenate([-1j * v[self.n:], 1j * v[: self.n]])
-
-
-def pair_adjoint(g: GMatrix) -> np.ndarray:
-    """Adjoint of g_ik under the h-weighted pair inner products.
-
-    For g: PairFn(k) -> PairFn(i) the adjoint matrix is
-    (h_i / h_k) * conj-transpose; the weight ratio makes the discrete
-    adjoint mirror the continuous one.
-    """
-    hi = g.grid.axis_h(g.i)
-    hk = g.grid.axis_h(g.k)
-    return (hi / hk) * g.mat.conj().T
-
-
 def pair_flip_transform(g: GMatrix) -> GMatrix:
     """-U_k J_k g_ik^* J_i U_i as a dense block mapping PairFn(i) -> PairFn(k).
 
-    Both U factors carry a conjugation, so the composite is linear:
-    with P_j the pair index reversal, the matrix is
-    -P_k conj(J_k) conj(g_ik^*) conj(J_i) P_i.
+    U_j reflects a pair across the side midpoint and conjugates; on
+    midpoint samples the reflection is the index reversal rev.
+    J_j = i [[0, -I], [I, 0]], and g_ik^* = (h_i / h_k) g^H under the
+    h-weighted pair inner products.  Both U factors carry a conjugation,
+    so the composite is linear: both P_k conj(J_k) and conj(J_i) P_i,
+    with P the pair reversal, are K_n = -i [[0, -rev], [rev, 0]], and
+    the matrix is -(h_i / h_k) K_{n_k} g^T K_{n_i}.
     """
     gr = g.grid
     i, k = g.i, g.k
-    Ji = JMat(gr, i).matrix()
-    Jk = JMat(gr, k).matrix()
-    Pi = FlipOp(gr, i).permutation()
-    Pk = FlipOp(gr, k).permutation()
-    gadj = pair_adjoint(g)
-    out = -Pk @ Jk.conj() @ gadj.conj() @ Ji.conj() @ Pi
+
+    def K(n):
+        rev, Z = np.eye(n)[::-1], np.zeros((n, n))
+        return -1j * np.block([[Z, -rev], [rev, Z]])
+
+    out = -(gr.axis_h(i) / gr.axis_h(k)) * K(gr.axis_n(k)) @ g.mat.T @ K(gr.axis_n(i))
     return GMatrix(gr, k, i, out)
 
 
@@ -573,8 +527,8 @@ class RhoEvaluator:
         l1, l2 = complex(lam[0]), complex(lam[1])
         g = self.grid
         n1, n2 = g.n1, g.n2
-        T1 = np.eye(n1) - l1 * line_integration_op(g, 1).mat
-        T2 = np.eye(n2) - l2 * line_integration_op(g, 2).mat
+        T1 = np.eye(n1) - l1 * line_integration_op(g, 1)
+        T2 = np.eye(n2) - l2 * line_integration_op(g, 2)
         G = np.zeros((2 * (n1 + n2), 2 * (n1 + n2)), dtype=complex)
         G[:n1, :n1] = T1
         G[n1:2 * n1, n1:2 * n1] = T1

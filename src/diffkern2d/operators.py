@@ -15,12 +15,11 @@ so only smooth samples and quadrature sums appear below.  The grid
 operators A_k and A_k^* are calA_k and its adjoint applied along axis k
 (:func:`apply_along`); no N x N Kronecker matrix is formed.
 
-The displacement rank is read from a randomized sketch, not a dense SVD:
-2 n_i + 12 complex Gaussian probes from a fixed seed (0), with Q = qr(D
-Omega) and B = Q^H D.  The count is certified by ||D - Q B||_F <= 0.1
-rel_tol s1(B), and the probes double until it holds.  Where doubling
-stops paying (the residual is at roundoff, below roughly N * eps relative
-to s1) or would reach N, the singular values of D itself are counted.
+The displacement D_k = A_k S - S A_k^* has an exact thin generator,
+read from prefix sums of the lattice kernel because calA - calA^* =
+i h 1 1^T (:func:`discrete_generator`); its rank is counted from the
+2 n_i x 2 n_i core of the two factors, without forming D.  Only the
+identity residual builds D densely.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from .errors import InvalidArgumentError
 from .grid import GridFn, GridSpec, KernelSamples
 
 __all__ = [
-    "Space",
-    "LinOp",
     "ConvOperator",
     "PiPair",
     "lu_factor_cond",
@@ -52,6 +49,7 @@ __all__ = [
     "assemble_pi",
     "displacement_identity_residual",
     "m4_identity_residual",
+    "discrete_generator",
     "displacement_rank",
     "export_dense_csv",
     "DENSE_GUARD",
@@ -60,57 +58,6 @@ __all__ = [
 # Dense assembly is mandatory below this many grid points and refused
 # above it unless forced (the identity checks are O(N^2) memory).
 DENSE_GUARD = 64 * 64
-
-
-@dataclass(frozen=True)
-class Space:
-    """Source/target descriptor: 'grid', 'line', 'pair', or 'scalar'."""
-
-    kind: str
-    grid: GridSpec
-    axis: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("grid", "line", "pair", "scalar"):
-            raise InvalidArgumentError(f"unknown space kind {self.kind!r}")
-        if self.kind in ("line", "pair") and self.axis not in (1, 2):
-            raise InvalidArgumentError("line/pair spaces need axis 1 or 2")
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "grid":
-            return self.grid.size
-        if self.kind == "scalar":
-            return 1
-        n = self.grid.axis_n(self.axis)
-        return n if self.kind == "line" else 2 * n
-
-
-@dataclass(frozen=True)
-class LinOp:
-    """Dense-backed linear operator between two described spaces."""
-
-    source: Space
-    target: Space
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if self.mat.shape != (self.target.dim, self.source.dim):
-            raise InvalidArgumentError(
-                f"matrix shape {self.mat.shape} does not match spaces "
-                f"({self.target.dim}, {self.source.dim})"
-            )
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.source.dim,):
-            raise InvalidArgumentError(
-                f"input shape {vec.shape}, expected ({self.source.dim},)"
-            )
-        return self.mat @ vec
-
-    def dense(self) -> np.ndarray:
-        return self.mat
 
 
 # --------------------------------------------------------------------------
@@ -281,15 +228,14 @@ def conv_apply(S: ConvOperator, f: GridFn) -> GridFn:
 # --------------------------------------------------------------------------
 
 
-def line_integration_op(grid: GridSpec, axis: int) -> LinOp:
+def line_integration_op(grid: GridSpec, axis: int) -> np.ndarray:
     """calA_k = i int_0^{x_k} on one side: i h (strict lower cumulative +
     1/2 current), the midpoint antiderivative.  On grid functions A_k is
     this matrix applied along axis k (:func:`apply_along`), and A_k^* its
     conjugate transpose."""
     n = grid.axis_n(axis)
     h = grid.axis_h(axis)
-    sp = Space("line", grid, axis)
-    return LinOp(sp, sp, 1j * h * (np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)))
+    return 1j * h * (np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n))
 
 
 def apply_along(mat: np.ndarray, x: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -323,7 +269,7 @@ def _offsets(n: int) -> np.ndarray:
     return idx[:, None] - idx[None, :] + (n - 1)
 
 
-def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
+def m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
     """One of the eight blocks M_jk, derivative-free.
 
     Expansions realized here (axis-2 variants shown; axis-1 swaps roles):
@@ -339,18 +285,15 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
     g = samples.grid
     n1, n2, h1, h2 = g.n1, g.n2, g.h1, g.h2
     c = samples.c
-    grid_sp = Space("grid", g)
-    line1 = Space("line", g, 1)
-    line2 = Space("line", g, 2)
 
     if (j, k) == (2, 1):
-        return LinOp(grid_sp, line2, np.kron(np.eye(n2), h1 * np.ones((1, n1))))
+        return np.kron(np.eye(n2), h1 * np.ones((1, n1)))
     if (j, k) == (2, 2):
-        return LinOp(grid_sp, line1, np.kron(h2 * np.ones((1, n2)), np.eye(n1)))
+        return np.kron(h2 * np.ones((1, n2)), np.eye(n1))
     if (j, k) == (3, 1):
-        return LinOp(line2, grid_sp, np.kron(np.eye(n2), np.ones((n1, 1))))
+        return np.kron(np.eye(n2), np.ones((n1, 1)))
     if (j, k) == (3, 2):
-        return LinOp(line1, grid_sp, np.kron(np.ones((n2, 1)), np.eye(n1)))
+        return np.kron(np.ones((n2, 1)), np.eye(n1))
 
     if (j, k) == (1, 1):
         P2 = _offsets(n2)                      # (b, b')
@@ -359,7 +302,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         M += h2 * samples.sigma_x2_posmid[:, P2].transpose(1, 0, 2)
         diag = 0.5 * c + samples.beta_pos      # (n1,)
         M[np.arange(n2), :, np.arange(n2)] += diag[None, :]
-        return LinOp(line2, grid_sp, M.reshape(g.size, n2))
+        return M.reshape(g.size, n2)
 
     if (j, k) == (1, 2):
         P1 = _offsets(n1)                      # (a, a')
@@ -368,7 +311,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         M += h1 * samples.sigma_x1_posmid[P1, :].transpose(2, 0, 1)
         diag = 0.5 * c + samples.alpha_pos     # (n2,)
         M[:, np.arange(n1), np.arange(n1)] += diag[:, None]
-        return LinOp(line1, grid_sp, M.reshape(g.size, n1))
+        return M.reshape(g.size, n1)
 
     if (j, k) == (4, 1):
         P2 = _offsets(n2)
@@ -376,7 +319,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         M += (0.5 * h1 * h2 * samples.dalpha_lat[P2])[:, :, None]
         M -= h1 * h2 * samples.sigma_x2_negmid[:, P2].transpose(1, 2, 0)
         M[np.arange(n2), np.arange(n2), :] += 0.5 * c * h1 - h1 * samples.beta_neg
-        return LinOp(grid_sp, line2, M.reshape(n2, g.size))
+        return M.reshape(n2, g.size)
 
     if (j, k) == (4, 2):
         P1 = _offsets(n1)
@@ -384,7 +327,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         M += (0.5 * h1 * h2 * samples.dbeta_lat[P1])[:, None, :]
         M -= h1 * h2 * samples.sigma_x1_negmid[P1, :].transpose(0, 2, 1)
         M[np.arange(n1), :, np.arange(n1)] += (0.5 * c * h2 - h2 * samples.alpha_neg)[None, :]
-        return LinOp(grid_sp, line1, M.reshape(n1, g.size))
+        return M.reshape(n1, g.size)
 
     raise InvalidArgumentError(f"no operator M_{j}{k}: j in 1..4, k in 1..2")
 
@@ -394,7 +337,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
 # --------------------------------------------------------------------------
 
 
-def k_op(samples: KernelSamples, name: str) -> LinOp:
+def k_op(samples: KernelSamples, name: str) -> np.ndarray:
     """K-family: side-to-side and total quadratures of the kernel.
 
     K11 f = -h2 sum s(x1, -t2) f(t2); K12 its axis swap;
@@ -404,26 +347,21 @@ def k_op(samples: KernelSamples, name: str) -> LinOp:
     """
     g = samples.grid
     n1, n2, h1, h2 = g.n1, g.n2, g.h1, g.h2
-    line1 = Space("line", g, 1)
-    line2 = Space("line", g, 2)
-    scalar = Space("scalar", g)
-    grid_sp = Space("grid", g)
 
     if name == "K11":
-        return LinOp(line2, line1, -h2 * samples.s_pos_neg())
+        return -h2 * samples.s_pos_neg()
     if name == "K12":
-        return LinOp(line1, line2, -h1 * samples.s_neg_pos().T)
+        return -h1 * samples.s_neg_pos().T
     if name == "K21":
-        return LinOp(scalar, line1, np.ones((n1, 1)))
+        return np.ones((n1, 1))
     if name == "K22":
-        return LinOp(scalar, line2, np.ones((n2, 1)))
+        return np.ones((n2, 1))
     if name == "K31":
-        return LinOp(line2, line1, h2 * np.ones((n1, n2)))
+        return h2 * np.ones((n1, n2))
     if name == "K32":
-        return LinOp(line1, line2, h1 * np.ones((n2, n1)))
+        return h1 * np.ones((n2, n1))
     if name == "K4":
-        row = (h1 * h2 * samples.s_neg_neg().T).reshape(1, g.size)
-        return LinOp(grid_sp, scalar, row)
+        return (h1 * h2 * samples.s_neg_neg().T).reshape(1, g.size)
     raise InvalidArgumentError(
         f"unknown K operator {name!r}; expected K11, K12, K21, K22, K31, K32 or K4"
     )
@@ -439,28 +377,21 @@ class PiPair:
     """Pi_k = [M_1k  M_3k] and PiHat_k = [M_2k; M_4k] for one axis."""
 
     axis: int
-    pi: LinOp       # PairFn(i) -> GridFn
-    pi_hat: LinOp   # GridFn -> PairFn(i)
+    pi: np.ndarray       # PairFn(i) -> GridFn, N x 2 n_i
+    pi_hat: np.ndarray   # GridFn -> PairFn(i), 2 n_i x N
 
 
 def assemble_pi(samples: KernelSamples, k: int) -> PiPair:
-    g = samples.grid
     if k not in (1, 2):
         raise InvalidArgumentError(f"axis must be 1 or 2, got {k}")
-    i = 2 if k == 1 else 1
-    pair = Space("pair", g, i)
-    grid_sp = Space("grid", g)
-    m1, m3 = m_op(samples, 1, k), m_op(samples, 3, k)
-    m2, m4 = m_op(samples, 2, k), m_op(samples, 4, k)
-    pi = LinOp(pair, grid_sp, np.hstack([m1.mat, m3.mat]))
-    pi_hat = LinOp(grid_sp, pair, np.vstack([m2.mat, m4.mat]))
-    return PiPair(axis=k, pi=pi, pi_hat=pi_hat)
+    m1, m2, m3, m4 = (m_op(samples, j, k) for j in (1, 2, 3, 4))
+    return PiPair(axis=k, pi=np.hstack([m1, m3]), pi_hat=np.vstack([m2, m4]))
 
 
 def _displacement(S: ConvOperator, k: int) -> np.ndarray:
     """A_k S - S A_k^* (dense), with S A_k^* = (A_k S^*)^*."""
     D = S.dense()
-    calA = line_integration_op(S.grid, k).mat
+    calA = line_integration_op(S.grid, k)
     return (apply_along(calA, D, S.grid, k)
             - apply_along(calA, D.conj().T, S.grid, k).conj().T)
 
@@ -469,7 +400,7 @@ def displacement_identity_residual(S: ConvOperator, pi: PiPair, k: int) -> float
     """|| A_k S - S A_k^* - i Pi_k PiHat_k ||_F / ||S||_F (dense)."""
     if k != pi.axis:
         raise InvalidArgumentError(f"PiPair is for axis {pi.axis}, asked for {k}")
-    R = _displacement(S, k) - 1j * (pi.pi.mat @ pi.pi_hat.mat)
+    R = _displacement(S, k) - 1j * (pi.pi @ pi.pi_hat)
     return float(np.linalg.norm(R) / np.linalg.norm(S.dense()))
 
 
@@ -481,53 +412,62 @@ def m4_identity_residual(samples: KernelSamples, i: int, k: int) -> float:
     if i == k:
         raise InvalidArgumentError("the side identity needs i != k")
     g = samples.grid
-    M4k = m_op(samples, 4, k).mat
-    calA = line_integration_op(g, i).mat
+    M4k = m_op(samples, 4, k)
+    calA = line_integration_op(g, i)
     M4k_Astar = apply_along(calA, M4k.conj().T, g, i).conj().T
-    K1 = k_op(samples, "K11" if i == 1 else "K12").mat
-    M2 = m_op(samples, 2, i).mat
-    K2 = k_op(samples, "K21" if i == 1 else "K22").mat
-    K4 = k_op(samples, "K4").mat
+    K1 = k_op(samples, "K11" if i == 1 else "K12")
+    M2 = m_op(samples, 2, i)
+    K2 = k_op(samples, "K21" if i == 1 else "K22")
+    K4 = k_op(samples, "K4")
     R = calA @ M4k - M4k_Astar - 1j * (K1 @ M2 + K2 @ K4)
     denom = np.linalg.norm(calA @ M4k)
     return float(np.linalg.norm(R) / max(denom, np.finfo(float).tiny))
 
 
-def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:
-    """Numerical rank of D = A_k S - S A_k^*, certified from a sketch.
+def discrete_generator(S: ConvOperator, k: int):
+    """``(G, H)``, the exact thin factors of D_k = A_k S - S A_k^* = G H.
 
-    Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
-    2011): Omega is p complex Gaussian probes from ``default_rng(0)``,
-    drawn inside the call, Q = qr(D Omega) and B = Q^H D.  The rank is the
-    number of singular values of B above ``rel_tol * s1(B)``, accepted when
-    ||D - Q B||_F <= 0.1 rel_tol s1(B): by Weyl's inequality every singular
-    value of D is then within that margin of B's, so the cutoff holds for
-    D itself.  Otherwise p doubles, starting from 2 n_i + 12, i = 3 - k,
-    ten above the identity's 2 n_i + 2 bound.  When doubling p does not
-    at least halve ||D - Q B||_F, or the next p would reach N, the
-    residual is at roundoff (a ``rel_tol`` below roughly N * eps) and the
-    singular values of D itself are counted, as a square Q would give.
-    Counts below that floor are roundoff for any method.
+    Along axis k, S is block Toeplitz: block (b, b') is the Toeplitz
+    matrix of the symbol t = W[:, b - b'] (b indexes the other axis, i).
+    Since calA - calA^* = i h_k 1 1^T, every block obeys
+    calA T - T calA^* = i h_k (F(a) - F(-a' - 1)), with F(m) the sum of
+    t(p) over p <= m.  So G = i h_k [Phi, -One] (N x 2 n_i) and
+    H = [One^T; Psi] (2 n_i x N), where Phi[(b, a), b'] = F_{b-b'}(a),
+    Psi[b, (b', a')] = F_{b-b'}(-a' - 1) and One[(b, a), b'] = [b = b'].
+    For k = 2 the roles of the axes swap, and the rows of G and the
+    columns of H are put back in the x1-fastest order.
+    """
+    if k not in (1, 2):
+        raise InvalidArgumentError(f"axis must be 1 or 2, got {k}")
+    W = S.lattice_kernel if k == 1 else S.lattice_kernel.T
+    n, m = S.grid.axis_n(k), S.grid.axis_n(3 - k)
+    F = np.zeros((2 * n, 2 * m - 1), dtype=W.dtype)
+    F[1:] = W.cumsum(0)                      # F(p) = F[p + n]
+    blocks = _offsets(m)                     # (b, b') -> b - b' + m - 1
+    Phi = F[n:][:, blocks].transpose(1, 0, 2).reshape(n * m, m)
+    Psi = F[n - 1::-1][:, blocks].transpose(1, 2, 0).reshape(m, n * m)
+    One = np.repeat(np.eye(m), n, axis=0)
+    G = 1j * S.grid.axis_h(k) * np.hstack([Phi, -One])
+    H = np.vstack([One.T, Psi])
+    if k == 2:      # (a, b) x2-fastest order back to x1-fastest
+        G = G.reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1)
+        H = H.reshape(-1, m, n).transpose(0, 2, 1).reshape(-1, n * m)
+    return G, H
+
+
+def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:
+    """Numerical rank of D = A_k S - S A_k^*, read from its generator.
+
+    With D = G H from :func:`discrete_generator`, G = Q1 R1 and
+    H^H = Q2 R2, D = Q1 (R1 R2^H) Q2^H: the singular values of D are
+    those of the 2 n_i x 2 n_i core R1 R2^H, i = 3 - k.  The rank counts
+    those above ``rel_tol * s1``; it is at most 2 n_i by construction.
     """
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
         raise InvalidArgumentError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    D = _displacement(S, k)
-    N = D.shape[0]
-    rng = np.random.default_rng(0)
-    p = 2 * S.grid.axis_n(3 - k) + 12
-    last = np.inf
-    while p < N:
-        omega = rng.standard_normal((N, p)) + 1j * rng.standard_normal((N, p))
-        Q = np.linalg.qr(D @ omega)[0]
-        B = Q.conj().T @ D
-        sv = np.linalg.svd(B, compute_uv=False)
-        resid = np.linalg.norm(D - Q @ B)
-        if resid <= 0.1 * rel_tol * sv[0]:
-            return int(np.sum(sv > rel_tol * sv[0]))
-        if resid > 0.5 * last:
-            break
-        last, p = resid, 2 * p
-    sv = np.linalg.svd(D, compute_uv=False)
+    G, H = discrete_generator(S, k)
+    core = np.linalg.qr(G, mode="r") @ np.linalg.qr(H.conj().T, mode="r").conj().T
+    sv = np.linalg.svd(core, compute_uv=False)
     return int(np.sum(sv > rel_tol * sv[0]))
 
 

@@ -23,8 +23,6 @@ from .errors import InvalidArgumentError, SingularOperatorError
 from .grid import GridSpec, KernelSamples
 from .operators import (
     ConvOperator,
-    LinOp,
-    Space,
     assemble_pi,
     displacement_identity_residual,
     export_dense_csv,
@@ -43,7 +41,7 @@ __all__ = [
 ]
 
 
-def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
+def oracle_m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
     """M_jk by literal quadrature of s and centered differences.
 
     The derivative step is h/2, which puts every s evaluation on the
@@ -55,9 +53,6 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
     model = samples.model
     n1, n2, h1, h2 = g.n1, g.n2, g.h1, g.h2
     x1, x2 = g.x1, g.x2
-    grid_sp = Space("grid", g)
-    line1 = Space("line", g, 1)
-    line2 = Space("line", g, 2)
 
     if (j, k) in ((2, 1), (2, 2), (3, 1), (3, 2)):
         # no derivative involved: the quadrature/broadcast form is already exact
@@ -70,7 +65,7 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         Fp = model.s_values(x1[:, None, None], (D + d)[None, :, :])
         Fm = model.s_values(x1[:, None, None], (D - d)[None, :, :])
         M = h2 * (Fp - Fm) / (2 * d)                      # [a, b, b']
-        source, target, mat = (line2, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n2))
+        mat = M.transpose(1, 0, 2).reshape(g.size, n2)
 
     elif (j, k) == (1, 2):
         d = 0.5 * h1
@@ -78,7 +73,7 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         Fp = model.s_values((D + d)[:, None, :], x2[None, :, None])
         Fm = model.s_values((D - d)[:, None, :], x2[None, :, None])
         M = h1 * (Fp - Fm) / (2 * d)                      # [a, b, a']
-        source, target, mat = (line1, grid_sp, M.transpose(1, 0, 2).reshape(g.size, n1))
+        mat = M.transpose(1, 0, 2).reshape(g.size, n1)
 
     elif (j, k) == (4, 1):
         # (M_41 f)(x2) = -d/dx2 int s(-t1, x2 - t2) f(t) dt
@@ -87,7 +82,7 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         Fp = model.s_values(-x1[:, None, None], (D + d)[None, :, :])
         Fm = model.s_values(-x1[:, None, None], (D - d)[None, :, :])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a', b, b']
-        source, target, mat = (grid_sp, line2, M.transpose(1, 2, 0).reshape(n2, g.size))
+        mat = M.transpose(1, 2, 0).reshape(n2, g.size)
 
     elif (j, k) == (4, 2):
         d = 0.5 * h1
@@ -95,14 +90,14 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> LinOp:
         Fp = model.s_values((D + d)[:, None, :], -x2[None, :, None])
         Fm = model.s_values((D - d)[:, None, :], -x2[None, :, None])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a, b', a']
-        source, target, mat = (grid_sp, line1, M.reshape(n1, g.size))
+        mat = M.reshape(n1, g.size)
 
     else:
         raise InvalidArgumentError(f"no operator M_{j}{k}")
     # the values come from a user-supplied kernel model
     if not np.all(np.isfinite(mat)):
         raise InvalidArgumentError("oracle operator has non-finite entries")
-    return LinOp(source, target, mat)
+    return mat
 
 
 # --------------------------------------------------------------------------

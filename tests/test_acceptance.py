@@ -194,8 +194,8 @@ def test_criterion_9_oracle_agreement():
         gaps = []
         for n in sizes:
             s = samples_for(rich_model(), n)
-            gap = np.abs(oracle_m_op(s, j, k).mat - m_op(s, j, k).mat).max()
-            gaps.append(gap / np.abs(m_op(s, j, k).mat).max())
+            gap = np.abs(oracle_m_op(s, j, k) - m_op(s, j, k)).max()
+            gaps.append(gap / np.abs(m_op(s, j, k)).max())
         orders[f"M{j}{k}"] = fitted_order(sizes, gaps)
     order_ok = all(o >= 0.8 for o in orders.values())
 

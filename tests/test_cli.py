@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from diffkern2d import cli
 from diffkern2d.cli import main
 from diffkern2d.config import load_config, parse_config_text
 from diffkern2d.errors import ConfigError
@@ -145,6 +146,26 @@ class TestVerifyCommand:
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--sizes", "8,128"])
         assert code == 2
+
+    def test_generator_agreement_contract(self, tmp_path, monkeypatch):
+        # the generator factors are checked against A_k S w - S A_k^* w
+        # applied through the FFT; factors off by 1e-9 fail the contract
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        argv = ["verify", "--config", cfg, "--sizes", "8,12"]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        report = json.loads((tmp_path / "ok" / "verify_report.json").read_text())
+        contracts = {c["name"]: c for c in report["contracts"]}
+        for n in ("8", "12"):
+            assert report["per_size"][n]["generator_agreement"] <= 1e-14
+            assert contracts[f"generator_agreement_n{n}"]["pass"] is True
+
+        real = cli.discrete_generator
+        monkeypatch.setattr(cli, "discrete_generator",
+                            lambda S, k: (real(S, k)[0] * (1 + 1e-9), real(S, k)[1]))
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
+        report = json.loads((tmp_path / "bad" / "verify_report.json").read_text())
+        failed = [c["name"] for c in report["contracts"] if not c["pass"]]
+        assert failed == ["generator_agreement_n8", "generator_agreement_n12"]
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)

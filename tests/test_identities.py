@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from diffkern2d import operators
 from diffkern2d.errors import InvalidArgumentError
 from diffkern2d.kernels import exp_kernel, identity_kernel
 from diffkern2d.operators import (
     ConvOperator,
     assemble_pi,
+    discrete_generator,
     displacement_identity_residual,
     displacement_rank,
     k_op,
@@ -115,9 +115,9 @@ SVD_CASES = [(tag, n1, n2) for tag in sorted(MODEL_BUILDERS)
 
 
 class TestSketchedRank:
-    # the sketched, certified rank against a dense SVD of the displacement
-    # built here from N x N Kronecker matrices; n = 32 for one kernel only,
-    # where rel_tol = 1e-14 doubles the probes up to N
+    # the rank read from the generator's core against a dense SVD of the
+    # displacement built here from N x N Kronecker matrices, at three
+    # tolerances down to roundoff; n = 32 for one kernel only
     @pytest.mark.parametrize("tag,n1,n2", SVD_CASES,
                              ids=[f"{t}-{a}x{b}" for t, a, b in SVD_CASES])
     def test_matches_dense_svd(self, tag, n1, n2):
@@ -130,24 +130,6 @@ class TestSketchedRank:
             for rel_tol in (1e-2, 1e-10, 1e-14):
                 want = int(np.sum(sv > rel_tol * sv[0]))
                 assert displacement_rank(S, k, rel_tol=rel_tol) == want
-
-    @pytest.mark.parametrize("tag", sorted(MODEL_BUILDERS))
-    def test_certificate_holds_at_first_sketch(self, tag, monkeypatch):
-        # at the default rel_tol one sketch of 2 n_i + 12 probes suffices:
-        # no resketch, so no SVD of anything N x N
-        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 12, n2=20, omega1=1.7, omega2=0.9))
-        shapes = []
-        qr = np.linalg.qr
-
-        def spy(a, *args, **kw):
-            shapes.append(a.shape)
-            return qr(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        for k, n_i in ((1, 20), (2, 12)):
-            shapes.clear()
-            displacement_rank(S, k)
-            assert shapes == [(240, 2 * n_i + 12)]
 
     def test_deterministic(self):
         S = ConvOperator(samples_for(rich_model(), 16))
@@ -162,52 +144,30 @@ class TestSketchedRank:
             displacement_rank(S, 1, rel_tol=rel_tol)
 
 
-class TestRankCertificate:
-    # a displacement with a spectrum set here, on an 8 x 8 grid: N = 64 and
-    # the first sketch has p0 = 2 * 8 + 12 = 28 probes, so each count below
-    # is out of reach of one sketch and needs the doubling loop
-    P0 = 28
+GENERATOR_CASES = [(tag, n1, n2) for tag in [*MODEL_BUILDERS, "complex"]
+                   for n1, n2 in ((8, 8), (5, 7), (12, 9), (7, 4))]
 
-    def rank_of(self, monkeypatch, sv):
-        rng = np.random.default_rng(11)
-        N = sv.size
-        U = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))[0]
-        V = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))[0]
-        disp = (U * sv) @ V.conj().T
-        monkeypatch.setattr(operators, "_displacement", lambda S, k: disp)
-        return displacement_rank(ConvOperator(samples_for(exp_kernel(), 8)), 1)
 
-    def test_exact_rank_above_first_sketch(self, monkeypatch):
-        sv = np.r_[np.linspace(1.0, 0.5, self.P0 + 5), np.zeros(64 - self.P0 - 5)]
-        assert self.rank_of(monkeypatch, sv) == self.P0 + 5
+class TestDiscreteGenerator:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("tag,n1,n2", GENERATOR_CASES,
+                             ids=[f"{t}-{a}x{b}" for t, a, b in GENERATOR_CASES])
+    def test_matches_kron_displacement(self, tag, n1, n2, k):
+        # G H against A_k S - S A_k^* from N x N Kronecker matrices, with
+        # unequal sides and a complex kernel
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.3, omega2=0.9))
+        A, D = kron_integration(S.grid, k), S.dense()
+        disp = A @ D - D @ A.conj().T
+        G, H = discrete_generator(S, k)
+        n_i = S.grid.axis_n(3 - k)
+        assert G.shape == (n1 * n2, 2 * n_i) and H.shape == (2 * n_i, n1 * n2)
+        assert np.linalg.norm(G @ H - disp) <= 1e-13 * np.linalg.norm(disp)
 
-    def test_geometric_decay_across_cutoff(self, monkeypatch):
-        # 0.25^16 = 2.3e-10 is above the 1e-10 cutoff, 0.25^17 = 5.8e-11 below
-        sv = np.r_[np.ones(self.P0), 0.25 ** np.arange(1, 64 - self.P0 + 1)]
-        assert self.rank_of(monkeypatch, sv) == self.P0 + 16
-
-    def test_roundoff_tail_stops_doubling(self, monkeypatch):
-        # 16 x 16 grid: N = 256 and p0 = 2 * 16 + 12 = 44.  Below rel_tol =
-        # 1e-16 the residual is roundoff and does not halve from 44 to 88
-        # probes, so D's own singular values are counted after the second
-        # sketch, not after sketches of 176 and 256 probes
-        rng = np.random.default_rng(11)
-        U = np.linalg.qr(rng.standard_normal((256, 256)))[0]
-        V = np.linalg.qr(rng.standard_normal((256, 256)))[0]
-        disp = (U * np.r_[np.ones(10), np.full(246, 1e-17)]) @ V.T
-        monkeypatch.setattr(operators, "_displacement", lambda S, k: disp)
-        shapes = []
-        qr = np.linalg.qr
-
-        def spy(a, *args, **kw):
-            shapes.append(a.shape)
-            return qr(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        got = displacement_rank(ConvOperator(samples_for(exp_kernel(), 16)), 1, rel_tol=1e-16)
-        assert shapes == [(256, 44), (256, 88)]
-        sv = np.linalg.svd(disp, compute_uv=False)
-        assert got == int(np.sum(sv > 1e-16 * sv[0]))
+    def test_bad_axis(self):
+        S = ConvOperator(samples_for(exp_kernel(), 4))
+        with pytest.raises(InvalidArgumentError):
+            discrete_generator(S, 3)
 
 
 class TestAnisotropicGrids:
@@ -240,18 +200,18 @@ class TestAnisotropicGrids:
             A = kron_integration(g, k)
             disp = A @ D - D @ A.conj().T
             pp = assemble_pi(s, k)
-            want = np.linalg.norm(disp - 1j * pp.pi.mat @ pp.pi_hat.mat) / np.linalg.norm(D)
+            want = np.linalg.norm(disp - 1j * pp.pi @ pp.pi_hat) / np.linalg.norm(D)
             got = displacement_identity_residual(S, pp, k)
             assert abs(got - want) <= 1e-12 * want
             sv = np.linalg.svd(disp, compute_uv=False)
             assert displacement_rank(S, k) == int(np.sum(sv > 1e-10 * sv[0]))
 
             i = 3 - k
-            M4k = m_op(s, 4, k).mat
-            line = line_integration_op(g, i).mat
+            M4k = m_op(s, 4, k)
+            line = line_integration_op(g, i)
             side = line @ M4k - M4k @ kron_integration(g, i).conj().T - 1j * (
-                k_op(s, "K11" if i == 1 else "K12").mat @ m_op(s, 2, i).mat
-                + k_op(s, "K21" if i == 1 else "K22").mat @ k_op(s, "K4").mat)
+                k_op(s, "K11" if i == 1 else "K12") @ m_op(s, 2, i)
+                + k_op(s, "K21" if i == 1 else "K22") @ k_op(s, "K4"))
             want = np.linalg.norm(side) / np.linalg.norm(line @ M4k)
             assert abs(m4_identity_residual(s, i, k) - want) <= 1e-12 * want
 
@@ -269,4 +229,4 @@ class TestJumpCaseClosedForm:
         want = 1j * g.h1 * np.kron(np.eye(4), np.ones((4, 4)))
         assert np.abs(disp - want).max() <= 1e-14
         pp = assemble_pi(s, 1)
-        assert np.abs(disp - 1j * pp.pi.mat @ pp.pi_hat.mat).max() <= 1e-14
+        assert np.abs(disp - 1j * pp.pi @ pp.pi_hat).max() <= 1e-14

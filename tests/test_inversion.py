@@ -36,7 +36,7 @@ from diffkern2d.inversion import (
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separable_kernel
 from diffkern2d.operators import ConvOperator, assemble_pi, k_op
 
-from conftest import MODEL_BUILDERS, convergence_orders, samples_for
+from conftest import MODEL_BUILDERS, convergence_orders, rich_model, samples_for
 
 
 def deconv_model():
@@ -199,6 +199,15 @@ class TestBackendChoice:
         solve_array(S, B)
         assert S._lu is not None and gmres_calls == []
 
+    def test_g_blocks_at_32_take_lu_without_estimate(self, gmres_calls):
+        # 128 pair columns priced at two iterations each lose to one LU
+        # before any condition estimate is run
+        samples = samples_for(exp_kernel(), 32)
+        S = ConvOperator(samples)
+        compute_g_blocks(S, samples)
+        assert S._lu is not None and gmres_calls == []
+        assert S._cond_est is None
+
 
 class TestConditionEstimate:
     @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
@@ -302,9 +311,9 @@ class TestComputeG:
         n1 = 8
         Dinv = np.linalg.inv(S.dense())
         first = np.zeros((2 * n1, 2 * n1), dtype=complex)
-        first[:n1, :n1] = kops["K31"].mat
-        first[n1:, :n1] = kops["K11"].mat
-        oracle = first - pis[2].pi_hat.mat @ Dinv @ pis[1].pi.mat
+        first[:n1, :n1] = kops["K31"]
+        first[n1:, :n1] = kops["K11"]
+        oracle = first - pis[2].pi_hat @ Dinv @ pis[1].pi
         assert np.abs(g12.mat - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_equal_axes_rejected(self):
@@ -329,6 +338,15 @@ class TestGSymmetry:
             g12, g21 = compute_g_blocks(ConvOperator(s), s)
             vals.append(g_symmetry_residual(g12, g21))
         assert vals[0] / vals[1] >= 1.6
+
+    def test_residual_decreases_with_unequal_steps(self):
+        # h1 != h2: the adjoint's weight ratio h_i / h_k is visible only here
+        vals = []
+        for n1, n2 in ((6, 10), (12, 20)):
+            s = samples_for(rich_model(), n1, n2=n2, omega1=1.7, omega2=0.9)
+            g12, g21 = compute_g_blocks(ConvOperator(s), s)
+            vals.append(g_symmetry_residual(g12, g21))
+        assert vals[1] <= 1e-3 and vals[0] / vals[1] >= 1.6
 
     def test_flip_transform_is_involution(self):
         s = samples_for(exp_kernel(), 8)

@@ -133,7 +133,7 @@ class TestConvApply:
 class TestIntegrationOps:
     def test_antiderivative_of_ones_is_ix(self):
         g = make_grid(1.0, 1.0, 4, 4)
-        calA = line_integration_op(g, 1).mat
+        calA = line_integration_op(g, 1)
         out = apply_along(calA, np.ones(16).astype(complex), g, 1)
         want = g.outer_flat(1j * g.x1, np.ones(4))
         assert_allclose(out, want, rtol=0, atol=1e-15)
@@ -142,7 +142,7 @@ class TestIntegrationOps:
         # (A1 + A1*) 1 = i (2 x1 - omega1): the two integration ranges
         # join into the full interval minus the reflected part
         g = make_grid(1.0, 1.0, 4, 4)
-        calA = line_integration_op(g, 1).mat
+        calA = line_integration_op(g, 1)
         ones = np.ones(16)
         out = apply_along(calA, ones, g, 1) + apply_along(calA.conj().T, ones, g, 1)
         want = g.outer_flat(1j * (2 * g.x1 - g.omega1), np.ones(4))
@@ -155,7 +155,7 @@ class TestIntegrationOps:
         # non-square grid with unequal sides; a real (N,) vector or a
         # complex (N, m) block
         g = make_grid(1.3, 2.0, 5, 8)
-        calA = line_integration_op(g, axis).mat
+        calA = line_integration_op(g, axis)
         oracle = kron_integration(g, axis)
         if adjoint:
             calA, oracle = calA.conj().T, oracle.conj().T
@@ -177,7 +177,7 @@ class TestIntegrationOps:
     def test_adjoint_on_ones(self):
         # A1* 1 = -i (omega1 - x1): integration from x1 up to the far side
         g = make_grid(1.0, 1.0, 4, 4)
-        calA = line_integration_op(g, 1).mat
+        calA = line_integration_op(g, 1)
         adj = apply_along(calA.conj().T, np.ones(16).astype(complex), g, 1)
         assert_allclose(adj, g.outer_flat(-1j * (g.omega1 - g.x1), np.ones(4)),
                         rtol=0, atol=1e-15)
@@ -187,7 +187,7 @@ class TestIntegrationOps:
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         h = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         for axis in (1, 2):
-            calA = line_integration_op(g, axis).mat
+            calA = line_integration_op(g, axis)
             lhs = grid_inner(g, apply_along(calA, f, g, axis), h)
             rhs = grid_inner(g, f, apply_along(calA.conj().T, h, g, axis))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -195,7 +195,7 @@ class TestIntegrationOps:
     def test_line_op_matches_grid_stencil(self):
         g = make_grid(1.0, 1.0, 4, 6)
         calA = line_integration_op(g, 2)
-        out = calA.apply(np.ones(6).astype(complex))
+        out = calA @ np.ones(6).astype(complex)
         assert_allclose(out, 1j * g.x2, rtol=0, atol=1e-15)
 
 
@@ -203,32 +203,32 @@ class TestMOps:
     def test_m31_broadcast(self):
         s = samples_for(exp_kernel(), 4)
         g = s.grid
-        out = m_op(s, 3, 1).apply(np.ones(4).astype(complex))
+        out = m_op(s, 3, 1) @ np.ones(4).astype(complex)
         assert_allclose(out, np.ones(16), rtol=0, atol=0)
         # and the line function m32 broadcasts along the other axis
-        out2 = m_op(s, 3, 2).apply(np.arange(4).astype(complex))
+        out2 = m_op(s, 3, 2) @ np.arange(4).astype(complex)
         assert_allclose(g.to2d(out2)[2, :], np.arange(4))
 
     def test_all_zero_kernel_gives_zero_m11(self):
         s = samples_for(identity_kernel(c=0.0), 4, normalize=False)
-        assert np.abs(m_op(s, 1, 1).mat).max() == 0.0
-        assert np.abs(m_op(s, 4, 2).mat).max() == 0.0
+        assert np.abs(m_op(s, 1, 1)).max() == 0.0
+        assert np.abs(m_op(s, 4, 2)).max() == 0.0
 
     def test_jump_only_expansions(self):
         # c = 1, everything else 0: M11 = broadcast/2, M41 = M21/2
         s = samples_for(identity_kernel(c=1.0), 6)
-        M11 = m_op(s, 1, 1).mat
-        M31 = m_op(s, 3, 1).mat
+        M11 = m_op(s, 1, 1)
+        M31 = m_op(s, 3, 1)
         assert_allclose(M11, 0.5 * M31, rtol=0, atol=1e-15)
-        M41 = m_op(s, 4, 1).mat
-        M21 = m_op(s, 2, 1).mat
+        M41 = m_op(s, 4, 1)
+        M21 = m_op(s, 2, 1)
         assert_allclose(M41, 0.5 * M21, rtol=0, atol=1e-15)
 
     def test_row_sum_operator(self):
         s = samples_for(exp_kernel(), 4)
         g = s.grid
         f = np.arange(16.0)
-        out = m_op(s, 2, 1).apply(f.astype(complex))
+        out = m_op(s, 2, 1) @ f.astype(complex)
         want = g.h1 * g.to2d(f).sum(axis=1)
         assert_allclose(out, want)
 
@@ -243,21 +243,21 @@ class TestMOps:
 class TestKOps:
     def test_constant_embedding(self):
         s = samples_for(exp_kernel(), 5)
-        out = k_op(s, "K21").apply(np.array([1.0 + 0j]))
+        out = k_op(s, "K21") @ np.array([1.0 + 0j])
         assert_allclose(out, np.ones(5), rtol=0, atol=0)
-        out2 = k_op(s, "K22").apply(np.array([1.0 + 0j]))
+        out2 = k_op(s, "K22") @ np.array([1.0 + 0j])
         assert_allclose(out2, np.ones(5), rtol=0, atol=0)
 
     def test_side_integral_of_ones(self):
         # K31 integrates over (0, omega2): f = 1 gives omega2 on every x1
         s = samples_for(exp_kernel(), 4, omega2=1.0)
-        out = k_op(s, "K31").apply(np.ones(4).astype(complex))
+        out = k_op(s, "K31") @ np.ones(4).astype(complex)
         assert_allclose(out, np.ones(4), rtol=0, atol=1e-15)
 
     def test_total_quadrature_jump_only(self):
         # K4 on f = 1 with the pure jump kernel: quadrature of s(-t) = c/4
         s = samples_for(identity_kernel(c=1.0), 8)
-        got = k_op(s, "K4").apply(np.ones(64).astype(complex))
+        got = k_op(s, "K4") @ np.ones(64).astype(complex)
         assert_allclose(got, [0.25], rtol=0, atol=1e-15)
         # dense quadrature oracle for a smooth kernel
         s2 = samples_for(exp_kernel(), 8)
@@ -268,13 +268,13 @@ class TestKOps:
             for a in range(8):
                 want += g.h1 * g.h2 * complex(
                     np.asarray(m.s_values(-g.x1[a], -g.x2[b])))
-        got2 = k_op(s2, "K4").apply(np.ones(64).astype(complex))
+        got2 = k_op(s2, "K4") @ np.ones(64).astype(complex)
         assert abs(got2[0] - want) <= 1e-13
 
     def test_k11_uses_sign_expansion(self):
         # s(x1, -t2) = -c/4 + alpha(-t2)/2 - beta(x1)/2 + sigma(x1, -t2)
         s = samples_for(identity_kernel(c=1.0), 4)
-        got = k_op(s, "K11").mat
+        got = k_op(s, "K11")
         assert_allclose(got, 0.25 * s.grid.h2 * np.ones((4, 4)), rtol=0, atol=1e-15)
 
     def test_unknown_name(self):
@@ -288,22 +288,22 @@ class TestPiPair:
         s = samples_for(identity_kernel(c=0.0), 4, normalize=False)
         pp = assemble_pi(s, 1)
         n2, N = 4, 16
-        assert np.abs(pp.pi.mat[:, :n2]).max() == 0.0           # M11 = 0
-        assert_allclose(pp.pi.mat[:, n2:], m_op(s, 3, 1).mat)   # M31 survives
-        assert_allclose(pp.pi_hat.mat[:n2, :], m_op(s, 2, 1).mat)
-        assert np.abs(pp.pi_hat.mat[n2:, :]).max() == 0.0       # M41 = 0
+        assert np.abs(pp.pi[:, :n2]).max() == 0.0           # M11 = 0
+        assert_allclose(pp.pi[:, n2:], m_op(s, 3, 1))       # M31 survives
+        assert_allclose(pp.pi_hat[:n2, :], m_op(s, 2, 1))
+        assert np.abs(pp.pi_hat[n2:, :]).max() == 0.0       # M41 = 0
 
     def test_pihat_on_ones_jump_kernel(self):
         # c=1, rest 0, unit square: PiHat_1 1 = [1; 1/2]
         s = samples_for(identity_kernel(c=1.0), 8)
-        out = assemble_pi(s, 1).pi_hat.apply(np.ones(64).astype(complex))
+        out = assemble_pi(s, 1).pi_hat @ np.ones(64).astype(complex)
         assert_allclose(out[:8], np.ones(8), rtol=0, atol=1e-14)
         assert_allclose(out[8:], 0.5 * np.ones(8), rtol=0, atol=1e-14)
 
     def test_product_rank_bound(self):
         s = samples_for(exp_kernel(), 8)
         pp = assemble_pi(s, 1)
-        prod = pp.pi.mat @ pp.pi_hat.mat
+        prod = pp.pi @ pp.pi_hat
         rank = np.linalg.matrix_rank(prod, tol=1e-10)
         assert rank <= 2 * s.grid.n2
 

@@ -29,19 +29,19 @@ class TestOracleMOps:
     def test_all_zero_kernel_gives_zero(self):
         s = samples_for(identity_kernel(c=0.0), 4, normalize=False)
         for j, k in ((1, 1), (1, 2), (4, 1), (4, 2)):
-            assert np.abs(oracle_m_op(s, j, k).mat).max() == 0.0
+            assert np.abs(oracle_m_op(s, j, k)).max() == 0.0
 
     def test_broadcast_block_is_exact(self):
         s = samples_for(identity_kernel(c=1.0), 4)
-        got = oracle_m_op(s, 3, 1).mat
-        assert_allclose(got, m_op(s, 3, 1).mat, rtol=0, atol=0)
+        got = oracle_m_op(s, 3, 1)
+        assert_allclose(got, m_op(s, 3, 1), rtol=0, atol=0)
 
     def test_jump_part_reproduced_exactly(self):
         # the centered stencil crosses the sign jump with weight 2/h,
         # reproducing the delta contribution with no error at all
         s = samples_for(identity_kernel(c=1.0), 6)
         for j, k in ((1, 1), (1, 2), (4, 1), (4, 2)):
-            assert np.abs(oracle_m_op(s, j, k).mat - m_op(s, j, k).mat).max() <= 1e-14
+            assert np.abs(oracle_m_op(s, j, k) - m_op(s, j, k)).max() <= 1e-14
 
     def test_non_finite_model_rejected(self):
         # the oracle evaluates the model off the sampled lattice, where the
@@ -58,8 +58,8 @@ class TestOracleMOps:
         gaps = []
         for n in (8, 16, 32):
             s = samples_for(rich_model(), n)
-            gap = np.abs(oracle_m_op(s, j, k).mat - m_op(s, j, k).mat).max()
-            gaps.append(gap / np.abs(m_op(s, j, k).mat).max())
+            gap = np.abs(oracle_m_op(s, j, k) - m_op(s, j, k)).max()
+            gaps.append(gap / np.abs(m_op(s, j, k)).max())
         orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
         assert min(orders) >= 0.8, (jk, gaps)
 
