@@ -19,12 +19,9 @@ from .errors import (
     UnsupportedEvaluationError,
 )
 from .grid import (
-    GridFn,
     GridSpec,
     KernelModel,
     KernelSamples,
-    LineFn,
-    PairFn,
     make_grid,
     normalize_kernel,
     sample_kernel,
@@ -41,7 +38,6 @@ from .operators import (
     ConvOperator,
     PiPair,
     assemble_pi,
-    conv_apply,
     discrete_generator,
     displacement_identity_residual,
     displacement_rank,
@@ -56,13 +52,11 @@ from .inversion import (
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,
-    compute_g,
     g_symmetry_residual,
     gamma_apply,
     inverse_from_rho,
     rho_direct,
     rho_structured,
-    solve,
 )
 
 __version__ = "0.1.0"

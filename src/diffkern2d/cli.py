@@ -286,7 +286,7 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
     S = ConvOperator(_build_samples(cfg))
 
     f = img.reshape(grid.size)
-    blurred = S.apply(f)
+    blurred = S.apply_fft(f)
     recovered = solve_array(S, blurred)
 
     peak = float(maxval) if maxval is not None else float(np.abs(img).max() or 1.0)

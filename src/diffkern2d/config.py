@@ -37,7 +37,6 @@ from .kernels import (
     gaussian_kernel,
     identity_kernel,
     poly_kernel,
-    separable_factors,
     separable_kernel,
     with_profiles,
 )
@@ -146,16 +145,6 @@ class RunConfig:
         if self.alpha[0] != "none" or self.beta[0] != "none":
             model = with_profiles(model, alpha=self.alpha, beta=self.beta)
         return model
-
-    def separable_parts(self):
-        if self.kernel != "separable":
-            raise ConfigError("separable_parts only applies to the separable family",
-                              field="kernel")
-        p = self.params
-        return separable_factors(
-            c1=p.get("c1", 1.0), amp1=p.get("amp1", 0.3), r1=p.get("r1", 0.8),
-            c2=p.get("c2", 1.0), amp2=p.get("amp2", 0.25), r2=p.get("r2", -0.5),
-        )
 
     def echo(self) -> dict:
         """Config as a plain dict for report embedding (fixed key order)."""

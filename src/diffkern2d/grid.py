@@ -1,4 +1,4 @@
-"""Grids, function spaces, and the structured kernel model.
+"""Grids and the structured kernel model.
 
 Every discretization convention of the library lives here:
 
@@ -36,9 +36,6 @@ from .errors import InvalidArgumentError, KernelEvaluationError
 
 __all__ = [
     "GridSpec",
-    "GridFn",
-    "LineFn",
-    "PairFn",
     "KernelModel",
     "KernelSamples",
     "make_grid",
@@ -114,71 +111,9 @@ class GridSpec:
         """Flat (n1*n2,) vector -> (n2, n1) array indexed [b, a]."""
         return np.asarray(flat).reshape(self.n2, self.n1)
 
-    def to_flat(self, arr2d: np.ndarray) -> np.ndarray:
-        return np.asarray(arr2d).reshape(self.size)
-
     def outer_flat(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """Flat grid function f1(x1) * f2(x2) from per-axis samples."""
         return (np.asarray(f2)[:, None] * np.asarray(f1)[None, :]).reshape(self.size)
-
-
-@dataclass(frozen=True)
-class GridFn:
-    """Complex values at the n1*n2 midpoints, x1-fastest layout."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.grid.size,):
-            raise InvalidArgumentError(
-                f"GridFn needs shape ({self.grid.size},), got {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def as2d(self) -> np.ndarray:
-        return self.grid.to2d(self.values)
-
-
-@dataclass(frozen=True)
-class LineFn:
-    """Values at the n_i midpoints of one side (0, omega_i)."""
-
-    grid: GridSpec
-    axis: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.axis_n(self.axis)
-        v = np.asarray(self.values)
-        if v.shape != (n,):
-            raise InvalidArgumentError(f"LineFn axis {self.axis} needs shape ({n},), got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class PairFn:
-    """Two stacked LineFn components on the same side (length 2 n_i)."""
-
-    grid: GridSpec
-    axis: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.axis_n(self.axis)
-        v = np.asarray(self.values)
-        if v.shape != (2 * n,):
-            raise InvalidArgumentError(f"PairFn axis {self.axis} needs shape ({2*n},), got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def first(self) -> np.ndarray:
-        return self.values[: self.grid.axis_n(self.axis)]
-
-    @property
-    def second(self) -> np.ndarray:
-        return self.values[self.grid.axis_n(self.axis):]
 
 
 def make_grid(omega1: float, omega2: float, n1: int, n2: int) -> GridSpec:
@@ -256,23 +191,27 @@ def _eval_checked(label: str, fn: Callable, *args) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSamples:
-    """All kernel samples the discrete operators need, on one grid.
+    """The kernel samples some discrete operator reads, on one grid.
 
     Lattice arrays are (2n1-1, 2n2-1), indexed [p1 + n1 - 1, p2 + n2 - 1]
     so the zero difference sits at the center.  The mixed and corner
     families sample the smooth part where the one-sided building blocks
     need it: mixed = one argument at (+-)midpoints, the other on the
-    lattice; corner = both arguments at (+-)midpoints.
+    lattice; corner = both arguments at (+-)midpoints.  Readers:
+
+    * S reads c, v_lat, dalpha_lat and dbeta_lat;
+    * M_1k reads c, the lattice derivatives, alpha_pos / beta_pos and
+      the posmid family; M_4k the same with alpha_neg / beta_neg and
+      the negmid family;
+    * K11, K12 and K4 read the corner families sigma_pn, sigma_np and
+      sigma_nn through :meth:`s_pos_neg`, :meth:`s_neg_pos` and
+      :meth:`s_neg_neg`; the h right-hand side y reads s_neg_neg too.
     """
 
     grid: GridSpec
     model: KernelModel
     c: complex
-    s_lat: np.ndarray        # s at (p1 h1, p2 h2)
-    sigma_lat: np.ndarray
-    sigma_x1_lat: np.ndarray
-    sigma_x2_lat: np.ndarray
-    v_lat: np.ndarray
+    v_lat: np.ndarray        # v at (p1 h1, p2 h2)
     dalpha_lat: np.ndarray   # alpha'(p2 h2), (2n2-1,)
     dbeta_lat: np.ndarray    # beta'(p1 h1), (2n1-1,)
     alpha_pos: np.ndarray    # alpha(+x2 midpoints)
@@ -289,11 +228,9 @@ class KernelSamples:
     normalized: bool = False
 
     def __post_init__(self):
-        n1, n2 = self.grid.n1, self.grid.n2
-        expected = (2 * n1 - 1, 2 * n2 - 1)
-        for nm in ("s_lat", "sigma_lat", "sigma_x1_lat", "sigma_x2_lat", "v_lat"):
-            if getattr(self, nm).shape != expected:
-                raise InvalidArgumentError(f"{nm} must have shape {expected}")
+        expected = (2 * self.grid.n1 - 1, 2 * self.grid.n2 - 1)
+        if self.v_lat.shape != expected:
+            raise InvalidArgumentError(f"v_lat must have shape {expected}")
 
     def s_pos_neg(self) -> np.ndarray:
         """s(x1, -t2) on midpoints, (n1, n2): sign factors are (+, -)."""
@@ -326,10 +263,6 @@ def sample_kernel(model: KernelModel, grid: GridSpec) -> KernelSamples:
         grid=grid,
         model=model,
         c=model.c,
-        s_lat=_eval_checked("s", model.s_values, L1, L2),
-        sigma_lat=_eval_checked("sigma", model.sigma, L1, L2),
-        sigma_x1_lat=_eval_checked("sigma_x1", model.sigma_x1, L1, L2),
-        sigma_x2_lat=_eval_checked("sigma_x2", model.sigma_x2, L1, L2),
         v_lat=_eval_checked("v", model.v, L1, L2),
         dalpha_lat=_eval_checked("dalpha", model.dalpha, grid.p2 * grid.h2),
         dbeta_lat=_eval_checked("dbeta", model.dbeta, grid.p1 * grid.h1),

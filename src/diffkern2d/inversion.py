@@ -46,7 +46,7 @@ from .errors import (
     SingularOperatorError,
     UnsupportedEvaluationError,
 )
-from .grid import GridFn, GridSpec, KernelSamples
+from .grid import GridSpec, KernelSamples
 from .operators import (
     DENSE_GUARD,
     ConvOperator,
@@ -59,10 +59,8 @@ from .operators import (
 )
 
 __all__ = [
-    "solve",
     "solve_array",
     "GMatrix",
-    "compute_g",
     "compute_g_blocks",
     "pair_flip_transform",
     "g_symmetry_residual",
@@ -355,13 +353,6 @@ def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray, tol: float) -
             )
 
 
-def solve(S: ConvOperator, rhs: GridFn, **kw) -> GridFn:
-    """Typed wrapper around :func:`solve_array`."""
-    if rhs.grid != S.grid:
-        raise InvalidArgumentError("grid mismatch between operator and rhs")
-    return GridFn(S.grid, solve_array(S, rhs.values, **kw))
-
-
 # --------------------------------------------------------------------------
 # pair blocks g_ik and their flip symmetry
 # --------------------------------------------------------------------------
@@ -369,7 +360,8 @@ def solve(S: ConvOperator, rhs: GridFn, **kw) -> GridFn:
 
 @dataclass(frozen=True)
 class GMatrix:
-    """Dense block of g_ik, mapping PairFn(k) -> PairFn(i)."""
+    """Dense (2 n_i, 2 n_k) block of g_ik: a stacked pair of side-k
+    functions to a stacked pair of side-i functions."""
 
     grid: GridSpec
     i: int
@@ -389,21 +381,11 @@ class GMatrix:
             raise InvalidArgumentError(f"g_{self.i}{self.k} has non-finite entries")
 
 
-def compute_g(i: int, k: int, S: ConvOperator,
-              pis: Dict[int, PiPair], kops: Dict[str, np.ndarray]) -> GMatrix:
-    """g_ik = [K_3i; K_1i] [I 0] - PiHat_k S^{-1} Pi_i, assembled densely.
-
-    The first term acts on the first pair component only; the second is
-    built by solving against the columns of Pi_i.
-    """
-    if i == k:
-        raise InvalidArgumentError("g_ik needs i != k")
-    return _g_block(i, k, S.grid, pis, kops, solve_array(S, pis[i].pi))
-
-
 def _g_block(i: int, k: int, g: GridSpec, pis: Dict[int, PiPair],
              kops: Dict[str, np.ndarray], X: np.ndarray) -> GMatrix:
-    """g_ik from X = S^{-1} Pi_i, one column per pair basis vector."""
+    """g_ik = [K_3i; K_1i] [I 0] - PiHat_k X from X = S^{-1} Pi_i, one
+    column per pair basis vector.  The first term acts on the first pair
+    component only."""
     ni = g.axis_n(i)
     nk = g.axis_n(k)
     first = np.zeros((2 * ni, 2 * nk), dtype=complex)
@@ -427,7 +409,7 @@ def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, 
 
 
 def pair_flip_transform(g: GMatrix) -> GMatrix:
-    """-U_k J_k g_ik^* J_i U_i as a dense block mapping PairFn(i) -> PairFn(k).
+    """-U_k J_k g_ik^* J_i U_i as a dense (2 n_k, 2 n_i) block.
 
     U_j reflects a pair across the side midpoint and conjugates; on
     midpoint samples the reflection is the index reversal rev.
@@ -466,16 +448,10 @@ def g_symmetry_residual(g12: GMatrix, g21: GMatrix) -> float:
 def y_samples(samples: KernelSamples) -> np.ndarray:
     """y(x) = s(x1 - omega1, x2 - omega2) at the midpoints, flat layout.
 
-    Both shifted arguments are strictly negative, so the sign factors are
-    -1 and the expansion is
-    y = c/4 - alpha(x2 - omega2)/2 - beta(x1 - omega1)/2 + sigma(shifted).
+    x - omega = -(omega - x), and omega - x runs over the midpoints in
+    reverse, so y is s(-t1, -t2) read backwards along both axes.
     """
-    g = samples.grid
-    a_shift = samples.alpha_neg[::-1]          # alpha(x2 - omega2) over b
-    b_shift = samples.beta_neg[::-1]           # beta(x1 - omega1) over a
-    sig_shift = samples.sigma_nn[::-1, ::-1]   # sigma(x1 - omega1, x2 - omega2), [a, b]
-    Y = 0.25 * samples.c - 0.5 * a_shift[None, :] - 0.5 * b_shift[:, None] + sig_shift
-    return Y.T.reshape(g.size)
+    return samples.s_neg_neg()[::-1, ::-1].T.reshape(samples.grid.size)
 
 
 class RhoEvaluator:
@@ -802,15 +778,6 @@ class StructureReport:
     grid: GridSpec
     residual: float
     offset_means: np.ndarray   # (2n1-1, 2n2-1), [p1 + n1-1, p2 + n2-1]
-
-    @property
-    def axis1_profile(self) -> np.ndarray:
-        """Means along the p2 = 0 cross section (axis-1 Toeplitz part)."""
-        return self.offset_means[:, self.grid.n2 - 1]
-
-    @property
-    def axis2_profile(self) -> np.ndarray:
-        return self.offset_means[self.grid.n1 - 1, :]
 
 
 def check_difference_kernel(Q: np.ndarray, grid: GridSpec,

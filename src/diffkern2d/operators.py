@@ -35,13 +35,12 @@ import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgumentError
-from .grid import GridFn, GridSpec, KernelSamples
+from .grid import GridSpec, KernelSamples
 
 __all__ = [
     "ConvOperator",
     "PiPair",
     "lu_factor_cond",
-    "conv_apply",
     "line_integration_op",
     "apply_along",
     "m_op",
@@ -128,6 +127,10 @@ class ConvOperator:
         """
         g = self.grid
         flat = np.asarray(flat)
+        if flat.ndim not in (1, 2) or flat.shape[0] != g.size:
+            raise InvalidArgumentError(
+                f"input shape {flat.shape}, expected ({g.size},) or ({g.size}, m)"
+            )
         f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
         shape = (2 * g.n2, 2 * g.n1)   # zero-padded to the circulant embedding
         if self.half_spectrum is not None and np.isrealobj(flat):
@@ -153,14 +156,6 @@ class ConvOperator:
 
     def apply_dense(self, flat: np.ndarray) -> np.ndarray:
         return self.dense() @ np.asarray(flat)
-
-    def apply(self, flat: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat)
-        if flat.shape != (self.grid.size,):
-            raise InvalidArgumentError(
-                f"grid mismatch: input shape {flat.shape}, expected ({self.grid.size},)"
-            )
-        return self.apply_fft(flat)
 
     # -- dense assembly ----------------------------------------------------
 
@@ -214,13 +209,6 @@ def lu_factor_cond(mat: np.ndarray):
     rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
     return lu, piv, cond
-
-
-def conv_apply(S: ConvOperator, f: GridFn) -> GridFn:
-    """S f on matching grids."""
-    if f.grid != S.grid:
-        raise InvalidArgumentError("grid mismatch between operator and argument")
-    return GridFn(S.grid, S.apply(f.values))
 
 
 # --------------------------------------------------------------------------
@@ -377,8 +365,8 @@ class PiPair:
     """Pi_k = [M_1k  M_3k] and PiHat_k = [M_2k; M_4k] for one axis."""
 
     axis: int
-    pi: np.ndarray       # PairFn(i) -> GridFn, N x 2 n_i
-    pi_hat: np.ndarray   # GridFn -> PairFn(i), 2 n_i x N
+    pi: np.ndarray       # N x 2 n_i, i != k: side pair -> flat grid function
+    pi_hat: np.ndarray   # 2 n_i x N: flat grid function -> side pair
 
 
 def assemble_pi(samples: KernelSamples, k: int) -> PiPair:

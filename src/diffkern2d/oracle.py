@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidArgumentError, SingularOperatorError
 from .grid import GridSpec, KernelSamples
 from .operators import (
+    DENSE_GUARD,
     ConvOperator,
     assemble_pi,
     displacement_identity_residual,
@@ -216,8 +217,6 @@ def rho_1d(k1: Kernel1D, lam: complex, mu: complex) -> complex:
 # reference bundle
 # --------------------------------------------------------------------------
 
-_BUNDLE_GUARD = 4096
-
 
 def dense_everything(samples: KernelSamples, out_dir=None,
                      config_text: str = "") -> dict:
@@ -228,9 +227,9 @@ def dense_everything(samples: KernelSamples, out_dir=None,
     and a small rho table, all by brute force.
     """
     g = samples.grid
-    if g.size > _BUNDLE_GUARD:
+    if g.size > DENSE_GUARD:
         raise InvalidArgumentError(
-            f"dense_everything refused: {g.size} grid points exceed {_BUNDLE_GUARD}"
+            f"dense_everything refused: {g.size} grid points exceed {DENSE_GUARD}"
         )
     from .inversion import compute_g_blocks, g_symmetry_residual, rho_direct
 

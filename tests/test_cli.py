@@ -115,6 +115,16 @@ class TestVerifyCommand:
         for name, fit in report["orders"].items():
             assert fit["exact"] or fit["order"] >= 0.8, name
 
+    def test_contract_pass_is_a_json_bool(self, tmp_path):
+        # a string "False" would be truthy to every reader of the report
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        out = tmp_path / "out"
+        main(["verify", "--config", cfg, "--out", str(out), "--sizes", "8,16"])
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["contracts"]
+        for c in report["contracts"]:
+            assert c["pass"] is True or c["pass"] is False, c["name"]
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "kernel = exp\nn1 = -\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -6,10 +6,7 @@ from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError, KernelEvaluationError
 from diffkern2d.grid import (
-    GridFn,
     KernelModel,
-    LineFn,
-    PairFn,
     grid_inner,
     make_grid,
     normalize_kernel,
@@ -20,6 +17,11 @@ from diffkern2d.grid import (
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
 
 from conftest import samples_for
+
+
+def on_lattice(fn, g):
+    """fn on the difference lattice (p1 h1, p2 h2), indexed [p1 + n1-1, p2 + n2-1]."""
+    return fn((g.p1 * g.h1)[:, None], (g.p2 * g.h2)[None, :])
 
 
 class TestMakeGrid:
@@ -51,7 +53,7 @@ class TestMakeGrid:
         arr = g.to2d(flat)
         # value at (a, b) lives at flat index b * n1 + a
         assert arr[2, 1] == 2 * g.n1 + 1
-        assert_allclose(g.to_flat(arr), flat)
+        assert_allclose(arr.reshape(g.size), flat)
 
     def test_outer_flat(self):
         g = make_grid(1.0, 1.0, 3, 2)
@@ -60,21 +62,6 @@ class TestMakeGrid:
         v = g.outer_flat(f1, f2)
         assert v[0 * 3 + 1] == 2.0 * 10.0
         assert v[1 * 3 + 2] == 3.0 * 20.0
-
-
-class TestFunctionTypes:
-    def test_shapes_enforced(self, grid8):
-        with pytest.raises(InvalidArgumentError):
-            GridFn(grid8, np.zeros(7))
-        with pytest.raises(InvalidArgumentError):
-            LineFn(grid8, 1, np.zeros(9))
-        with pytest.raises(InvalidArgumentError):
-            PairFn(grid8, 2, np.zeros(8))
-
-    def test_pair_components(self, grid8):
-        p = PairFn(grid8, 1, np.arange(16.0))
-        assert_allclose(p.first, np.arange(8.0))
-        assert_allclose(p.second, np.arange(8.0, 16.0))
 
 
 class TestQuadratureExactness:
@@ -100,7 +87,7 @@ class TestSampleKernel:
         g = make_grid(1.0, 1.0, 4, 4)
         s = sample_kernel(identity_kernel(c=1.0), g)
         assert s.c == 1.0
-        assert np.all(s.sigma_lat == 0) and np.all(s.v_lat == 0)
+        assert np.all(on_lattice(s.model.sigma, g) == 0) and np.all(s.v_lat == 0)
         assert np.all(s.dalpha_lat == 0) and np.all(s.dbeta_lat == 0)
 
     def test_bilinear_sigma_v_is_one(self):
@@ -114,9 +101,9 @@ class TestSampleKernel:
         # finite differences of the sigma samples themselves
         g = make_grid(1.0, 1.0, 4, 4)
         s = sample_kernel(exp_kernel(c=1.0, amp=1.0, b1=1.0, b2=1.0), g)
-        assert_allclose(s.v_lat, s.sigma_lat, rtol=1e-14)
-        fd = (s.sigma_lat[2:, 2:] - s.sigma_lat[:-2, 2:]
-              - s.sigma_lat[2:, :-2] + s.sigma_lat[:-2, :-2]) / (4 * g.h1 * g.h2)
+        sig = on_lattice(s.model.sigma, g)
+        assert_allclose(s.v_lat, sig, rtol=1e-14)
+        fd = (sig[2:, 2:] - sig[:-2, 2:] - sig[2:, :-2] + sig[:-2, :-2]) / (4 * g.h1 * g.h2)
         err = np.abs(fd - s.v_lat[1:-1, 1:-1]).max()
         assert err < 0.05 * np.abs(s.v_lat).max()
 
@@ -127,15 +114,16 @@ class TestSampleKernel:
         for n in (8, 16, 32):
             g = make_grid(1.0, 1.0, n, n)
             s = sample_kernel(exp_kernel(), g)
-            fd = (s.sigma_lat[2:, 2:] - s.sigma_lat[:-2, 2:]
-                  - s.sigma_lat[2:, :-2] + s.sigma_lat[:-2, :-2]) / (4 * g.h1 * g.h2)
+            sig = on_lattice(s.model.sigma, g)
+            fd = (sig[2:, 2:] - sig[:-2, 2:] - sig[2:, :-2] + sig[:-2, :-2]) / (4 * g.h1 * g.h2)
             v = s.v_lat[1:-1, 1:-1]
             errs.append((np.abs(fd - v) / np.abs(v)).max())
         orders = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
         assert min(orders) >= 1.9
 
     def test_non_finite_evaluator_rejected(self, grid8):
-        bad = KernelModel(c=1.0, sigma=lambda x1, x2: np.asarray(x1) / np.asarray(x2))
+        # v is read by S on the lattice, which holds x2 = 0
+        bad = KernelModel(c=1.0, v=lambda x1, x2: np.asarray(x1) / np.asarray(x2))
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(KernelEvaluationError):
                 sample_kernel(bad, grid8)
@@ -177,14 +165,15 @@ class TestNormalize:
         assert normalize_kernel(s) is s           # no second layer of closures
         g = s.grid
         again = sample_kernel(normalize_model(normalize_model(exp_kernel(), g), g), g)
-        assert np.abs(again.sigma_lat - s.sigma_lat).max() <= 1e-14
-        assert np.abs(again.sigma_x1_lat - s.sigma_x1_lat).max() <= 1e-14
+        for fn in ("sigma", "sigma_x1"):
+            diff = on_lattice(getattr(again.model, fn), g) - on_lattice(getattr(s.model, fn), g)
+            assert np.abs(diff).max() <= 1e-14
         assert np.abs(again.sigma_nn - s.sigma_nn).max() <= 1e-14
 
     def test_constant_sigma_cancels(self, ones_model):
         g = make_grid(1.0, 1.0, 4, 4)
         s = normalize_kernel(sample_kernel(ones_model, g))
-        assert np.abs(s.sigma_lat).max() <= 1e-14
+        assert np.abs(on_lattice(s.model.sigma, g)).max() <= 1e-14
         assert quadrant_sum_residual(s) <= 1e-14
 
     def test_exp_quadrant_sums_vanish(self):

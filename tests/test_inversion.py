@@ -11,14 +11,14 @@ from diffkern2d.errors import (
     SingularOperatorError,
     UnsupportedEvaluationError,
 )
-from diffkern2d.grid import GridFn, make_grid
+from diffkern2d.grid import make_grid
 from diffkern2d.inversion import (
+    GMatrix,
     RhoEvaluator,
     RhoTable,
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,
-    compute_g,
     compute_g_blocks,
     dft_frequencies,
     g_symmetry_residual,
@@ -29,7 +29,6 @@ from diffkern2d.inversion import (
     rho_direct,
     rho_information_count,
     rho_structured,
-    solve,
     solve_array,
     y_samples,
 )
@@ -50,13 +49,13 @@ class TestSolve:
     def test_identity_returns_rhs(self, rng):
         S = ConvOperator(samples_for(identity_kernel(c=1.0), 8))
         rhs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        out = solve(S, GridFn(S.grid, rhs))
-        assert_allclose(out.values, rhs, rtol=0, atol=1e-13)
+        out = solve_array(S, rhs)
+        assert_allclose(out, rhs, rtol=0, atol=1e-13)
 
     def test_round_trip(self, rng):
         S = ConvOperator(samples_for(exp_kernel(), 8))
         f0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        rhs = S.apply(f0)
+        rhs = S.apply_fft(f0)
         rec = solve_array(S, rhs)
         assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-9
 
@@ -115,14 +114,14 @@ class TestSolve:
 
         S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 8))
         f0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        rec = solve_array(S, S.apply(f0))
+        rec = solve_array(S, S.apply_fft(f0))
         assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-9
 
     def test_iterative_path_above_dense_guard(self, rng):
         # 80 x 80 > dense guard: GMRES with the FFT matvec
         S = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
         f0 = rng.standard_normal(6400)
-        rec = solve_array(S, S.apply(f0))
+        rec = solve_array(S, S.apply_fft(f0))
         assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-8
 
     def test_iterative_non_convergence_reports_history(self):
@@ -181,14 +180,14 @@ class TestBackendChoice:
     def test_one_column_at_8_takes_lu(self, rng, gmres_calls):
         S = ConvOperator(samples_for(exp_kernel(), 8))
         f0 = rng.standard_normal(64)
-        rec = solve_array(S, S.apply(f0))
+        rec = solve_array(S, S.apply_fft(f0))
         assert S._lu is not None and gmres_calls == []
         assert np.linalg.norm(rec - f0) <= 1e-12 * np.linalg.norm(f0)
 
     def test_one_deconv_column_at_48_takes_gmres(self, rng, gmres_calls):
         S = ConvOperator(samples_for(deconv_model(), 48))
         f0 = rng.standard_normal(48 * 48)
-        rec = solve_array(S, S.apply(f0))
+        rec = solve_array(S, S.apply_fft(f0))
         assert S._dense is None and S._lu is None
         assert S._cond_est is not None and len(gmres_calls) > 1
         assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
@@ -307,7 +306,7 @@ class TestComputeG:
         S = ConvOperator(s)
         pis = {1: assemble_pi(s, 1), 2: assemble_pi(s, 2)}
         kops = {nm: k_op(s, nm) for nm in ("K11", "K12", "K31", "K32")}
-        g12 = compute_g(1, 2, S, pis, kops)
+        g12 = compute_g_blocks(S, s)[0]
         n1 = 8
         Dinv = np.linalg.inv(S.dense())
         first = np.zeros((2 * n1, 2 * n1), dtype=complex)
@@ -317,12 +316,9 @@ class TestComputeG:
         assert np.abs(g12.mat - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
     def test_equal_axes_rejected(self):
-        s = samples_for(exp_kernel(), 4)
-        S = ConvOperator(s)
-        pis = {1: assemble_pi(s, 1), 2: assemble_pi(s, 2)}
-        kops = {nm: k_op(s, nm) for nm in ("K11", "K12", "K31", "K32")}
+        grid = make_grid(1.0, 1.0, 4, 4)
         with pytest.raises(InvalidArgumentError):
-            compute_g(1, 1, S, pis, kops)
+            GMatrix(grid, 1, 1, np.zeros((8, 8), dtype=complex))
 
 
 class TestGSymmetry:
@@ -378,7 +374,19 @@ class TestEvaluatorH:
         S = ConvOperator(s)
         ev = build_rho_evaluator(S, s)
         assert ev.h_values.dtype == want
-        assert np.linalg.norm(S.apply(ev.h_values) - y_samples(s)) <= 1e-12 * np.linalg.norm(y_samples(s))
+        assert np.linalg.norm(S.apply_fft(ev.h_values) - y_samples(s)) <= 1e-12 * np.linalg.norm(y_samples(s))
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (8, 8)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_y_matches_model(self, tag, n1, n2, normalize):
+        # y(x) = s(x - omega), read from the model at the shifted midpoints
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        s = samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9, normalize=normalize)
+        g = s.grid
+        want = s.model.s_values((g.x1 - g.omega1)[:, None], (g.x2 - g.omega2)[None, :])
+        want = want.T.reshape(g.size)
+        assert np.abs(y_samples(s) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestTheta:

@@ -5,13 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError
-from diffkern2d.grid import GridFn, grid_inner, make_grid
+from diffkern2d.grid import grid_inner, make_grid
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
 from diffkern2d.operators import (
     ConvOperator,
     apply_along,
     assemble_pi,
-    conv_apply,
     export_dense_csv,
     k_op,
     line_integration_op,
@@ -31,23 +30,23 @@ class TestConvApply:
     def test_identity_operator(self, rng):
         S = ConvOperator(samples_for(identity_kernel(c=1.0), 8))
         f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert_allclose(S.apply(f), f, rtol=0, atol=1e-14)
+        assert_allclose(S.apply_fft(f), f, rtol=0, atol=1e-14)
 
     def test_constant_kernel_integrates_to_area(self):
         # c = 0, v = 1: S f is the plain integral of f, = 1 for f = 1
         S = ConvOperator(samples_for(poly_kernel(c=0.0, amp=1.0, q=0.0), 8,
                                      normalize=False))
-        out = S.apply(np.ones(64))
+        out = S.apply_fft(np.ones(64))
         assert_allclose(out, np.ones(64), rtol=0, atol=1e-13)
 
     def test_matches_entrywise_dense_oracle(self):
         s = samples_for(exp_kernel(), 8)
         S = ConvOperator(s)
         g = s.grid
-        f = GridFn(g, g.outer_flat(g.x1, g.x2))     # f = x1 x2 sampled
+        f = g.outer_flat(g.x1, g.x2)                # f = x1 x2 sampled
         oracle = dense_oracle_S(s)
-        got = conv_apply(S, f).values
-        want = oracle @ f.values
+        got = S.apply_fft(f)
+        want = oracle @ f
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fft_and_dense_paths_agree(self, rng):
@@ -119,9 +118,14 @@ class TestConvApply:
 
     def test_grid_mismatch_rejected(self):
         S = ConvOperator(samples_for(identity_kernel(), 8))
-        other = make_grid(1.0, 1.0, 4, 4)
         with pytest.raises(InvalidArgumentError):
-            conv_apply(S, GridFn(other, np.zeros(16)))
+            S.apply_fft(np.zeros(16))               # a 4 x 4 grid function
+
+    def test_apply_fft_rejects_bad_shape(self):
+        S = ConvOperator(samples_for(identity_kernel(), 8))
+        for shape in ((65,), (64, 2, 2)):
+            with pytest.raises(InvalidArgumentError):
+                S.apply_fft(np.zeros(shape))
 
     def test_dense_guard(self):
         s = samples_for(identity_kernel(), 80, normalize=False)
