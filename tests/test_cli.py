@@ -298,6 +298,16 @@ class TestReconstructCommand:
         assert report["reconstruction_error"] <= 1e-9
         assert report["structure_residual"] <= 1e-8
 
+    def test_byte_identical_reports(self, tmp_path):
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["reconstruct", "--config", cfg, "--out", str(out),
+                         "--seed", "7"]) == 0
+            outs.append((out / "reconstruct_report.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_guard_refusal_with_guidance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 128\nn2 = 128"))
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])

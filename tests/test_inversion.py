@@ -644,6 +644,45 @@ class TestInverseFromRho:
         want = np.linalg.inv(S.dense())
         assert np.linalg.norm(T - want) / np.linalg.norm(want) <= 1e-9
 
+    @pytest.mark.parametrize("n1,n2,omega1,omega2", [(8, 8, 1.0, 1.0), (5, 7, 1.7, 0.9)])
+    def test_complex_kernel_matches_dense_inverse(self, n1, n2, omega1, omega2):
+        S = ConvOperator(samples_for(exp_kernel(amp=0.05 + 0.1j), n1, n2=n2,
+                                     omega1=omega1, omega2=omega2))
+        T = inverse_from_rho(S)
+        want = np.linalg.inv(S.dense())
+        assert np.iscomplexobj(T)
+        assert np.linalg.norm(T - want) / np.linalg.norm(want) <= 1e-9
+
+    def test_real_operator_gives_real_inverse(self):
+        S = ConvOperator(samples_for(exp_kernel(), 5, n2=7, omega1=1.7, omega2=0.9))
+        assert inverse_from_rho(S).dtype == np.float64
+        # from the table alone T is complex; its imaginary part is roundoff
+        T = inverse_from_rho(build_rho_table(S))
+        assert np.abs(T.imag).max() <= 1e-12 * np.abs(T).max()
+
+    def test_real_operator_table_takes_one_real_solve(self, monkeypatch):
+        import diffkern2d.inversion as inversion
+
+        calls = []
+
+        def spy(S, rhs, *args, **kwargs):
+            calls.append(rhs)
+            return solve_array(S, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(inversion, "solve_array", spy)
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        build_rho_table(S)
+        assert len(calls) == 1
+        assert calls[0].shape == (64, 64) and np.isrealobj(calls[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 33])
+    def test_hartley_factors_orthogonal(self, n):
+        # F_i = Re E_i + Im E_i satisfies F_i^T F_i = n_i I, which
+        # build_rho_table uses to change basis back to the exponentials
+        from diffkern2d.inversion import _basis_factors
+        for F in (E.real + E.imag for E in _basis_factors(make_grid(1.7, 0.9, n, n))):
+            assert np.abs(F.T @ F - n * np.eye(n)).max() <= 1e-12
+
     def test_incomplete_table_rejected(self):
         S = ConvOperator(samples_for(exp_kernel(), 8))
         table = build_rho_table(S)
