@@ -108,8 +108,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         S = ConvOperator(samples)
         pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
 
-        r_k1 = displacement_identity_residual(S, pis[1], 1)
-        r_k2 = displacement_identity_residual(S, pis[2], 2)
+        r_k1 = displacement_identity_residual(S, pis[1])
+        r_k2 = displacement_identity_residual(S, pis[2])
         r_21 = m4_identity_residual(samples, 2, 1)
         r_12 = m4_identity_residual(samples, 1, 2)
 
@@ -171,7 +171,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     for name, vals in series.items():
         fit = fit_order(sizes, vals, tol["exact"])
         orders[name] = fit
-        ok = fit["exact"] or (len(sizes) >= 2 and fit["order"] >= tol["min_order"])
+        ok = fit["exact"] or fit["order"] >= tol["min_order"]
         contracts.append((f"order_{name}", bool(ok),
                           "exact" if fit["exact"] else fit["order"], tol["min_order"]))
 

@@ -77,7 +77,6 @@ def default_tolerances() -> Dict[str, float]:
         "reconstruct": 1e-9,
         "structure": 1e-8,
         "psnr_min": 80.0,
-        "cond_limit": 1e12,
     }
 
 
@@ -176,11 +175,18 @@ def parse_sizes(raw: str, line: Optional[int] = None, field: str = "sizes") -> L
     return sizes
 
 
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return val
+
+
 def _parse_value(key: str, raw: str, line_no: int):
     raw = raw.strip()
     try:
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key in _BOOL_KEYS:
@@ -193,7 +199,7 @@ def _parse_value(key: str, raw: str, line_no: int):
         if key in _LIST_INT_KEYS:
             return parse_sizes(raw, line_no, key)
         if key in _LIST_FLOAT_KEYS:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            return [_finite(tok) for tok in raw.split(",") if tok.strip()]
         return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}",

@@ -80,8 +80,7 @@ def write_convergence_csv(path, sizes, series: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_convergence_svg(path, sizes, series: dict,
-                          title: str = "residual convergence") -> None:
+def write_convergence_svg(path, sizes, series: dict) -> None:
     """Minimal static log2-log2 line chart, one polyline per series."""
     W, H, ML, MB, MT, MR = 640, 420, 70, 50, 30, 160
     xs = np.log2(np.asarray(sizes, dtype=float))
@@ -109,7 +108,8 @@ def write_convergence_svg(path, sizes, series: dict,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{ML}" y="{MT - 10}" font-size="13" font-family="monospace">{title}</text>',
+        f'<text x="{ML}" y="{MT - 10}" font-size="13" font-family="monospace">'
+        'residual convergence</text>',
         f'<line x1="{ML}" y1="{H - MB}" x2="{W - MR}" y2="{H - MB}" stroke="black"/>',
         f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H - MB}" stroke="black"/>',
         f'<text x="{(W - MR + ML) / 2}" y="{H - 12}" font-size="12" '

@@ -84,6 +84,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+BACKWARD_TOL = 1e-9     # largest ||S x - b|| / ||b|| a solve may return
+GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
+GMRES_CYCLES = 100      # restart cycles of 50 iterations before giving up
 
 # right-hand-side entries per block of the backward-error check; the FFT
 # matvec pads each block to four times this many complex values
@@ -95,11 +98,7 @@ CHECK_BLOCK = 1 << 16
 # --------------------------------------------------------------------------
 
 
-def solve_array(S: ConvOperator, rhs: np.ndarray,
-                cond_limit: float = COND_LIMIT,
-                backward_tol: float = 1e-9,
-                iterative_tol: float = 1e-10,
-                max_restart_cycles: int = 100) -> np.ndarray:
+def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs for an (N,) vector or for each column of an (N, m) block.
 
     Above DENSE_GUARD GMRES with the FFT matvec solves column by column.
@@ -114,11 +113,12 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
     worst case costs about twice the LU path.
 
     Below the guard every returned solve has passed a condition check
-    against ``cond_limit``: LAPACK's ``gecon`` estimate on the LU path,
-    the operator's cached Hager-Higham estimate on the GMRES path (see
+    against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
+    operator's cached Hager-Higham estimate on the GMRES path (see
     :func:`_cond_estimate`).  Above the guard no condition is estimated.
-    Either way each column's backward error ||S x - b|| / ||b|| must stay
-    within ``backward_tol``.
+    GMRES runs to GMRES_RTOL within GMRES_CYCLES restart cycles (see
+    :func:`_gmres`).  Either way each column's backward error
+    ||S x - b|| / ||b|| must stay within BACKWARD_TOL.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
@@ -132,16 +132,15 @@ def solve_array(S: ConvOperator, rhs: np.ndarray,
             f"rhs shape {B.shape}, expected ({N},) or ({N}, m)"
         )
     if N > DENSE_GUARD:
-        X = _gmres(S, B, iterative_tol, max_restart_cycles)[0]
+        X = _gmres(S, B)[0]
     else:
         X = None
         if S._lu is None:
-            X = _gmres_within_lu_cost(S, B, cond_limit, iterative_tol,
-                                      max_restart_cycles)
+            X = _gmres_within_lu_cost(S, B)
         if X is None:
-            X = _lu_solve(S, B, cond_limit)
+            X = _lu_solve(S, B)
 
-    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), backward_tol)
+    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1))
     return X
 
 
@@ -199,9 +198,9 @@ class _OverBudget(Exception):
     """A GMRES run below the guard would overdraw its modelled budget."""
 
 
-def _lu_solve(S: ConvOperator, B: np.ndarray, cond_limit: float) -> np.ndarray:
+def _lu_solve(S: ConvOperator, B: np.ndarray) -> np.ndarray:
     lu, piv, cond = S.solve_lu()
-    _check_cond(cond, cond_limit)
+    _check_cond(cond)
 
     def lu_solve(b):
         return scipy.linalg.lu_solve((lu, piv.copy()), b)
@@ -211,16 +210,15 @@ def _lu_solve(S: ConvOperator, B: np.ndarray, cond_limit: float) -> np.ndarray:
     return lu_solve(B)
 
 
-def _check_cond(cond: float, cond_limit: float) -> None:
-    if not np.isfinite(cond) or cond > cond_limit:
+def _check_cond(cond: float) -> None:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularOperatorError(
-            f"operator condition estimate {cond:.3e} exceeds {cond_limit:.1e}",
+            f"operator condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}",
             cond=cond,
         )
 
 
-def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray, cond_limit: float,
-                          tol: float, cycles: int) -> Optional[np.ndarray]:
+def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
     """S^{-1} B by GMRES when the cost rule of :func:`solve_array` picks it
     and it finishes within the LU's modelled cost; None hands over to LU."""
     N = S.grid.size
@@ -237,24 +235,24 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray, cond_limit: float,
         return None
     try:
         if est is None:
-            cond, k, spent = _cond_estimate(S, tol, cycles, budget)
+            cond, k, spent = _cond_estimate(S, budget)
             est = S._cond_est = (cond, k)
             budget -= spent
-        _check_cond(est[0], cond_limit)
+        _check_cond(est[0])
         if _gmres_cost(N, m, m * est[1]) > budget:
             return None
-        return _gmres(S, B, tol, cycles, budget=budget)[0]
+        return _gmres(S, B, budget=budget)[0]
     except (_OverBudget, ConvergenceError):
         return None
 
 
-def _gmres(S: ConvOperator, B: np.ndarray, tol: float, cycles: int,
-           adjoint: bool = False, budget: float = np.inf):
+def _gmres(S: ConvOperator, B: np.ndarray, adjoint: bool = False,
+           budget: float = np.inf):
     """``(X, iterations)``: S^{-1} B, or S^{-H} B with ``adjoint``, by
     GMRES with the FFT matvec, one column at a time.
 
-    Raises ConvergenceError for a column that misses ``tol`` within
-    ``cycles`` restart cycles, and _OverBudget once the modelled cost
+    Raises ConvergenceError for a column that misses GMRES_RTOL within
+    GMRES_CYCLES restart cycles, and _OverBudget once the modelled cost
     (:func:`_gmres_cost`) of the iterations so far exceeds ``budget``
     seconds.  ``iterations`` counts them over all columns.
     """
@@ -274,19 +272,19 @@ def _gmres(S: ConvOperator, B: np.ndarray, tol: float, cycles: int,
                 raise _OverBudget
 
         X[:, j], info = scipy.sparse.linalg.gmres(
-            op, cols[:, j].astype(dtype), rtol=tol, atol=0.0,
-            restart=50, maxiter=cycles, callback=step, callback_type="pr_norm",
+            op, cols[:, j].astype(dtype), rtol=GMRES_RTOL, atol=0.0,
+            restart=50, maxiter=GMRES_CYCLES, callback=step, callback_type="pr_norm",
         )
         used += len(history)
         if info != 0:
             raise ConvergenceError(
-                f"GMRES did not reach rtol={tol} (info={info}, column {j})",
+                f"GMRES did not reach rtol={GMRES_RTOL} (info={info}, column {j})",
                 residuals=history,
             )
     return X.reshape(B.shape), used
 
 
-def _cond_estimate(S: ConvOperator, tol: float, cycles: int, budget: float):
+def _cond_estimate(S: ConvOperator, budget: float):
     """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
     solves, the iterations of its first solve and their modelled seconds.
 
@@ -306,7 +304,7 @@ def _cond_estimate(S: ConvOperator, tol: float, cycles: int, budget: float):
 
     def inv(b, adjoint=False):
         nonlocal spent, first
-        x, iters = _gmres(S, b, tol, cycles, adjoint, budget - spent)
+        x, iters = _gmres(S, b, adjoint, budget - spent)
         spent += _gmres_cost(N, 1, iters)
         first = iters if first is None else first
         return x
@@ -335,8 +333,9 @@ def _cond_estimate(S: ConvOperator, tol: float, cycles: int, budget: float):
     return est * S.norm1(), first, spent
 
 
-def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray, tol: float) -> None:
-    """Raise ConvergenceError if some column has ||S x - b|| / ||b|| > tol.
+def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
+    """Raise ConvergenceError if some column has ||S x - b|| / ||b|| above
+    BACKWARD_TOL.
 
     Columns go through the FFT matvec in blocks of about CHECK_BLOCK
     entries, which bounds the work arrays however many columns there are.
@@ -348,9 +347,9 @@ def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray, tol: float) -
         res = np.linalg.norm(S.apply_fft(X[:, j:j + step]) - b, axis=0)
         back = np.divide(res, bnorm, out=np.zeros_like(res), where=bnorm > 0)
         worst = int(np.argmax(back))
-        if back[worst] > tol:
+        if back[worst] > BACKWARD_TOL:
             raise ConvergenceError(
-                f"backward error {back[worst]:.3e} above {tol:.1e} "
+                f"backward error {back[worst]:.3e} above {BACKWARD_TOL:.1e} "
                 f"(column {j + worst})",
                 residuals=[float(back[worst])],
             )
@@ -467,8 +466,7 @@ class RhoEvaluator:
     """
 
     def __init__(self, g12: GMatrix, g21: GMatrix, h_values: np.ndarray,
-                 grid: GridSpec, symmetry_tol: float = 0.05,
-                 cond_limit: float = COND_LIMIT):
+                 grid: GridSpec, symmetry_tol: float = 0.05):
         h_values = np.asarray(h_values)
         if h_values.shape != (grid.size,):
             raise InvalidArgumentError(
@@ -484,7 +482,6 @@ class RhoEvaluator:
         self.g21 = g21
         self.h_values = h_values
         self.grid = grid
-        self.cond_limit = cond_limit
         self._psi_cache: Dict[Tuple[complex, complex], tuple] = {}
         self._lock = threading.Lock()
 
@@ -535,9 +532,9 @@ class RhoEvaluator:
         g = self.grid
         n1, n2 = g.n1, g.n2
         lu, piv, cond = lu_factor_cond(self.assemble_G(key))
-        if cond > self.cond_limit:
+        if cond > COND_LIMIT:
             raise NearSingularGError(
-                f"G(lam) condition estimate {cond:.3e} exceeds {self.cond_limit:.1e} "
+                f"G(lam) condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e} "
                 f"at lam={key}", lam=key, cond=cond,
             )
         rhs = np.concatenate(
@@ -589,55 +586,42 @@ def rho_direct(S: ConvOperator, lam, mu):
     return R
 
 
-def pole_tolerance(lam_k: complex, rtol: float = 1e-6) -> float:
-    return rtol * max(1.0, abs(lam_k))
+# a coordinate k is separated when |mu_k - lam_k| >= POLE_RTOL max(1, |lam_k|)
+POLE_RTOL = 1e-6
 
 
-def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None,
-                   pole_rtol: float = 1e-6) -> complex:
+def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None) -> complex:
     """rho from the structured representation, integrating over side i.
 
     rho = (mu_k - lam_k)^{-1} e^{-i omega . mu}
           * h_i sum_a conj((J_i U_i psi_i(mu))(a)) . psi_i(lam)(a)
 
-    with k the other axis.  The i = 1 form needs mu_2 != lam_2 and the
-    i = 2 form needs mu_1 != lam_1; with no admissible axis the point is
-    rejected (no limit formula is evaluated at the removable singularity).
+    with k = 3 - i the other axis, so the i form needs mu_k separated
+    from lam_k (see POLE_RTOL).  With ``i`` None the axis with the larger
+    separation is used.  A point separated in neither coordinate is
+    rejected (no limit formula is evaluated at the removable singularity);
+    an explicit i whose k is not separated raises PoleProximityError
+    naming the other form.
     """
+    if i not in (None, 1, 2):
+        raise InvalidArgumentError(f"axis must be 1 or 2, got {i}")
     lam = (complex(lam[0]), complex(lam[1]))
     mu = (complex(mu[0]), complex(mu[1]))
-    sep2 = abs(mu[1] - lam[1]) >= pole_tolerance(lam[1], pole_rtol)
-    sep1 = abs(mu[0] - lam[0]) >= pole_tolerance(lam[0], pole_rtol)
-    if i is None:
-        # prefer the axis with the larger separation: the 1/(mu_k - lam_k)
-        # prefactor amplifies quadrature error near a coincidence
-        if not (sep1 or sep2):
-            raise UnsupportedEvaluationError(
-                f"mu coincides with lam in both coordinates at lam={lam}, mu={mu}"
-            )
-        if sep2 and (not sep1 or abs(mu[1] - lam[1]) >= abs(mu[0] - lam[0])):
-            i = 1
-        else:
-            i = 2
-    if i not in (1, 2):
-        raise InvalidArgumentError(f"axis must be 1 or 2, got {i}")
-    if i == 1 and not sep2:
-        if sep1:
-            raise PoleProximityError(
-                "|mu_2 - lam_2| below pole tolerance; use the i=2 form",
-                suggested_axis=2,
-            )
+    gap = [abs(mu[j] - lam[j]) for j in (0, 1)]
+    sep = [gap[j] >= POLE_RTOL * max(1.0, abs(lam[j])) for j in (0, 1)]
+    if not any(sep):
         raise UnsupportedEvaluationError(
             f"mu coincides with lam in both coordinates at lam={lam}, mu={mu}"
         )
-    if i == 2 and not sep1:
-        if sep2:
-            raise PoleProximityError(
-                "|mu_1 - lam_1| below pole tolerance; use the i=1 form",
-                suggested_axis=1,
-            )
-        raise UnsupportedEvaluationError(
-            f"mu coincides with lam in both coordinates at lam={lam}, mu={mu}"
+    if i is None:
+        # prefer the axis with the larger separation: the 1/(mu_k - lam_k)
+        # prefactor amplifies quadrature error near a coincidence
+        i = 1 if sep[1] and (not sep[0] or gap[1] >= gap[0]) else 2
+    k = 3 - i
+    if not sep[k - 1]:
+        raise PoleProximityError(
+            f"|mu_{k} - lam_{k}| below pole tolerance; use the i={k} form",
+            suggested_axis=k,
         )
 
     g = ev.grid
@@ -648,7 +632,7 @@ def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None,
     q1, q2 = psil[:n], psil[n:]
     # psi_i(mu, omega_i - x_i): exact index reversal on midpoints
     p1, p2 = psim[:n][::-1], psim[n:][::-1]
-    denom = (mu[1] - lam[1]) if i == 1 else (mu[0] - lam[0])
+    denom = mu[k - 1] - lam[k - 1]
     pref = np.exp(-1j * (g.omega1 * mu[0] + g.omega2 * mu[1]))
     quad = h * np.sum(1j * (p2 * q1 - p1 * q2))
     return complex(pref / denom * quad)

@@ -50,7 +50,6 @@ __all__ = [
     "m4_identity_residual",
     "discrete_generator",
     "displacement_rank",
-    "export_dense_csv",
     "DENSE_GUARD",
 ]
 
@@ -85,8 +84,6 @@ class ConvOperator:
     def __init__(self, samples: KernelSamples):
         g = samples.grid
         self.grid = g
-        self.samples = samples
-        self.c = samples.c
 
         n1, n2 = g.n1, g.n2
         W = (g.h1 * g.h2) * np.asarray(samples.v_lat, dtype=complex)
@@ -384,11 +381,10 @@ def _displacement(S: ConvOperator, k: int) -> np.ndarray:
             - apply_along(calA, D.conj().T, S.grid, k).conj().T)
 
 
-def displacement_identity_residual(S: ConvOperator, pi: PiPair, k: int) -> float:
-    """|| A_k S - S A_k^* - i Pi_k PiHat_k ||_F / ||S||_F (dense)."""
-    if k != pi.axis:
-        raise InvalidArgumentError(f"PiPair is for axis {pi.axis}, asked for {k}")
-    R = _displacement(S, k) - 1j * (pi.pi @ pi.pi_hat)
+def displacement_identity_residual(S: ConvOperator, pi: PiPair) -> float:
+    """|| A_k S - S A_k^* - i Pi_k PiHat_k ||_F / ||S||_F (dense), with k
+    the axis of ``pi``."""
+    R = _displacement(S, pi.axis) - 1j * (pi.pi @ pi.pi_hat)
     return float(np.linalg.norm(R) / np.linalg.norm(S.dense()))
 
 
@@ -458,17 +454,3 @@ def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:
     sv = np.linalg.svd(core, compute_uv=False)
     return int(np.sum(sv > rel_tol * sv[0]))
 
-
-def export_dense_csv(mat: np.ndarray, path) -> None:
-    """Row-major CSV, full-precision scientific notation.
-
-    Complex matrices are written as interleaved re,im column pairs.
-    """
-    mat = np.asarray(mat)
-    if np.iscomplexobj(mat):
-        inter = np.empty((mat.shape[0], 2 * mat.shape[1]))
-        inter[:, 0::2] = mat.real
-        inter[:, 1::2] = mat.imag
-        np.savetxt(path, inter, delimiter=",", fmt="%.17e")
-    else:
-        np.savetxt(path, mat, delimiter=",", fmt="%.17e")

@@ -12,24 +12,13 @@ two is evidence rather than shared bias.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularOperatorError
 from .grid import GridSpec, KernelSamples
-from .operators import (
-    DENSE_GUARD,
-    ConvOperator,
-    assemble_pi,
-    displacement_identity_residual,
-    export_dense_csv,
-    m4_identity_residual,
-    m_op,
-)
+from .operators import m_op
 
 __all__ = [
     "Kernel1D",
@@ -38,7 +27,6 @@ __all__ = [
     "generating_kernel_corner_table",
     "rebuild_from_corner_table",
     "rho_1d",
-    "dense_everything",
 ]
 
 
@@ -212,71 +200,3 @@ def rho_1d(k1: Kernel1D, lam: complex, mu: complex) -> complex:
         raise SingularOperatorError("1-D operator is numerically singular")
     return complex(k1.h * np.sum(em * sol))
 
-
-# --------------------------------------------------------------------------
-# reference bundle
-# --------------------------------------------------------------------------
-
-
-def dense_everything(samples: KernelSamples, out_dir=None,
-                     config_text: str = "") -> dict:
-    """Assemble every operator densely and compute the reference numbers.
-
-    Returns (and optionally serializes as CSV matrices + a JSON manifest)
-    the dense S and its inverse, the identity residuals, both g blocks
-    and a small rho table, all by brute force.
-    """
-    g = samples.grid
-    if g.size > DENSE_GUARD:
-        raise InvalidArgumentError(
-            f"dense_everything refused: {g.size} grid points exceed {DENSE_GUARD}"
-        )
-    from .inversion import compute_g_blocks, g_symmetry_residual, rho_direct
-
-    S = ConvOperator(samples)
-    D = S.dense()
-    Dinv = np.linalg.inv(D)
-    pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
-    resid = {
-        "displacement_k1": displacement_identity_residual(S, pis[1], 1),
-        "displacement_k2": displacement_identity_residual(S, pis[2], 2),
-        "side_i2_k1": m4_identity_residual(samples, 2, 1),
-        "side_i1_k2": m4_identity_residual(samples, 1, 2),
-    }
-    g12, g21 = compute_g_blocks(S, samples)
-    resid["g_symmetry"] = g_symmetry_residual(g12, g21)
-    lam_set = [(0.9, 1.7), (-1.3, 0.5)]
-    mu_set = [(1.1, -0.4), (0.2, 2.3)]
-    rho = np.array([[rho_direct(S, lam, mu) for lam in lam_set] for mu in mu_set])
-
-    bundle = {
-        "grid": {"omega1": g.omega1, "omega2": g.omega2, "n1": g.n1, "n2": g.n2},
-        "residuals": resid,
-        "rho_lam": lam_set,
-        "rho_mu": mu_set,
-        "matrices": {
-            "S": D, "S_inv": Dinv,
-            "g12": g12.mat, "g21": g21.mat,
-            "rho_small": rho,
-        },
-    }
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        shapes = {}
-        for name, mat in bundle["matrices"].items():
-            export_dense_csv(mat, out / f"{name}.csv")
-            shapes[name] = list(np.asarray(mat).shape)
-        manifest = {
-            "schema": "diffkern2d-bundle-1",
-            "grid": bundle["grid"],
-            "residuals": {k: float(v) for k, v in resid.items()},
-            "shapes": shapes,
-            "tolerances": {"agreement": 1e-12, "rank_rel": 1e-10},
-            "kernel_config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-    return bundle

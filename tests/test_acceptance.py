@@ -54,8 +54,8 @@ def test_criterion_1_exact_identity_case():
     s = samples_for(identity_kernel(c=1.0), 8)
     S = ConvOperator(s)
     vals = [
-        displacement_identity_residual(S, assemble_pi(s, 1), 1),
-        displacement_identity_residual(S, assemble_pi(s, 2), 2),
+        displacement_identity_residual(S, assemble_pi(s, 1)),
+        displacement_identity_residual(S, assemble_pi(s, 2)),
         m4_identity_residual(s, 2, 1),
         m4_identity_residual(s, 1, 2),
     ]
@@ -71,8 +71,8 @@ def test_criterion_2_identity_convergence():
     for n in sizes:
         s = samples_for(exp_kernel(), n)
         S = ConvOperator(s)
-        series["disp_k1"].append(displacement_identity_residual(S, assemble_pi(s, 1), 1))
-        series["disp_k2"].append(displacement_identity_residual(S, assemble_pi(s, 2), 2))
+        series["disp_k1"].append(displacement_identity_residual(S, assemble_pi(s, 1)))
+        series["disp_k2"].append(displacement_identity_residual(S, assemble_pi(s, 2)))
         series["side_21"].append(m4_identity_residual(s, 2, 1))
         series["side_12"].append(m4_identity_residual(s, 1, 2))
     orders = {k: fitted_order(sizes, v) for k, v in series.items()}

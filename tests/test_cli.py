@@ -83,6 +83,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "rho_max_rel_err = nan", "rho_max_rel_err = inf", "rho_max_rel_err = -0.1",
         "sizes = 8", "sizes = 8,8", "sizes = 1,8",
+        "c = nan", "rho_lambda1 = nan, 1.0", "rho_mu2 = 1e400, 2.0",
     ])
     def test_bad_tolerance_or_sizes_reports_field(self, line):
         with pytest.raises(ConfigError) as err:
@@ -131,8 +132,9 @@ class TestVerifyCommand:
 
     def test_unknown_tolerance_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--tol-override", "nope=1"]) == 2
+        for key in ("nope", "cond_limit"):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--tol-override", f"{key}=1"]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-10", "abc"])
     def test_bad_tolerance_value_exits_2(self, tmp_path, capsys, value):

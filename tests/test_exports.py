@@ -1,9 +1,11 @@
-"""Every name the package and its modules export resolves."""
+"""Every name the package and its modules export resolves, and every
+module-level import is used."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,30 @@ def test_package_reexports_resolve():
     for module, name in imported:
         source = importlib.import_module(f"diffkern2d.{module}")
         assert getattr(diffkern2d, name) is getattr(source, name)
+
+
+def _unused_imports(path):
+    """Names bound by the module-level imports of ``path`` that nothing in
+    the file reads and ``__all__`` does not list."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            listed = set(ast.literal_eval(node.value))
+    return sorted(set(bound) - used - listed)
+
+
+def test_no_unused_module_imports():
+    src = Path(diffkern2d.__file__).parent
+    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    unused = {p.name: names for p in files if (names := _unused_imports(p))}
+    assert not unused

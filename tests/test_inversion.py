@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diffkern2d import inversion
 from diffkern2d.errors import (
     InvalidArgumentError,
     PoleProximityError,
@@ -74,10 +75,11 @@ class TestSolve:
         with pytest.raises(SingularOperatorError):
             solve_array(S, np.ones(1600))
 
-    def test_condition_limit_from_estimate(self):
+    def test_condition_limit_from_estimate(self, monkeypatch):
+        monkeypatch.setattr(inversion, "COND_LIMIT", 1.0)
         S = ConvOperator(samples_for(deconv_model(), 48))
         with pytest.raises(SingularOperatorError) as err:
-            solve_array(S, np.ones(48 * 48), cond_limit=1.0)
+            solve_array(S, np.ones(48 * 48))
         assert S._dense is None
         assert err.value.cond == S._cond_est[0] > 1.0
 
@@ -98,14 +100,15 @@ class TestSolve:
             col = solve_array(S, B[:, j])
             assert np.linalg.norm(X[:, j] - col) <= 1e-12 * np.linalg.norm(col)
 
-    def test_backward_error_checked_for_every_column(self, rng):
+    def test_backward_error_checked_for_every_column(self, rng, monkeypatch):
         from diffkern2d.errors import ConvergenceError
 
+        monkeypatch.setattr(inversion, "BACKWARD_TOL", 0.0)
         S = ConvOperator(samples_for(exp_kernel(), 8))
         B = np.zeros((64, 3), dtype=complex)
         B[:, 2] = rng.standard_normal(64)
         with pytest.raises(ConvergenceError, match="column 2"):
-            solve_array(S, B, backward_tol=0.0)
+            solve_array(S, B)
 
     @pytest.mark.parametrize("tag", ["zero", "exp", "poly", "gaussian",
                                      "separable", "rich"])
@@ -124,19 +127,20 @@ class TestSolve:
         rec = solve_array(S, S.apply_fft(f0))
         assert np.linalg.norm(rec - f0) / np.linalg.norm(f0) <= 1e-8
 
-    def test_iterative_non_convergence_reports_history(self):
+    def test_iterative_non_convergence_reports_history(self, monkeypatch):
         from diffkern2d.errors import ConvergenceError
 
+        monkeypatch.setattr(inversion, "GMRES_RTOL", 1e-300)
+        monkeypatch.setattr(inversion, "GMRES_CYCLES", 2)
         S = ConvOperator(samples_for(exp_kernel(), 80, normalize=False))
         with pytest.raises(ConvergenceError, match=r"column 0\)") as err:
-            solve_array(S, np.ones(6400), iterative_tol=1e-300,
-                        max_restart_cycles=2)
+            solve_array(S, np.ones(6400))
         assert len(err.value.residuals) > 0
         # column 0 is zero and converges at once; column 1 fails
         B = np.zeros((6400, 2), dtype=complex)
         B[:, 1] = 1j
         with pytest.raises(ConvergenceError, match=r"column 1\)"):
-            solve_array(S, B, iterative_tol=1e-300, max_restart_cycles=2)
+            solve_array(S, B)
 
     @pytest.mark.parametrize("n", [8, 80])     # dense LU / GMRES above the guard
     @pytest.mark.parametrize("kernel", ["real", "complex"])
@@ -218,11 +222,11 @@ class TestConditionEstimate:
         S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
         D = S.dense()
         exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
-        cond, k, spent = _cond_estimate(S, 1e-10, 100, np.inf)
+        cond, k, spent = _cond_estimate(S, np.inf)
         # a lower bound up to the GMRES tolerance, and deterministic
         assert exact / 3 <= cond <= exact * (1 + 1e-9)
         assert k >= 1 and spent > 0
-        assert _cond_estimate(S, 1e-10, 100, np.inf)[0] == cond
+        assert _cond_estimate(S, np.inf)[0] == cond
 
 
 class TestSharedFactorizationThreads:
@@ -599,6 +603,40 @@ class TestRhoStructured:
         val = rho_structured(ev, lam, (2.0, 1.3))
         want = rho_structured(ev, lam, (2.0, 1.3), i=2)
         assert val == want
+
+    # (lam, mu, outcome for i = None, 1, 2): an int is the axis whose form
+    # gives the value, ("pole", k) a PoleProximityError suggesting k,
+    # "both" an UnsupportedEvaluationError; i = 3 is always rejected
+    POLE_TABLE = {
+        "separated": ((0.7, 1.3), (1.9, -0.5), (1, 1, 2)),
+        "near_axis1": ((0.7, 1.3), (0.7 + 1e-9, 2.0), (1, 1, ("pole", 1))),
+        "near_axis2": ((0.7, 1.3), (2.0, 1.3 + 1e-9), (2, ("pole", 2), 2)),
+        "equal": ((0.7, 1.3), (0.7, 1.3), ("both", "both", "both")),
+        # the tolerance has an absolute floor of POLE_RTOL at lam_k = 0
+        "lam1_zero": ((0.0, 1.3), (5e-7, 2.0), (1, 1, ("pole", 1))),
+    }
+
+    @pytest.mark.parametrize("i", [None, 1, 2, 3])
+    @pytest.mark.parametrize("case", list(POLE_TABLE))
+    def test_pole_rule_table(self, case, i):
+        S, s, ev = evaluator_for(exp_kernel(), 6)
+        lam, mu, outcomes = self.POLE_TABLE[case]
+        if i == 3:
+            with pytest.raises(InvalidArgumentError, match="axis must be 1 or 2"):
+                rho_structured(ev, lam, mu, i=i)
+            return
+        want = outcomes[0 if i is None else i]
+        if want == "both":
+            with pytest.raises(UnsupportedEvaluationError, match="both coordinates"):
+                rho_structured(ev, lam, mu, i=i)
+        elif isinstance(want, tuple):
+            with pytest.raises(PoleProximityError) as err:
+                rho_structured(ev, lam, mu, i=i)
+            assert err.value.suggested_axis == want[1]
+        else:
+            val = rho_structured(ev, lam, mu, i=i)
+            assert np.isfinite(val)
+            assert val == rho_structured(ev, lam, mu, i=want)
 
 
 class TestGamma:

@@ -11,7 +11,6 @@ from diffkern2d.operators import (
     ConvOperator,
     apply_along,
     assemble_pi,
-    export_dense_csv,
     k_op,
     line_integration_op,
     m_op,
@@ -316,14 +315,3 @@ class TestPiPair:
         with pytest.raises(InvalidArgumentError):
             assemble_pi(s, 3)
 
-
-class TestCsvExport:
-    def test_roundtrip_real_and_complex(self, tmp_path, rng):
-        A = rng.standard_normal((5, 7))
-        export_dense_csv(A, tmp_path / "a.csv")
-        back = np.loadtxt(tmp_path / "a.csv", delimiter=",")
-        assert_allclose(back, A, rtol=0, atol=0)
-        Z = A + 1j * rng.standard_normal((5, 7))
-        export_dense_csv(Z, tmp_path / "z.csv")
-        raw = np.loadtxt(tmp_path / "z.csv", delimiter=",")
-        assert_allclose(raw[:, 0::2] + 1j * raw[:, 1::2], Z, rtol=0, atol=0)

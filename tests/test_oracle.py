@@ -1,7 +1,6 @@
 """Brute-force reference implementations and their agreement contracts."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from diffkern2d.kernels import exp_kernel, identity_kernel, separable_factors
 from diffkern2d.operators import ConvOperator, m_op
 from diffkern2d.oracle import (
     Kernel1D,
-    dense_everything,
     extract_generating_kernel,
     generating_kernel_corner_table,
     kernel1d_from_profile,
@@ -140,26 +138,3 @@ class TestRho1D:
         with pytest.raises(SingularOperatorError):
             rho_1d(k1, 1.0, 1.0)
 
-
-class TestDenseEverything:
-    def test_jump_kernel_bundle(self, tmp_path):
-        s = samples_for(identity_kernel(c=1.0), 8)
-        bundle = dense_everything(s, out_dir=tmp_path / "bundle", config_text="kernel = identity")
-        for name, val in bundle["residuals"].items():
-            assert val <= 1e-12, (name, val)
-        manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
-        assert manifest["shapes"]["S"] == [64, 64]
-        assert (tmp_path / "bundle" / "g12.csv").exists()
-
-    def test_exp_bundle_matches_inversion_module(self):
-        from diffkern2d.inversion import compute_g_blocks
-
-        s = samples_for(exp_kernel(), 8)
-        bundle = dense_everything(s)
-        g12, _ = compute_g_blocks(ConvOperator(s), s)
-        assert np.abs(bundle["matrices"]["g12"] - g12.mat).max() <= 1e-12
-
-    def test_size_guard(self):
-        s = samples_for(identity_kernel(), 128, normalize=False)
-        with pytest.raises(InvalidArgumentError):
-            dense_everything(s)
