@@ -20,7 +20,7 @@ n1, n2           grid resolution (default 8)
 sizes            comma list for convergence studies (default 8,16,32)
 seed             RNG seed for randomized checks (default 0)
 normalize        true/false, re-center the smooth part (default true)
-rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   comma float lists
+rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   non-empty comma float lists
 """
 
 from __future__ import annotations
@@ -199,7 +199,10 @@ def _parse_value(key: str, raw: str, line_no: int):
         if key in _LIST_INT_KEYS:
             return parse_sizes(raw, line_no, key)
         if key in _LIST_FLOAT_KEYS:
-            return [_finite(tok) for tok in raw.split(",") if tok.strip()]
+            vals = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+            if not vals:
+                raise ValueError("empty list")
+            return vals
         return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}",

@@ -10,6 +10,9 @@ from diffkern2d.cli import main
 from diffkern2d.config import load_config, parse_config_text
 from diffkern2d.errors import ConfigError
 from diffkern2d.fileio import read_image, write_pgm
+from diffkern2d.kernels import exp_kernel
+
+from conftest import MODEL_BUILDERS, operator_for
 
 IDENTITY_CFG = """# pure jump kernel
 kernel = identity
@@ -84,6 +87,7 @@ class TestConfigParsing:
         "rho_max_rel_err = nan", "rho_max_rel_err = inf", "rho_max_rel_err = -0.1",
         "sizes = 8", "sizes = 8,8", "sizes = 1,8",
         "c = nan", "rho_lambda1 = nan, 1.0", "rho_mu2 = 1e400, 2.0",
+        "rho_lambda1 = ,", "rho_mu2 =",
     ])
     def test_bad_tolerance_or_sizes_reports_field(self, line):
         with pytest.raises(ConfigError) as err:
@@ -299,6 +303,9 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruct_report.json").read_text())
         assert report["reconstruction_error"] <= 1e-9
         assert report["structure_residual"] <= 1e-8
+        S = operator_for(exp_kernel(c=1.0, amp=0.15, b1=1.0, b2=0.7), 8)
+        ref = np.linalg.cond(S.dense())
+        assert abs(report["cond_S"] - ref) <= 1e-12 * ref
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)
@@ -310,11 +317,29 @@ class TestReconstructCommand:
             outs.append((out / "reconstruct_report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_singular_operator_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kernel = identity\nc = 0.0\nn1 = 4\nn2 = 4\n")
+        code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "condition estimate inf" in capsys.readouterr().err
+
     def test_guard_refusal_with_guidance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 128\nn2 = 128"))
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "dense" in capsys.readouterr().err
+
+
+class TestCond2:
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (32, 32)])
+    def test_matches_full_svd(self, tag, n1, n2):
+        # the default gaussian at 32^2 has its top two singular values
+        # equal to 15 digits, the hard case for Lanczos
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        dense = operator_for(model, n1, n2).dense()
+        ref = np.linalg.cond(dense)
+        assert abs(cli._cond_2(dense, np.linalg.inv(dense)) - ref) <= 1e-12 * ref
 
 
 class TestThreadedRho:
