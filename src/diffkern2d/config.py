@@ -21,10 +21,15 @@ sizes            comma list for convergence studies (default 8,16,32)
 seed             RNG seed for randomized checks (default 0)
 normalize        true/false, re-center the smooth part (default true)
 rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   non-empty comma float lists
+
+A family takes only its own parameters, the keywords of its builder in
+``kernels``, whose defaults apply; a parameter of another family is an
+error naming its line and field.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,12 +49,15 @@ from .kernels import (
 __all__ = ["RunConfig", "parse_config_text", "parse_sizes", "load_config",
            "default_tolerances"]
 
-_FAMILIES = ("identity", "exp", "poly", "gaussian", "separable")
+_FAMILIES = {"identity": identity_kernel, "exp": exp_kernel, "poly": poly_kernel,
+             "gaussian": gaussian_kernel, "separable": separable_kernel}
+# the parameters a family takes are its builder's keywords
+_FAMILY_KEYS = {name: set(inspect.signature(build).parameters)
+                for name, build in _FAMILIES.items()}
+_PARAM_KEYS = set().union(*_FAMILY_KEYS.values())
 _PROFILE_KINDS = ("none", "exp", "sin", "cos")
 
-_FLOAT_KEYS = {
-    "c", "amp", "b1", "b2", "q", "width",
-    "c1", "amp1", "r1", "c2", "amp2", "r2",
+_FLOAT_KEYS = _PARAM_KEYS | {
     "alpha_amp", "alpha_rate", "beta_amp", "beta_rate",
     "omega1", "omega2", "rho_max_rel_err",
 }
@@ -122,26 +130,9 @@ class RunConfig:
                          self.n2 if n2 is None else n2)
 
     def build_model(self) -> KernelModel:
-        p = self.params
-        if self.kernel == "identity":
-            model = identity_kernel(c=p.get("c", 1.0))
-        elif self.kernel == "exp":
-            model = exp_kernel(c=p.get("c", 1.0), amp=p.get("amp", 0.15),
-                               b1=p.get("b1", 1.0), b2=p.get("b2", 0.7))
-        elif self.kernel == "poly":
-            model = poly_kernel(c=p.get("c", 1.0), amp=p.get("amp", 0.3),
-                                q=p.get("q", 0.5))
-        elif self.kernel == "gaussian":
-            model = gaussian_kernel(c=p.get("c", 1.0), amp=p.get("amp", 0.4),
-                                    width=p.get("width", 0.45))
-        elif self.kernel == "separable":
-            return separable_kernel(
-                c1=p.get("c1", 1.0), amp1=p.get("amp1", 0.3), r1=p.get("r1", 0.8),
-                c2=p.get("c2", 1.0), amp2=p.get("amp2", 0.25), r2=p.get("r2", -0.5),
-            )
-        else:  # pragma: no cover - guarded at parse time
-            raise ConfigError(f"unknown kernel family {self.kernel!r}", field="kernel")
-        if self.alpha[0] != "none" or self.beta[0] != "none":
+        model = _FAMILIES[self.kernel](**self.params)
+        profiled = self.alpha[0] != "none" or self.beta[0] != "none"
+        if profiled and self.kernel != "separable":    # separable fixes its own
             model = with_profiles(model, alpha=self.alpha, beta=self.beta)
         return model
 
@@ -231,14 +222,18 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("missing required key 'kernel'", field="kernel")
     kernel = values.pop("kernel")
     if kernel not in _FAMILIES:
-        raise ConfigError(f"unknown kernel family {kernel!r}, expected one of {_FAMILIES}",
+        raise ConfigError(f"unknown kernel family {kernel!r}, "
+                          f"expected one of {tuple(_FAMILIES)}",
                           line=lines.get("kernel"), field="kernel")
 
     cfg = RunConfig(kernel=kernel)
-    param_keys = {"c", "amp", "b1", "b2", "q", "width",
-                  "c1", "amp1", "r1", "c2", "amp2", "r2"}
     for key, val in values.items():
-        if key in param_keys:
+        if key in _PARAM_KEYS:
+            if key not in _FAMILY_KEYS[kernel]:
+                raise ConfigError(
+                    f"the {kernel} family takes no parameter {key!r}; "
+                    f"it takes {sorted(_FAMILY_KEYS[kernel])}",
+                    line=lines[key], field=key)
             cfg.params[key] = val
         elif key in ("alpha", "beta"):
             if val not in _PROFILE_KINDS:

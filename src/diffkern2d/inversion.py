@@ -387,13 +387,9 @@ def _g_block(i: int, k: int, g: GridSpec, pis: Dict[int, PiPair],
              kops: Dict[str, np.ndarray], X: np.ndarray) -> GMatrix:
     """g_ik = [K_3i; K_1i] [I 0] - PiHat_k X from X = S^{-1} Pi_i, one
     column per pair basis vector.  The first term acts on the first pair
-    component only."""
-    ni = g.axis_n(i)
-    nk = g.axis_n(k)
-    first = np.zeros((2 * ni, 2 * nk), dtype=complex)
-    first[:ni, :nk] = kops[f"K3{i}"]
-    first[ni:, :nk] = kops[f"K1{i}"]
-    return GMatrix(g, i, k, first - pis[k].pi_hat @ X)
+    component only, and it is real when the kernel is."""
+    K = np.vstack([kops[f"K3{i}"], kops[f"K1{i}"]])
+    return GMatrix(g, i, k, np.hstack([K, np.zeros_like(K)]) - pis[k].pi_hat @ X)
 
 
 def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, GMatrix]:

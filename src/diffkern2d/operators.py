@@ -53,8 +53,9 @@ __all__ = [
     "DENSE_GUARD",
 ]
 
-# Dense assembly is mandatory below this many grid points and refused
-# above it unless forced (the identity checks are O(N^2) memory).
+# ConvOperator.dense refuses grids with more points than this (the N x N
+# matrix and the identity checks on it are O(N^2) memory); above it
+# solve_array runs GMRES with the FFT matvec.
 DENSE_GUARD = 64 * 64
 
 
@@ -151,17 +152,15 @@ class ConvOperator:
         windows = P[n1:, n2:] - P[:n1, n2:] - P[n1:, :n2] + P[:n1, :n2]
         return float(windows.max())
 
-    def apply_dense(self, flat: np.ndarray) -> np.ndarray:
-        return self.dense() @ np.asarray(flat)
-
     # -- dense assembly ----------------------------------------------------
 
-    def dense(self, force: bool = False) -> np.ndarray:
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, assembled once; refused above DENSE_GUARD."""
         if self._dense is None:
-            if self.grid.size > DENSE_GUARD and not force:
+            if self.grid.size > DENSE_GUARD:
                 raise InvalidArgumentError(
                     f"dense assembly refused at {self.grid.n1}x{self.grid.n2} "
-                    f"({self.grid.size} points > guard {DENSE_GUARD}); pass force=True"
+                    f"({self.grid.size} points); keep n1*n2 <= {DENSE_GUARD}"
                 )
             with self._lock:
                 if self._dense is None:
@@ -271,6 +270,9 @@ def m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
     n1, n2, h1, h2 = g.n1, g.n2, g.h1, g.h2
     c = samples.c
 
+    def zeros(shape, *read):    # the samples' dtype, at least float
+        return np.zeros(shape, dtype=np.result_type(float, c, *read))
+
     if (j, k) == (2, 1):
         return np.kron(np.eye(n2), h1 * np.ones((1, n1)))
     if (j, k) == (2, 2):
@@ -282,7 +284,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
 
     if (j, k) == (1, 1):
         P2 = _offsets(n2)                      # (b, b')
-        M = np.zeros((n2, n1, n2), dtype=complex)
+        M = zeros((n2, n1, n2), samples.dalpha_lat, samples.sigma_x2_posmid, samples.beta_pos)
         M += (0.5 * h2 * samples.dalpha_lat[P2])[:, None, :]
         M += h2 * samples.sigma_x2_posmid[:, P2].transpose(1, 0, 2)
         diag = 0.5 * c + samples.beta_pos      # (n1,)
@@ -291,7 +293,7 @@ def m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
 
     if (j, k) == (1, 2):
         P1 = _offsets(n1)                      # (a, a')
-        M = np.zeros((n2, n1, n1), dtype=complex)
+        M = zeros((n2, n1, n1), samples.dbeta_lat, samples.sigma_x1_posmid, samples.alpha_pos)
         M += (0.5 * h1 * samples.dbeta_lat[P1])[None, :, :]
         M += h1 * samples.sigma_x1_posmid[P1, :].transpose(2, 0, 1)
         diag = 0.5 * c + samples.alpha_pos     # (n2,)
@@ -299,16 +301,16 @@ def m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
         return M.reshape(g.size, n1)
 
     if (j, k) == (4, 1):
-        P2 = _offsets(n2)
-        M = np.zeros((n2, n2, n1), dtype=complex)      # [b, b', a']
+        P2 = _offsets(n2)                      # M is [b, b', a']
+        M = zeros((n2, n2, n1), samples.dalpha_lat, samples.sigma_x2_negmid, samples.beta_neg)
         M += (0.5 * h1 * h2 * samples.dalpha_lat[P2])[:, :, None]
         M -= h1 * h2 * samples.sigma_x2_negmid[:, P2].transpose(1, 2, 0)
         M[np.arange(n2), np.arange(n2), :] += 0.5 * c * h1 - h1 * samples.beta_neg
         return M.reshape(n2, g.size)
 
     if (j, k) == (4, 2):
-        P1 = _offsets(n1)
-        M = np.zeros((n1, n2, n1), dtype=complex)      # [a, b', a']
+        P1 = _offsets(n1)                      # M is [a, b', a']
+        M = zeros((n1, n2, n1), samples.dbeta_lat, samples.sigma_x1_negmid, samples.alpha_neg)
         M += (0.5 * h1 * h2 * samples.dbeta_lat[P1])[:, None, :]
         M -= h1 * h2 * samples.sigma_x1_negmid[P1, :].transpose(0, 2, 1)
         M[np.arange(n1), :, np.arange(n1)] += (0.5 * c * h2 - h2 * samples.alpha_neg)[None, :]

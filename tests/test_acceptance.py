@@ -219,7 +219,7 @@ def test_criterion_10_fft_speedup():
     n = 128
     s = samples_for(exp_kernel(), n, normalize=False)
     S = ConvOperator(s)
-    D = S.dense(force=True)          # assembled once, excluded from timing
+    D = S._assemble_dense()          # past the guard; excluded from timing
     f = np.random.default_rng(0).standard_normal(n * n)
 
     def best_of(fn, reps=5):

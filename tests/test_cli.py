@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from diffkern2d.config import load_config, parse_config_text
 from diffkern2d.errors import ConfigError
 from diffkern2d.fileio import read_image, write_pgm
 from diffkern2d.kernels import exp_kernel
+from diffkern2d.operators import ConvOperator
 
 from conftest import MODEL_BUILDERS, operator_for
 
@@ -95,6 +100,21 @@ class TestConfigParsing:
         assert err.value.line == 2
         assert err.value.field == line.split(" =")[0]
 
+    @pytest.mark.parametrize("text,line,field", [
+        ("kernel = identity\namp = 0.3\n", 2, "amp"),
+        ("kernel = separable\nc = 2.0\n", 2, "c"),
+        ("kernel = gaussian\nn1 = 8\nb1 = 5\nq = 3\n", 3, "b1"),
+    ])
+    def test_parameter_of_another_family_reports_field(self, tmp_path, capsys,
+                                                       text, line, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert (err.value.line, err.value.field) == (line, field)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reconstruct_report.json").exists()
+
 
 class TestVerifyCommand:
     def test_identity_kernel_passes(self, tmp_path):
@@ -157,11 +177,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "--sizes" in capsys.readouterr().err
 
-    def test_dense_guard_refusal(self, tmp_path):
+    def test_dense_guard_refusal(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--sizes", "8,128"])
         assert code == 2
+        assert "n1*n2 <= 4096" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "verify_report.json").exists()
 
     def test_generator_agreement_contract(self, tmp_path, monkeypatch):
         # the generator factors are checked against A_k S w - S A_k^* w
@@ -220,6 +242,25 @@ class TestRhoCommand:
         report = json.loads((out / "rho_report.json").read_text())
         assert report["pairs_evaluated"] == 0
         assert report["explanation"]
+
+    def test_runs_above_dense_guard(self, tmp_path, monkeypatch):
+        # 66 x 64 points: the g blocks and h are GMRES solves, and nothing
+        # assembles S densely
+        calls = []
+        assemble = ConvOperator._assemble_dense
+        monkeypatch.setattr(ConvOperator, "_assemble_dense",
+                            lambda S: calls.append(S) or assemble(S))
+        text = EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 66\nn2 = 64") + (
+            "rho_lambda1 = -0.9, 1.1\nrho_lambda2 = -0.6, 1.3\n"
+            "rho_mu1 = -0.4, 1.65\nrho_mu2 = -0.1, 1.75\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["rho", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "rho_report.json").read_text())
+        assert report["overall_pass"] is True
+        assert report["pairs_evaluated"] == 16
+        assert calls == []
 
     def test_exp_direct_vs_structured_bound(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 16\nn2 = 16"))
@@ -343,12 +384,23 @@ class TestCond2:
 
 
 class TestThreadedRho:
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, IDENTITY_CFG)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        monkeypatch.setenv("DIFFKERN2D_THREADS", "1")
-        assert main(["rho", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("DIFFKERN2D_THREADS", "4")
-        assert main(["rho", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "rho_direct.csv").read_bytes() == (out2 / "rho_direct.csv").read_bytes()
-        assert (out1 / "rho_structured.csv").read_bytes() == (out2 / "rho_structured.csv").read_bytes()
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        # BLAS reads its thread count when it loads, so each count runs in
+        # its own process; at 32^2 the LU of S and the products are threaded.
+        # The last bits may differ between counts, so values are compared.
+        cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 32\nn2 = 32"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "diffkern2d", "rho", "--config", cfg,
+                            "--out", str(out)], env=env, check=True)
+            tables.append([np.loadtxt(out / name, delimiter=",", skiprows=1)
+                           for name in ("rho_direct.csv", "rho_structured.csv")])
+        for one, two in zip(*tables):
+            assert one.shape == two.shape == (625, 10)
+            assert np.array_equal(two[:, :8], one[:, :8])       # the (lam, mu) pairs
+            rho1, rho2 = one[:, 8] + 1j * one[:, 9], two[:, 8] + 1j * two[:, 9]
+            assert np.max(np.abs(rho2 - rho1) / np.abs(rho1)) <= 1e-12

@@ -12,7 +12,7 @@ from diffkern2d.errors import (
     SingularOperatorError,
     UnsupportedEvaluationError,
 )
-from diffkern2d.grid import make_grid
+from diffkern2d.grid import KernelModel, make_grid
 from diffkern2d.inversion import (
     GMatrix,
     RhoEvaluator,
@@ -318,6 +318,28 @@ class TestComputeG:
         first[n1:, :n1] = kops["K11"]
         oracle = first - pis[2].pi_hat @ Dinv @ pis[1].pi
         assert np.abs(g12.mat - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex", "integer"])
+    def test_blocks_take_the_kernel_dtype(self, tag, k):
+        # real kernels give real Pi, PiHat and g blocks; integer-valued
+        # samples are floored at float64
+        def ints(value):
+            return lambda *x: np.full(np.broadcast(*map(np.asarray, x)).shape, value)
+
+        if tag == "complex":
+            model = exp_kernel(amp=0.05 + 0.1j)
+        elif tag == "integer":      # c = 1, alpha = beta = sigma = 1: S = I
+            model = KernelModel(c=1, alpha=ints(1), dalpha=ints(0), beta=ints(1),
+                                dbeta=ints(0), sigma=ints(1), sigma_x1=ints(0),
+                                sigma_x2=ints(0), v=ints(0))
+        else:
+            model = MODEL_BUILDERS[tag]()
+        s = samples_for(model, 6, n2=5, normalize=tag != "integer")
+        want = np.complex128 if tag == "complex" else np.float64
+        pi = assemble_pi(s, k)
+        g_mats = [g.mat for g in compute_g_blocks(ConvOperator(s), s)]
+        assert [m.dtype for m in (pi.pi, pi.pi_hat, *g_mats)] == [want] * 4
 
     def test_equal_axes_rejected(self):
         grid = make_grid(1.0, 1.0, 4, 4)
