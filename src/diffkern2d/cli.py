@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import fileio
-from .config import RunConfig, load_config, parse_sizes
+from .config import RunConfig, check_seed, load_config, parse_sizes
 from .errors import (
     DiffKernError,
     InvalidArgumentError,
@@ -198,37 +198,40 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 def cmd_rho(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     samples = _build_samples(cfg)
-    grid = samples.grid
     S = ConvOperator(samples)
     ev = build_rho_evaluator(S, samples, symmetry_tol=tol["symmetry"])
 
+    # every (lam, mu) pair, lam outer and mu inner
     lams = [(l1, l2) for l2 in cfg.rho_lambda2 for l1 in cfg.rho_lambda1]
     mus = [(m1, m2) for m2 in cfg.rho_mu2 for m1 in cfg.rho_mu1]
-    direct = rho_direct(S, np.reshape(lams, (-1, 2)), np.reshape(mus, (-1, 2)))
+    pairs = [(lam, mu) for lam in lams for mu in mus]
+    coords = np.array([lam + mu for lam, mu in pairs], dtype=complex)
+    direct = rho_direct(S, np.reshape(lams, (-1, 2)), np.reshape(mus, (-1, 2))).reshape(-1)
 
-    rows_direct, rows_struct, skipped = [], [], []
-    errs = []
-    for a, lam in enumerate(lams):
-        for b, mu in enumerate(mus):
-            d = complex(direct[a, b])
-            try:
-                s_val = rho_structured(ev, lam, mu)
-            except (PoleProximityError, UnsupportedEvaluationError) as exc:
-                s_val = None
-                skipped.append({"lam": list(lam), "mu": list(mu), "reason": str(exc)})
-            rows_direct.append((lam, mu, d))
-            rows_struct.append((lam, mu, s_val))
-            if s_val is not None:
-                errs.append(abs(s_val - d) / max(abs(d), 1e-300))
+    struct = np.full(len(pairs), complex(np.nan, np.nan))
+    skip = np.zeros(len(pairs), dtype=bool)
+    skipped = []
+    for j, (lam, mu) in enumerate(pairs):
+        try:
+            struct[j] = rho_structured(ev, lam, mu)
+        except (PoleProximityError, UnsupportedEvaluationError) as exc:
+            skip[j] = True
+            skipped.append({"lam": list(lam), "mu": list(mu), "reason": str(exc)})
 
-    evaluated = len(errs)
-    max_err = max(errs) if errs else None
+    # |z| by hypot, as abs(complex) takes it (numpy's complex abs can move
+    # the last bit); a nan from rho_structured is not skipped: it fails
+    diff, ref = struct[~skip] - direct[~skip], direct[~skip]
+    errs = np.hypot(diff.real, diff.imag) / np.maximum(np.hypot(ref.real, ref.imag), 1e-300)
+    evaluated = errs.size
+    max_err = errs.max() if evaluated else None
     ok = evaluated > 0 and max_err <= tol["rho_max_rel_err"]
     report = {
         "schema": SCHEMA,
         "command": "rho",
         "config": cfg.echo(),
-        "pairs_total": len(rows_direct),
+        "lambda1": cfg.rho_lambda1, "lambda2": cfg.rho_lambda2,
+        "mu1": cfg.rho_mu1, "mu2": cfg.rho_mu2,
+        "pairs_total": len(pairs),
         "pairs_evaluated": evaluated,
         "pairs_skipped": len(skipped),
         "skipped": skipped,
@@ -239,23 +242,9 @@ def cmd_rho(cfg: RunConfig, out: Path) -> int:
                         "every (lam, mu) pair coincides in both coordinates; "
                         "no admissible one-axis form exists"),
     }
-    fileio.write_rho_csv(out / "rho_direct.csv", rows_direct)
-    fileio.write_rho_csv(out / "rho_structured.csv", rows_struct)
+    fileio.write_rho_csv(out / "rho_direct.csv", coords, direct)
+    fileio.write_rho_csv(out / "rho_structured.csv", coords, struct)
     fileio.write_json_report(out / "rho_report.json", report)
-    table_doc = {
-        "schema": SCHEMA,
-        "grid": {"omega1": grid.omega1, "omega2": grid.omega2,
-                 "n1": grid.n1, "n2": grid.n2},
-        "lambda1": cfg.rho_lambda1, "lambda2": cfg.rho_lambda2,
-        "mu1": cfg.rho_mu1, "mu2": cfg.rho_mu2,
-        "entries": [
-            {"lam": [list(map(float, (l.real, l.imag))) for l in map(complex, lam)],
-             "mu": [list(map(float, (m.real, m.imag))) for m in map(complex, mu)],
-             "direct": d, "structured": s_val}
-            for (lam, mu, d), (_, _, s_val) in zip(rows_direct, rows_struct)
-        ],
-    }
-    fileio.write_json_report(out / "rho_table.json", table_doc)
     if not ok:
         msg = report["explanation"] or f"max rel diff {max_err} above {tol['rho_max_rel_err']}"
         print(f"FAIL rho: {msg}", file=sys.stderr)
@@ -399,7 +388,7 @@ def main(argv=None) -> int:
         if args.sizes is not None:
             cfg.sizes = parse_sizes(args.sizes, field="--sizes")
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed, field="--seed")
         for item in args.tol_override:
             if "=" not in item:
                 raise InvalidArgumentError(f"bad --tol-override {item!r}, expected KEY=VALUE")

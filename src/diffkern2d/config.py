@@ -17,8 +17,9 @@ alpha, beta  edge profiles: none | exp | sin | cos (not with separable)
 alpha_amp, alpha_rate, beta_amp, beta_rate
 omega1, omega2   rectangle sides (default 1.0)
 n1, n2           grid resolution (default 8)
-sizes            comma list for convergence studies (default 8,16,32)
-seed             RNG seed for randomized checks (default 0)
+sizes            comma list of distinct sizes >= 2 for convergence studies
+                 (default 8,16,32)
+seed             RNG seed for randomized checks, an integer >= 0 (default 0)
 normalize        true/false, re-center the smooth part (default true)
 rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   non-empty comma float lists
 
@@ -46,8 +47,8 @@ from .kernels import (
     with_profiles,
 )
 
-__all__ = ["RunConfig", "parse_config_text", "parse_sizes", "load_config",
-           "default_tolerances"]
+__all__ = ["RunConfig", "parse_config_text", "parse_sizes", "check_seed",
+           "load_config", "default_tolerances"]
 
 _FAMILIES = {"identity": identity_kernel, "exp": exp_kernel, "poly": poly_kernel,
              "gaussian": gaussian_kernel, "separable": separable_kernel}
@@ -154,16 +155,24 @@ class RunConfig:
 
 
 def parse_sizes(raw: str, line: Optional[int] = None, field: str = "sizes") -> List[int]:
-    """Comma list of square grid sizes for a convergence study: integers
-    >= 2, at least two of them distinct (an order needs two points)."""
+    """Comma list of square grid sizes for a convergence study: at least
+    two distinct integers >= 2 (an order needs two points, and a repeated
+    size would count twice in the fit)."""
     try:
         sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}", line=line, field=field) from exc
-    if any(n < 2 for n in sizes) or len(set(sizes)) < 2:
-        raise ConfigError(f"sizes must be integers >= 2, at least two distinct; got {raw!r}",
+    if any(n < 2 for n in sizes) or len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ConfigError(f"sizes must be at least two distinct integers >= 2; got {raw!r}",
                           line=line, field=field)
     return sizes
+
+
+def check_seed(seed: int, line: Optional[int] = None, field: str = "seed") -> int:
+    """RNG seed for the randomized checks: an integer >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0; got {seed}", line=line, field=field)
+    return seed
 
 
 def _finite(raw: str) -> float:
@@ -178,6 +187,8 @@ def _parse_value(key: str, raw: str, line_no: int):
     try:
         if key in _FLOAT_KEYS:
             return _finite(raw)
+        if key == "seed":
+            return check_seed(int(raw), line_no)
         if key in _INT_KEYS:
             return int(raw)
         if key in _BOOL_KEYS:

@@ -1,7 +1,10 @@
 """Deterministic file output: JSON reports, CSV tables, P2 graymaps, SVG.
 
-Reports must be byte-identical across runs with the same config and seed:
-floats are serialized with Python's shortest round-trip repr, keys are
+``write_json_report`` is ``json.dumps`` with a numpy hook, and
+``write_rho_csv``, ``write_convergence_csv``, ``write_matrix_csv`` and
+``write_pgm`` are each one ``np.savetxt``.  Reports must be byte-identical
+across runs with the same config and seed: floats are serialized with
+Python's shortest round-trip repr (JSON) or 17 digits (CSV), keys are
 sorted, and nothing time- or path-dependent is written.
 """
 
@@ -26,58 +29,37 @@ __all__ = [
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+    """``json.dumps`` hook for numpy scalars and arrays."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json_report(path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+    text = json.dumps(payload, default=_jsonable, indent=2, sort_keys=True,
                       allow_nan=True)
     Path(path).write_text(text + "\n")
 
 
-def write_rho_csv(path, rows) -> None:
-    """One row per (lam, mu) pair.
+def write_rho_csv(path, coords, values) -> None:
+    """One row per (lam, mu) pair: ``coords`` (k, 4) complex holds
+    (lam1, lam2, mu1, mu2) and ``values`` (k,) complex holds rho.
 
     Columns: lam1_re, lam1_im, lam2_re, lam2_im, mu1_re, mu1_im,
     mu2_re, mu2_im, rho_re, rho_im.  Skipped pairs carry nan values and
     are listed in the JSON report with their reason.
     """
-    header = ("lam1_re,lam1_im,lam2_re,lam2_im,"
-              "mu1_re,mu1_im,mu2_re,mu2_im,rho_re,rho_im")
-    lines = [header]
-    for lam, mu, val in rows:
-        nums = [complex(lam[0]), complex(lam[1]), complex(mu[0]), complex(mu[1])]
-        flat = []
-        for z in nums:
-            flat += [z.real, z.imag]
-        if val is None:
-            flat += [float("nan"), float("nan")]
-        else:
-            z = complex(val)
-            flat += [z.real, z.imag]
-        lines.append(",".join(f"{x:.17e}" for x in flat))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([coords, values]).view(float)
+    np.savetxt(path, table, fmt="%.17e", delimiter=",", comments="",
+               header="lam1_re,lam1_im,lam2_re,lam2_im,"
+                      "mu1_re,mu1_im,mu2_re,mu2_im,rho_re,rho_im")
 
 
 def write_convergence_csv(path, sizes, series: dict) -> None:
     names = sorted(series)
-    lines = ["n," + ",".join(names)]
-    for j, n in enumerate(sizes):
-        vals = [f"{series[name][j]:.17e}" for name in names]
-        lines.append(f"{n}," + ",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([sizes] + [series[name] for name in names])
+    np.savetxt(path, table, fmt=["%d"] + ["%.17e"] * len(names), delimiter=",",
+               comments="", header="n," + ",".join(names))
 
 
 def write_convergence_svg(path, sizes, series: dict) -> None:
@@ -154,7 +136,9 @@ def read_image(path):
     """Read a plain-text P2 graymap or a CSV matrix.
 
     Returns (array (rows, cols) float, maxval or None).  A non-finite
-    pixel is an error that names the file and its (row, col), 0-based.
+    pixel is an error that names the file and its (row, col), 0-based; so
+    is a P2 pixel outside 0..maxval, and a P2 header outside Netpbm's
+    limits (width, height >= 1, maxval in 1..65535).
     """
     p = Path(path)
     arr, maxval = _read_pixels(p)
@@ -181,10 +165,17 @@ def _read_pixels(p: Path):
             pix = np.array([float(t) for t in tokens[4:4 + w * h]])
         except (ValueError, IndexError) as exc:
             raise InvalidArgumentError(f"{p}: malformed P2 data: {exc}") from exc
+        if w < 1 or h < 1 or not 1 <= maxval <= 65535:     # Netpbm's limits
+            raise InvalidArgumentError(f"{p}: P2 needs width, height >= 1 and maxval "
+                                       f"in 1..65535, got {w} {h} {maxval}")
         if pix.size != w * h:
             raise InvalidArgumentError(
                 f"{p}: expected {w * h} pixels, found {pix.size}"
             )
+        bad = np.flatnonzero((pix < 0) | (pix > maxval))
+        if bad.size:
+            raise InvalidArgumentError(f"{p}: pixel {pix[bad[0]]:g} at (row, col) = "
+                                       f"{divmod(int(bad[0]), w)} is outside 0..{maxval}")
         return pix.reshape(h, w), maxval
     # CSV matrix
     try:
@@ -195,13 +186,9 @@ def _read_pixels(p: Path):
 
 
 def write_pgm(path, arr: np.ndarray, maxval: int = 255) -> None:
-    arr = np.asarray(arr)
-    clipped = np.clip(np.rint(arr.real), 0, maxval).astype(int)
+    clipped = np.clip(np.rint(np.real(arr)), 0, maxval).astype(int)
     h, w = clipped.shape
-    lines = ["P2", f"{w} {h}", str(maxval)]
-    for row in clipped:
-        lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, clipped, fmt="%d", comments="", header=f"P2\n{w} {h}\n{maxval}")
 
 
 def write_matrix_csv(path, arr: np.ndarray) -> None:

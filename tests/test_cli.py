@@ -90,7 +90,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line", [
         "rho_max_rel_err = nan", "rho_max_rel_err = inf", "rho_max_rel_err = -0.1",
-        "sizes = 8", "sizes = 8,8", "sizes = 1,8",
+        "sizes = 8", "sizes = 8,8", "sizes = 1,8", "sizes = 8,16,8", "seed = -1",
         "c = nan", "rho_lambda1 = nan, 1.0", "rho_mu2 = 1e400, 2.0",
         "rho_lambda1 = ,", "rho_mu2 =",
     ])
@@ -168,14 +168,23 @@ class TestVerifyCommand:
         assert code == 2
         assert "rank_rel" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sizes", ["8", "8,8"])
+    @pytest.mark.parametrize("sizes", ["8", "8,8", "6,4,6"])
     def test_fewer_than_two_sizes_exits_2(self, tmp_path, capsys, sizes):
-        # one distinct size cannot give a convergence order
+        # one distinct size cannot give a convergence order, and a repeated
+        # size would count twice in every fit
         cfg = write_cfg(tmp_path, EXP_CFG)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--sizes", sizes])
         assert code == 2
         assert "--sizes" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IDENTITY_CFG)
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"])
+        assert code == 2
+        assert "field '--seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "verify_report.json").exists()
 
     def test_dense_guard_refusal(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
@@ -262,6 +271,51 @@ class TestRhoCommand:
         assert report["pairs_evaluated"] == 16
         assert calls == []
 
+    def test_writes_two_tables_and_a_report(self, tmp_path):
+        # each value is written once: the two CSVs hold every pair, and the
+        # report carries the sample lists the pairs are drawn from
+        text = EXP_CFG + ("rho_lambda1 = -0.9, 1.1\nrho_lambda2 = 0.4\n"
+                          "rho_mu1 = -0.4, 1.65, 2.7\nrho_mu2 = -0.1\n")
+        out = tmp_path / "out"
+        assert main(["rho", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rho_direct.csv", "rho_report.json", "rho_structured.csv"]
+        report = json.loads((out / "rho_report.json").read_text())
+        assert (report["lambda1"], report["lambda2"], report["mu1"], report["mu2"]) == (
+            [-0.9, 1.1], [0.4], [-0.4, 1.65, 2.7], [-0.1])
+        table = np.loadtxt(out / "rho_direct.csv", delimiter=",", skiprows=1)
+        assert table.shape == (6, 10)
+        np.testing.assert_array_equal(table[:, [0, 2, 4, 6]], [
+            [lam, 0.4, mu, -0.1] for lam in (-0.9, 1.1) for mu in (-0.4, 1.65, 2.7)])
+
+    def test_nan_structured_value_fails_the_bound(self, tmp_path, monkeypatch):
+        # a nan from the structured form is an evaluated pair that fails,
+        # wherever it falls in the sweep; it is never counted as skipped
+        real, calls = cli.rho_structured, []
+
+        def nan_third(ev, lam, mu):
+            calls.append(lam)
+            return complex(np.nan, 0.0) if len(calls) == 3 else real(ev, lam, mu)
+
+        monkeypatch.setattr(cli, "rho_structured", nan_third)
+        out = tmp_path / "out"
+        assert main(["rho", "--config", write_cfg(tmp_path, EXP_CFG), "--out", str(out)]) == 1
+        report = json.loads((out / "rho_report.json").read_text())
+        assert report["overall_pass"] is False
+        assert report["pairs_evaluated"] == report["pairs_total"] == 625
+        assert report["pairs_skipped"] == 0
+        assert np.isnan(report["max_rel_diff"])
+
+    def test_byte_identical_reports(self, tmp_path):
+        text = IDENTITY_CFG + "rho_lambda1 = 1.0, 0.3\nrho_mu1 = 1.0, -0.4\n"
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["rho", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                         "--seed", "7"]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1]
+
     def test_exp_direct_vs_structured_bound(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 16\nn2 = 16"))
         out = tmp_path / "out"
@@ -316,6 +370,36 @@ class TestDeconvCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and "(2, 5)" in err
+
+    @pytest.mark.parametrize("header,pixels", [
+        ("-2 -2\n255", "1 2 3 4"),
+        ("2 2\n-5", "1 2 3 4"),
+        ("2 2\n0", "0 0 0 0"),            # PSNR against a zero peak
+        ("2 2\n255", "1 2 300 4"),
+    ], ids=["negative-size", "negative-maxval", "zero-maxval", "pixel-above-maxval"])
+    def test_bad_p2_header_or_pixel_exits_2(self, tmp_path, capsys, header, pixels):
+        cfg = write_cfg(tmp_path, "kernel = identity\nn1 = 2\nn2 = 2\n")
+        path = tmp_path / "in.pgm"
+        path.write_text(f"P2\n{header}\n{pixels}\n")
+        code = main(["deconv", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--input", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "deconv_report.json").exists()
+
+    def test_byte_identical_reports(self, tmp_path):
+        # P2 input, so the two graymaps are compared too
+        cfg = write_cfg(tmp_path, GAUSS_BLUR_CFG)
+        write_pgm(tmp_path / "in.pgm", checkerboard(32), 255)
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["deconv", "--config", cfg, "--out", str(out), "--seed", "7",
+                         "--input", str(tmp_path / "in.pgm")]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == ["blurred.csv", "blurred.pgm", "deconv_report.json",
+                                   "recovered.csv", "recovered.pgm"]
+        assert outs[0] == outs[1]
 
     def test_csv_input(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
