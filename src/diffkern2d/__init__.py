@@ -48,7 +48,6 @@ from .operators import (
 from .inversion import (
     GMatrix,
     RhoEvaluator,
-    RhoTable,
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,

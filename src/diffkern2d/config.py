@@ -13,8 +13,9 @@ amp, q       poly family:     sigma = amp * (x1 x2 + q x1^2 x2^2)
 amp, width   gaussian family: sigma = amp * exp(-|x|^2 / (2 width^2))
 c1, amp1, r1,
 c2, amp2, r2 separable family: tensor of c_i I + conv(amp_i e^{r_i u})
-alpha, beta  edge profiles: none | exp | sin | cos (not with separable)
-alpha_amp, alpha_rate, beta_amp, beta_rate
+alpha, beta  edge profiles: none | exp | sin | cos (default none)
+alpha_amp, alpha_rate   alpha profile amplitude and rate (default 0.1, 1.0)
+beta_amp, beta_rate     beta profile amplitude and rate (default 0.1, 1.0)
 omega1, omega2   rectangle sides (default 1.0)
 n1, n2           grid resolution (default 8)
 sizes            comma list of distinct sizes >= 2 for convergence studies
@@ -25,7 +26,11 @@ rho_lambda1, rho_lambda2, rho_mu1, rho_mu2   non-empty comma float lists
 
 A family takes only its own parameters, the keywords of its builder in
 ``kernels``, whose defaults apply; a parameter of another family is an
-error naming its line and field.
+error naming its line and field.  Likewise ``alpha_amp`` and
+``alpha_rate`` need ``alpha`` set to a kind other than none, and
+``beta_amp`` and ``beta_rate`` need such a ``beta``.  The separable
+family fixes its own edge profiles, so it takes none of the six profile
+keys.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .kernels import (
     exp_kernel,
     gaussian_kernel,
     identity_kernel,
+    PROFILE_KINDS,
     poly_kernel,
     separable_kernel,
     with_profiles,
@@ -56,12 +62,9 @@ _FAMILIES = {"identity": identity_kernel, "exp": exp_kernel, "poly": poly_kernel
 _FAMILY_KEYS = {name: set(inspect.signature(build).parameters)
                 for name, build in _FAMILIES.items()}
 _PARAM_KEYS = set().union(*_FAMILY_KEYS.values())
-_PROFILE_KINDS = ("none", "exp", "sin", "cos")
+_PROFILE_PARAMS = {"alpha_amp", "alpha_rate", "beta_amp", "beta_rate"}
 
-_FLOAT_KEYS = _PARAM_KEYS | {
-    "alpha_amp", "alpha_rate", "beta_amp", "beta_rate",
-    "omega1", "omega2", "rho_max_rel_err",
-}
+_FLOAT_KEYS = _PARAM_KEYS | _PROFILE_PARAMS | {"omega1", "omega2", "rho_max_rel_err"}
 _INT_KEYS = {"n1", "n2", "seed"}
 _LIST_FLOAT_KEYS = {"rho_lambda1", "rho_lambda2", "rho_mu1", "rho_mu2"}
 _STR_KEYS = {"kernel", "alpha", "beta"}
@@ -246,13 +249,19 @@ def parse_config_text(text: str) -> RunConfig:
                     f"it takes {sorted(_FAMILY_KEYS[kernel])}",
                     line=lines[key], field=key)
             cfg.params[key] = val
-        elif key in ("alpha", "beta"):
-            if val not in _PROFILE_KINDS:
+        elif key in ("alpha", "beta") or key in _PROFILE_PARAMS:
+            # folded into the profile tuples below
+            if kernel == "separable":
+                raise ConfigError("the separable family fixes its own edge profiles; "
+                                  f"it takes no {key!r}", line=lines[key], field=key)
+            side = key.split("_")[0]
+            if key == side and val not in PROFILE_KINDS:
                 raise ConfigError(
-                    f"unknown profile {val!r}, expected one of {_PROFILE_KINDS}",
+                    f"unknown profile {val!r}, expected one of {PROFILE_KINDS}",
                     line=lines[key], field=key)
-        elif key in ("alpha_amp", "alpha_rate", "beta_amp", "beta_rate"):
-            pass  # folded into the profile tuples below
+            if key != side and values.get(side, "none") == "none":
+                raise ConfigError(f"{key!r} needs a {side} profile; set {side} to one of "
+                                  f"{PROFILE_KINDS[1:]}", line=lines[key], field=key)
         elif key in ("omega1", "omega2"):
             if val <= 0:
                 raise ConfigError("rectangle sides must be positive",
@@ -268,14 +277,10 @@ def parse_config_text(text: str) -> RunConfig:
         else:
             setattr(cfg, key, val)
 
-    a_kind = values.get("alpha", "none")
-    b_kind = values.get("beta", "none")
-    cfg.alpha = (a_kind, values.get("alpha_amp", 0.1), values.get("alpha_rate", 1.0))
-    cfg.beta = (b_kind, values.get("beta_amp", 0.1), values.get("beta_rate", 1.0))
-    if kernel == "separable" and (a_kind != "none" or b_kind != "none"):
-        raise ConfigError("the separable family fixes its own edge profiles; "
-                          "alpha/beta overrides are not allowed",
-                          line=lines.get("alpha", lines.get("beta")), field="alpha")
+    cfg.alpha = (values.get("alpha", "none"), values.get("alpha_amp", 0.1),
+                 values.get("alpha_rate", 1.0))
+    cfg.beta = (values.get("beta", "none"), values.get("beta_amp", 0.1),
+                values.get("beta_rate", 1.0))
     return cfg
 
 

@@ -74,7 +74,6 @@ __all__ = [
     "gamma_apply",
     "gamma_norm_study",
     "dft_frequencies",
-    "RhoTable",
     "build_rho_table",
     "inverse_from_rho",
     "StructureReport",
@@ -564,18 +563,26 @@ def _exp_grid(grid: GridSpec, lams) -> np.ndarray:
     return (e2[:, None, :] * e1[None, :, :]).reshape(grid.size, -1)
 
 
+def _pairs(x, name: str) -> np.ndarray:
+    """``x`` as a complex (k, 2) array; it must have shape (2,) or (k, 2)."""
+    a = np.asarray(x, dtype=complex)
+    if a.shape != (2,) and not (a.ndim == 2 and a.shape[1] == 2 and len(a)):
+        raise InvalidArgumentError(f"{name} must have shape (2,) or (k, 2), got {a.shape}")
+    return a.reshape(-1, 2)
+
+
 def rho_direct(S: ConvOperator, lam, mu):
     """rho(lam, mu) by quadrature of e^{-i mu x} S^{-1} e^{i lam x}.
 
     ``lam`` and ``mu`` are each one pair (l1, l2), giving a complex, or a
     (k, 2) array of pairs, giving the (k_lam, k_mu) block of rho from one
-    batched solve over the distinct lam.
+    batched solve over the distinct lam.  Any other shape is an
+    InvalidArgumentError.
     """
     g = S.grid
-    lams, where = np.unique(np.asarray(lam, dtype=complex).reshape(-1, 2),
-                            axis=0, return_inverse=True)
+    lams, where = np.unique(_pairs(lam, "lam"), axis=0, return_inverse=True)
+    Em = _exp_grid(g, -_pairs(mu, "mu"))
     X = solve_array(S, _exp_grid(g, lams))
-    Em = _exp_grid(g, -np.asarray(mu, dtype=complex))
     R = g.h1 * g.h2 * (X.T @ Em)[where.reshape(-1)]
     if np.ndim(lam) == 1 and np.ndim(mu) == 1:
         return complex(R[0, 0])
@@ -587,7 +594,8 @@ POLE_RTOL = 1e-6
 
 
 def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None) -> complex:
-    """rho from the structured representation, integrating over side i.
+    """rho at one pair lam and one pair mu from the structured
+    representation, integrating over side i.
 
     rho = (mu_k - lam_k)^{-1} e^{-i omega . mu}
           * h_i sum_a conj((J_i U_i psi_i(mu))(a)) . psi_i(lam)(a)
@@ -601,6 +609,9 @@ def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None) -> comple
     """
     if i not in (None, 1, 2):
         raise InvalidArgumentError(f"axis must be 1 or 2, got {i}")
+    if np.shape(lam) != (2,) or np.shape(mu) != (2,):
+        raise InvalidArgumentError(f"lam and mu must each be one pair, shape (2,); "
+                                   f"got {np.shape(lam)} and {np.shape(mu)}")
     lam = (complex(lam[0]), complex(lam[1]))
     mu = (complex(mu[0]), complex(mu[1]))
     gap = [abs(mu[j] - lam[j]) for j in (0, 1)]
@@ -699,32 +710,12 @@ def _apply_basis(grid: GridSpec, X: np.ndarray, adjoint: bool = False) -> np.nda
     return apply_along(E2, apply_along(E1, X, grid, 1), grid, 2)
 
 
-@dataclass(frozen=True)
-class RhoTable:
-    """rho on the complete DFT frequency grid: values[p, q] = rho(lam_q, mu_p).
+def build_rho_table(S: ConvOperator) -> np.ndarray:
+    """rho on the full DFT frequency grid from N solves against a real basis.
 
-    Frequency pairs are flattened lam1-fastest, mirroring the grid layout.
-    """
-
-    grid: GridSpec
-    freqs1: np.ndarray
-    freqs2: np.ndarray
-    values: np.ndarray
-
-    def validate_complete(self):
-        l1, l2 = dft_frequencies(self.grid)
-        ok = (self.freqs1.shape == l1.shape and self.freqs2.shape == l2.shape
-              and np.allclose(self.freqs1, l1, rtol=0, atol=1e-12)
-              and np.allclose(self.freqs2, l2, rtol=0, atol=1e-12)
-              and self.values.shape == (self.grid.size, self.grid.size))
-        if not ok:
-            raise InvalidArgumentError(
-                "rho table is not the complete DFT frequency grid for this grid spec"
-            )
-
-
-def build_rho_table(S: ConvOperator) -> RhoTable:
-    """rho on the full frequency grid from N solves against a real basis.
+    Returns the (N, N) array R with R[p, q] = rho(lam_q, mu_p), where lam
+    and mu run over the pairs of :func:`dft_frequencies`, flattened
+    lam1-fastest like the grid: pair q is (l1[q % n1], l2[q // n1]).
 
     The Hartley basis F = F2 (x) F1, F_i = Re E_i + Im E_i, has entries
     cas(2 pi m (j + 1/2) / n_i) and satisfies F_i^T F_i = n_i I, so
@@ -738,7 +729,6 @@ def build_rho_table(S: ConvOperator) -> RhoTable:
     Kronecker products applied axis by axis.
     """
     g = S.grid
-    l1, l2 = dft_frequencies(g)
     E1, E2 = _basis_factors(g)
     F1, F2 = E1.real + E1.imag, E2.real + E2.imag
     Y = solve_array(S, np.kron(F2, F1))
@@ -749,37 +739,28 @@ def build_rho_table(S: ConvOperator) -> RhoTable:
     X = apply_along((F2.T @ E2 / g.n2).T, X, g, 2).T
     R = _apply_basis(g, X, adjoint=True)
     R *= g.h1 * g.h2
-    return RhoTable(g, l1, l2, R)
+    return R
 
 
-def inverse_from_rho(source) -> np.ndarray:
-    """Dense S^{-1} from a rho table: T = E R E^H / (omega1 omega2 n1 n2).
+def inverse_from_rho(S: ConvOperator) -> np.ndarray:
+    """Dense S^{-1} from its rho table: T = E R E^H / (omega1 omega2 n1 n2).
 
     Exact at the discrete level because the sampled exponentials form an
     orthogonal basis.  E R and E (E R)^H = (E R E^H)^H are each evaluated
-    axis by axis.  Accepts a ConvOperator (the table is built first)
-    or a prebuilt RhoTable, which must be complete.  For a ConvOperator
-    with a real lattice kernel the exact T is real, and the real part is
-    returned (float64); otherwise T is complex.
+    axis by axis.  For a real lattice kernel the exact T is real, and the
+    real part is returned (float64); otherwise T is complex.
     """
-    if isinstance(source, ConvOperator):
-        table = build_rho_table(source)
-        real = np.isrealobj(source.lattice_kernel)
-    elif isinstance(source, RhoTable):
-        table, real = source, False
-    else:
-        raise InvalidArgumentError(
-            f"expected ConvOperator or RhoTable, got {type(source).__name__}"
-        )
-    table.validate_complete()
-    g = table.grid
+    if not isinstance(S, ConvOperator):
+        raise InvalidArgumentError(f"expected a ConvOperator, got {type(S).__name__}")
+    R = build_rho_table(S)
+    g = S.grid
     scale = 1.0 / (g.omega1 * g.omega2 * g.size)
-    ER = _apply_basis(g, table.values)
-    del table
+    ER = _apply_basis(g, R)
+    del R
     np.conjugate(ER, out=ER)
     TH = _apply_basis(g, ER.T)           # (E R E^H)^H
     del ER
-    if real:
+    if np.isrealobj(S.lattice_kernel):
         return TH.real.T * scale
     np.conjugate(TH, out=TH)
     TH *= scale

@@ -20,6 +20,7 @@ __all__ = [
     "gaussian_kernel",
     "separable_kernel",
     "separable_factors",
+    "PROFILE_KINDS",
     "make_profile",
     "with_profiles",
 ]
@@ -108,7 +109,7 @@ def separable_kernel(c1=1.0, amp1=0.3, r1=0.8, c2=1.0, amp2=0.25, r2=-0.5) -> Ke
     )
 
 
-_PROFILES = ("none", "exp", "sin", "cos")
+PROFILE_KINDS = ("none", "exp", "sin", "cos")
 
 
 def make_profile(kind: str, amp: float = 0.1, rate: float = 1.0):
@@ -124,7 +125,7 @@ def make_profile(kind: str, amp: float = 0.1, rate: float = 1.0):
     if kind == "cos":
         return (lambda u: amp * np.cos(rate * np.asarray(u)),
                 lambda u: -amp * rate * np.sin(rate * np.asarray(u)))
-    raise InvalidArgumentError(f"unknown profile kind {kind!r}, expected one of {_PROFILES}")
+    raise InvalidArgumentError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
 
 
 def with_profiles(model: KernelModel,

@@ -17,15 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularOperatorError
-from .grid import GridSpec, KernelSamples
+from .grid import KernelSamples
 from .operators import m_op
 
 __all__ = [
     "Kernel1D",
     "oracle_m_op",
-    "extract_generating_kernel",
-    "generating_kernel_corner_table",
-    "rebuild_from_corner_table",
     "rho_1d",
 ]
 
@@ -87,63 +84,6 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise InvalidArgumentError("oracle operator has non-finite entries")
     return mat
-
-
-# --------------------------------------------------------------------------
-# generating kernel of a bounded operator
-# --------------------------------------------------------------------------
-
-
-def extract_generating_kernel(Q: np.ndarray, grid: GridSpec, x_index) -> np.ndarray:
-    """q(x, .) = conj(Q^* chi_x) with chi_x the indicator of {t : t < x}.
-
-    ``x_index`` is the midpoint index pair (a, b); the indicator is strict
-    (t1 < x1 and t2 < x2).  Under uniform weights the weighted adjoint of
-    a grid operator is the plain conjugate transpose.
-    """
-    Q = np.asarray(Q)
-    if Q.shape != (grid.size, grid.size):
-        raise InvalidArgumentError(f"Q must be ({grid.size}, {grid.size})")
-    a, b = x_index
-    if not (0 <= a < grid.n1 and 0 <= b < grid.n2):
-        raise InvalidArgumentError(f"grid point index {x_index} out of range")
-    chi = np.zeros((grid.n2, grid.n1))
-    chi[:b, :a] = 1.0
-    return np.conj(Q.conj().T @ chi.reshape(grid.size))
-
-
-def generating_kernel_corner_table(Q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """q extracted at the cell upper corners (k h1, l h2), k,l = 0..n.
-
-    Midpoints sit strictly inside cells, so the corner indicator
-    {t : t1 < k h1, t2 < l h2} covers exactly the first k x l cells; the
-    corner family makes the mixed-difference reconstruction exact.
-    Returns shape (n2+1, n1+1, N) with [l, k] the corner index.
-    """
-    Q = np.asarray(Q)
-    n1, n2 = grid.n1, grid.n2
-    out = np.zeros((n2 + 1, n1 + 1, grid.size), dtype=complex)
-    QH = Q.conj().T
-    for l in range(n2 + 1):
-        for k in range(n1 + 1):
-            chi = np.zeros((n2, n1))
-            chi[:l, :k] = 1.0
-            out[l, k] = np.conj(QH @ chi.reshape(grid.size))
-    return out
-
-
-def rebuild_from_corner_table(qtab: np.ndarray, grid: GridSpec,
-                              f: np.ndarray) -> np.ndarray:
-    """Apply the mixed difference of the generating representation.
-
-    Phi(k, l) = h1 h2 sum_t q(corner_{kl}, t) f(t) is the cumulative
-    integral of Q f over the first k x l cells; its mixed difference
-    divided by the cell area returns Q f exactly.
-    """
-    n1, n2 = grid.n1, grid.n2
-    Phi = (qtab @ np.asarray(f)) * (grid.h1 * grid.h2)     # (n2+1, n1+1)
-    mixed = Phi[1:, 1:] - Phi[:-1, 1:] - Phi[1:, :-1] + Phi[:-1, :-1]
-    return (mixed / (grid.h1 * grid.h2)).reshape(grid.size)
 
 
 # --------------------------------------------------------------------------

@@ -104,6 +104,10 @@ class TestConfigParsing:
         ("kernel = identity\namp = 0.3\n", 2, "amp"),
         ("kernel = separable\nc = 2.0\n", 2, "c"),
         ("kernel = gaussian\nn1 = 8\nb1 = 5\nq = 3\n", 3, "b1"),
+        # a profile parameter needs its profile, and separable takes none
+        ("kernel = exp\nalpha_amp = 0.5\n", 2, "alpha_amp"),
+        ("kernel = exp\nbeta = none\nbeta_rate = 3.0\n", 3, "beta_rate"),
+        ("kernel = separable\nbeta_amp = 0.5\n", 2, "beta_amp"),
     ])
     def test_parameter_of_another_family_reports_field(self, tmp_path, capsys,
                                                        text, line, field):
@@ -488,3 +492,28 @@ class TestThreadedRho:
             assert np.array_equal(two[:, :8], one[:, :8])       # the (lam, mu) pairs
             rho1, rho2 = one[:, 8] + 1j * one[:, 9], two[:, 8] + 1j * two[:, 9]
             assert np.max(np.abs(rho2 - rho1) / np.abs(rho1)) <= 1e-12
+
+
+class TestReportsAcrossProcesses:
+    def test_byte_identical_across_hash_seeds(self, tmp_path):
+        # each process has its own string hashing (PYTHONHASHSEED), so set
+        # and dict orders that leak into a report would show here
+        cfg = write_cfg(tmp_path, EXP_CFG + "alpha = sin\nalpha_amp = 0.1\nalpha_rate = 1.3\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        commands = [["verify", "--config", cfg, "--sizes", "4,6", "--seed", "7"],
+                    ["rho", "--config", cfg], ["reconstruct", "--config", cfg]]
+        runs = []
+        for hash_seed in ("0", "1"):
+            top = tmp_path / f"h{hash_seed}"
+            argvs = [argv + ["--out", str(top / argv[0])] for argv in commands]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1",
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from diffkern2d.cli import main; "
+                            f"sys.exit(max(main(argv) for argv in {argvs!r}))"],
+                           env=env, check=True)
+            runs.append({str(p.relative_to(top)): p.read_bytes()
+                         for p in sorted(top.rglob("*")) if p.is_file()})
+        assert len(runs[0]) == 7            # 3 verify, 3 rho and 1 reconstruct file
+        assert runs[0] == runs[1]

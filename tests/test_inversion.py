@@ -16,7 +16,6 @@ from diffkern2d.grid import KernelModel, make_grid
 from diffkern2d.inversion import (
     GMatrix,
     RhoEvaluator,
-    RhoTable,
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,
@@ -575,6 +574,28 @@ class TestRhoDirectBatch:
         assert_allclose(again, got[[3, 0, 3]], rtol=1e-14, atol=0)
 
 
+class TestRhoArguments:
+    @pytest.mark.parametrize("form,lam,mu", [
+        ("direct", np.full((2, 3), 0.5), (0.3, 0.4)),
+        ("direct", (0.1, 0.2, 0.3, 0.4), (0.3, 0.4)),
+        ("direct", (0.1, 0.2), (0.3, 0.4, 0.5, 0.6)),
+        ("direct", np.zeros((0, 2)), (0.3, 0.4)),
+        ("structured", (0.3, 1.1, 9.0), (1.9, -0.5)),
+        ("structured", (0.3, 1.1), (1.9,)),
+        ("structured", np.array([[0.3, 1.1], [0.5, 0.7]]), (1.9, -0.5)),
+    ], ids=["lam-2x3", "lam-flat-4", "mu-flat-4", "lam-empty",
+            "structured-lam-3", "structured-mu-1", "structured-lam-block"])
+    def test_malformed_pairs_rejected(self, form, lam, mu):
+        # each of lam and mu is one pair (l1, l2) or, for rho_direct only,
+        # a (k, 2) array of pairs; nothing else is read as pairs
+        S, s, ev = evaluator_for(exp_kernel(), 6)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            if form == "direct":
+                rho_direct(S, lam, mu)
+            else:
+                rho_structured(ev, lam, mu)
+
+
 class TestRhoStructured:
     def test_tracks_direct_for_jump_kernel(self):
         S, s, ev = evaluator_for(identity_kernel(c=1.0), 8)
@@ -715,10 +736,28 @@ class TestInverseFromRho:
 
     def test_real_operator_gives_real_inverse(self):
         S = ConvOperator(samples_for(exp_kernel(), 5, n2=7, omega1=1.7, omega2=0.9))
-        assert inverse_from_rho(S).dtype == np.float64
-        # from the table alone T is complex; its imaginary part is roundoff
-        T = inverse_from_rho(build_rho_table(S))
-        assert np.abs(T.imag).max() <= 1e-12 * np.abs(T).max()
+        T = inverse_from_rho(S)
+        assert T.dtype == np.float64
+        # E R E^H / (omega1 omega2 N) with the dense N x N basis E = E2 (x) E1
+        # is complex; its imaginary part is roundoff and its real part is T
+        g = S.grid
+        l1, l2 = dft_frequencies(g)
+        E = np.kron(np.exp(1j * np.outer(g.x2, l2)), np.exp(1j * np.outer(g.x1, l1)))
+        full = E @ build_rho_table(S) @ E.conj().T / (g.omega1 * g.omega2 * g.size)
+        assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
+        assert np.abs(full.real - T).max() <= 1e-12 * np.abs(T).max()
+
+    @pytest.mark.parametrize("amp", [0.15, 0.05 + 0.1j])
+    def test_table_indexing(self, amp):
+        # R[p, q] = rho(lam_q, mu_p), frequency pairs flattened lam1-fastest
+        S = ConvOperator(samples_for(exp_kernel(amp=amp), 5, n2=7, omega1=1.7, omega2=0.9))
+        R = build_rho_table(S)
+        n1, N = S.grid.n1, S.grid.size
+        assert R.shape == (N, N)
+        l1, l2 = dft_frequencies(S.grid)
+        for p, q in [(0, 0), (0, N - 1), (N - 1, 0), (N - 1, N - 1), (3, 17), (22, 9), (12, 12)]:
+            want = rho_direct(S, (l1[q % n1], l2[q // n1]), (l1[p % n1], l2[p // n1]))
+            assert abs(R[p, q] - want) <= 1e-10 * abs(want), (p, q)
 
     def test_real_operator_table_takes_one_real_solve(self, monkeypatch):
         import diffkern2d.inversion as inversion
@@ -743,17 +782,7 @@ class TestInverseFromRho:
         for F in (E.real + E.imag for E in _basis_factors(make_grid(1.7, 0.9, n, n))):
             assert np.abs(F.T @ F - n * np.eye(n)).max() <= 1e-12
 
-    def test_incomplete_table_rejected(self):
-        S = ConvOperator(samples_for(exp_kernel(), 8))
-        table = build_rho_table(S)
-        clipped = RhoTable(table.grid, table.freqs1, table.freqs2,
-                           table.values[1:, :])
-        with pytest.raises(InvalidArgumentError):
-            inverse_from_rho(clipped)
-        shifted = RhoTable(table.grid, table.freqs1 + 0.5, table.freqs2,
-                           table.values)
-        with pytest.raises(InvalidArgumentError):
-            inverse_from_rho(shifted)
+    def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):
             inverse_from_rho(np.eye(4))
 

@@ -7,20 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError, SingularOperatorError
-from diffkern2d.grid import KernelModel, make_grid
+from diffkern2d.grid import KernelModel
 from diffkern2d.kernels import exp_kernel, identity_kernel, separable_factors
-from diffkern2d.operators import ConvOperator, m_op
-from diffkern2d.oracle import (
-    Kernel1D,
-    extract_generating_kernel,
-    generating_kernel_corner_table,
-    kernel1d_from_profile,
-    oracle_m_op,
-    rebuild_from_corner_table,
-    rho_1d,
-)
+from diffkern2d.operators import m_op
+from diffkern2d.oracle import Kernel1D, kernel1d_from_profile, oracle_m_op, rho_1d
 
-from conftest import kron_integration, rich_model, samples_for
+from conftest import rich_model, samples_for
 
 
 class TestOracleMOps:
@@ -60,52 +52,6 @@ class TestOracleMOps:
             gaps.append(gap / np.abs(m_op(s, j, k)).max())
         orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
         assert min(orders) >= 0.8, (jk, gaps)
-
-
-class TestGeneratingKernel:
-    def test_identity_gives_indicator(self):
-        g = make_grid(1.0, 1.0, 4, 4)
-        q = extract_generating_kernel(np.eye(16), g, (2, 3))
-        chi = np.zeros((4, 4))
-        chi[:3, :2] = 1.0
-        assert_allclose(q, chi.reshape(16), rtol=0, atol=0)
-
-    def test_out_of_range_point(self):
-        g = make_grid(1.0, 1.0, 4, 4)
-        with pytest.raises(InvalidArgumentError):
-            extract_generating_kernel(np.eye(16), g, (4, 0))
-
-    def test_antiderivative_operator_cumulative_form(self):
-        # Q = A1: q(x, t) = i h1 (strict-upper cumulative + 1/2 current)
-        # of the indicator along axis 1, computed by hand
-        g = make_grid(1.0, 1.0, 4, 4)
-        A1 = kron_integration(g, 1)
-        a, b = 3, 2
-        q = extract_generating_kernel(A1, g, (a, b))
-        chi = np.zeros((4, 4))
-        chi[:b, :a] = 1.0
-        stencil = np.triu(np.ones((4, 4)), 1) + 0.5 * np.eye(4)
-        hand = 1j * g.h1 * (chi @ stencil.T)
-        assert_allclose(q, hand.reshape(16), rtol=0, atol=1e-15)
-
-    def test_round_trip_conv_operator(self, rng):
-        s = samples_for(exp_kernel(), 6)
-        S = ConvOperator(s)
-        qtab = generating_kernel_corner_table(S.dense(), s.grid)
-        for _ in range(5):
-            f = rng.standard_normal(36) + 1j * rng.standard_normal(36)
-            want = S.apply_fft(f)
-            got = rebuild_from_corner_table(qtab, s.grid, f)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    def test_round_trip_random_dense(self, rng):
-        g = make_grid(1.0, 1.0, 4, 4)
-        for _ in range(20):
-            Q = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-            qtab = generating_kernel_corner_table(Q, g)
-            f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            got = rebuild_from_corner_table(qtab, g, f)
-            assert np.abs(got - Q @ f).max() <= 1e-10 * np.abs(Q @ f).max()
 
 
 class TestRho1D:
