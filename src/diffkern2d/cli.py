@@ -24,12 +24,7 @@ import scipy.sparse.linalg
 
 from . import fileio
 from .config import RunConfig, check_seed, load_config, parse_sizes
-from .errors import (
-    DiffKernError,
-    InvalidArgumentError,
-    PoleProximityError,
-    UnsupportedEvaluationError,
-)
+from .errors import DiffKernError, InvalidArgumentError
 from .grid import normalize_kernel, sample_kernel
 from .inversion import (
     build_rho_evaluator,
@@ -41,6 +36,7 @@ from .inversion import (
     rho_direct,
     rho_structured,
     solve_array,
+    structured_axes,
 )
 from .operators import (
     ConvOperator,
@@ -199,24 +195,22 @@ def cmd_rho(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     samples = _build_samples(cfg)
     S = ConvOperator(samples)
-    ev = build_rho_evaluator(S, samples, symmetry_tol=tol["symmetry"])
+    ev = build_rho_evaluator(S, samples)
 
     # every (lam, mu) pair, lam outer and mu inner
     lams = [(l1, l2) for l2 in cfg.rho_lambda2 for l1 in cfg.rho_lambda1]
     mus = [(m1, m2) for m2 in cfg.rho_mu2 for m1 in cfg.rho_mu1]
     pairs = [(lam, mu) for lam in lams for mu in mus]
     coords = np.array([lam + mu for lam, mu in pairs], dtype=complex)
-    direct = rho_direct(S, np.reshape(lams, (-1, 2)), np.reshape(mus, (-1, 2))).reshape(-1)
-
-    struct = np.full(len(pairs), complex(np.nan, np.nan))
-    skip = np.zeros(len(pairs), dtype=bool)
-    skipped = []
-    for j, (lam, mu) in enumerate(pairs):
-        try:
-            struct[j] = rho_structured(ev, lam, mu)
-        except (PoleProximityError, UnsupportedEvaluationError) as exc:
-            skip[j] = True
-            skipped.append({"lam": list(lam), "mu": list(mu), "reason": str(exc)})
+    L, M = np.reshape(lams, (-1, 2)), np.reshape(mus, (-1, 2))
+    direct = rho_direct(S, L, M).reshape(-1)
+    struct = rho_structured(ev, L, M).reshape(-1)
+    # pairs without an admissible form, by the axis rule and never by isnan
+    skip = ~structured_axes(L, M)[1].reshape(-1)
+    skipped = [{"lam": list(lam), "mu": list(mu),
+                "reason": "mu coincides with lam in both coordinates at "
+                          f"lam={tuple(map(complex, lam))}, mu={tuple(map(complex, mu))}"}
+               for (lam, mu), s in zip(pairs, skip) if s]
 
     # |z| by hypot, as abs(complex) takes it (numpy's complex abs can move
     # the last bit); a nan from rho_structured is not skipped: it fails

@@ -29,8 +29,9 @@ A family takes only its own parameters, the keywords of its builder in
 error naming its line and field.  Likewise ``alpha_amp`` and
 ``alpha_rate`` need ``alpha`` set to a kind other than none, and
 ``beta_amp`` and ``beta_rate`` need such a ``beta``.  The separable
-family fixes its own edge profiles, so it takes none of the six profile
-keys.
+family fixes its own edge profiles, so it takes no ``alpha`` or ``beta``
+but none, hence no profile parameter either; ``RunConfig`` checks this
+for a config built in code too.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ def default_tolerances() -> Dict[str, float]:
         "rank_rel": 1e-10,         # singular value cutoff, relative to s1
         "agreement": 1e-12,        # FFT vs dense matvec
         "involution": 1e-12,
-        "symmetry": 0.05,          # g flip-relation acceptance at construction
         "rho_max_rel_err": 0.15,   # direct vs structured rho misfit at one
                                    # grid; scales like h^2, so n = 8 sits
                                    # near 0.1 and n = 16 near 0.025
@@ -133,10 +133,19 @@ class RunConfig:
                          self.n1 if n1 is None else n1,
                          self.n2 if n2 is None else n2)
 
+    def check_profiles(self, lines: Optional[Dict[str, int]] = None) -> None:
+        """Raise ConfigError if the separable family, which fixes its own
+        edge profiles, is given one; ``lines`` maps keys to config lines."""
+        given = [side for side in ("alpha", "beta") if getattr(self, side)[0] != "none"]
+        if self.kernel == "separable" and given:
+            raise ConfigError("the separable family fixes its own edge profiles; "
+                              f"it takes no {given[0]!r}",
+                              line=(lines or {}).get(given[0]), field=given[0])
+
     def build_model(self) -> KernelModel:
+        self.check_profiles()
         model = _FAMILIES[self.kernel](**self.params)
-        profiled = self.alpha[0] != "none" or self.beta[0] != "none"
-        if profiled and self.kernel != "separable":    # separable fixes its own
+        if self.alpha[0] != "none" or self.beta[0] != "none":
             model = with_profiles(model, alpha=self.alpha, beta=self.beta)
         return model
 
@@ -251,9 +260,6 @@ def parse_config_text(text: str) -> RunConfig:
             cfg.params[key] = val
         elif key in ("alpha", "beta") or key in _PROFILE_PARAMS:
             # folded into the profile tuples below
-            if kernel == "separable":
-                raise ConfigError("the separable family fixes its own edge profiles; "
-                                  f"it takes no {key!r}", line=lines[key], field=key)
             side = key.split("_")[0]
             if key == side and val not in PROFILE_KINDS:
                 raise ConfigError(
@@ -281,6 +287,7 @@ def parse_config_text(text: str) -> RunConfig:
                  values.get("alpha_rate", 1.0))
     cfg.beta = (values.get("beta", "none"), values.get("beta_amp", 0.1),
                 values.get("beta_rate", 1.0))
+    cfg.check_profiles(lines)
     return cfg
 
 

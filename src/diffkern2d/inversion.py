@@ -19,6 +19,9 @@ quadrature of psi at lam against a flipped psi at mu then evaluates rho.
 The two g blocks are redundant: g_21 = -U_2 J_2 g_12^* J_1 U_1 with U the
 reflect-and-conjugate involution and J the standard skew pair rotation;
 the discrete transform mirrors this with quadrature-weighted adjoints.
+The evaluator solves only g_12 and derives g_21 by that transform, so its
+pair is consistent by construction; ``verify`` solves both blocks and
+measures the relation between them.
 
 Finally, sampling rho on the complete midpoint-compatible DFT frequency
 grid resolves S^{-1} exactly:  T = E R E^H / (omega1 omega2 n1 n2) where
@@ -71,6 +74,7 @@ __all__ = [
     "build_rho_evaluator",
     "rho_direct",
     "rho_structured",
+    "structured_axes",
     "gamma_apply",
     "gamma_norm_study",
     "dft_frequencies",
@@ -109,7 +113,8 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     solve, 2 before any estimate.  The GMRES work below the guard,
     estimate included, may spend at most t_lu(N, m); a run that would
     overdraw it, or that does not converge, hands over to the LU, so the
-    worst case costs about twice the LU path.
+    worst case costs about twice the LU path.  A non-finite ``rhs`` column
+    is an InvalidArgumentError naming the column.
 
     Below the guard every returned solve has passed a condition check
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
@@ -130,6 +135,9 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"rhs shape {B.shape}, expected ({N},) or ({N}, m)"
         )
+    if not np.isfinite(B).all():
+        bad = np.argmin(np.isfinite(B.reshape(N, -1)).all(axis=0))
+        raise InvalidArgumentError(f"rhs column {bad} is not finite")
     if N > DENSE_GUARD:
         X = _gmres(S, B)[0]
     else:
@@ -234,7 +242,7 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
         return None
     try:
         if est is None:
-            cond, k, spent = _cond_estimate(S, budget)
+            cond, k, spent = _cond_estimate(S, budget, m)
             est = S._cond_est = (cond, k)
             budget -= spent
         _check_cond(est[0])
@@ -283,7 +291,7 @@ def _gmres(S: ConvOperator, B: np.ndarray, adjoint: bool = False,
     return X.reshape(B.shape), used
 
 
-def _cond_estimate(S: ConvOperator, budget: float):
+def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
     """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
     solves, the iterations of its first solve and their modelled seconds.
 
@@ -296,14 +304,18 @@ def _cond_estimate(S: ConvOperator, budget: float):
     x_i = (-1)^i (1 + i / (N - 1)) gives the lower bound
     2 ||S^{-1} x||_1 / (3 N).  The larger value times the exact ||S||_1
     is the estimate, which never uses random numbers.  The solves share
-    ``budget`` (see :func:`_gmres`).
+    ``budget`` (see :func:`_gmres`).  The first one raises _OverBudget as
+    soon as it and a job of ``columns`` columns priced at its iteration
+    count so far would overdraw it: both together cost (1 + columns) times
+    the first solve.
     """
     N = S.grid.size
     spent, first = 0.0, None
 
     def inv(b, adjoint=False):
         nonlocal spent, first
-        x, iters = _gmres(S, b, adjoint, budget - spent)
+        share = budget / (1 + columns) if first is None else budget - spent
+        x, iters = _gmres(S, b, adjoint, share)
         spent += _gmres_cost(N, 1, iters)
         first = iters if first is None else first
         return x
@@ -333,8 +345,8 @@ def _cond_estimate(S: ConvOperator, budget: float):
 
 
 def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
-    """Raise ConvergenceError if some column has ||S x - b|| / ||b|| above
-    BACKWARD_TOL.
+    """Raise ConvergenceError unless every column has ||S x - b|| / ||b||
+    within BACKWARD_TOL; a nan backward error fails.
 
     Columns go through the FFT matvec in blocks of about CHECK_BLOCK
     entries, which bounds the work arrays however many columns there are.
@@ -344,9 +356,9 @@ def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
         b = B[:, j:j + step]
         bnorm = np.linalg.norm(b, axis=0)
         res = np.linalg.norm(S.apply_fft(X[:, j:j + step]) - b, axis=0)
-        back = np.divide(res, bnorm, out=np.zeros_like(res), where=bnorm > 0)
+        back = np.divide(res, bnorm, out=res, where=bnorm > 0)
         worst = int(np.argmax(back))
-        if back[worst] > BACKWARD_TOL:
+        if not back[worst] <= BACKWARD_TOL:
             raise ConvergenceError(
                 f"backward error {back[worst]:.3e} above {BACKWARD_TOL:.1e} "
                 f"(column {j + worst})",
@@ -452,29 +464,24 @@ def y_samples(samples: KernelSamples) -> np.ndarray:
 
 
 class RhoEvaluator:
-    """Holds g_12, g_21 and the h samples; evaluates theta, psi and rho.
+    """Holds g_12 and the h samples; evaluates theta, psi and rho.
 
-    Construction validates the flip relation between the two g blocks (a
-    corrupted pair is rejected).  psi and the condition estimate of G(lam)
-    are cached per lam under a lock; the cache only ever grows, so
-    concurrent reads stay consistent.
+    g_21 is derived from g_12 by the exact flip (:func:`pair_flip_transform`),
+    so the pair is consistent by construction.  psi and the condition
+    estimate of G(lam) are cached per lam under a lock; the cache only ever
+    grows, so concurrent reads stay consistent.
     """
 
-    def __init__(self, g12: GMatrix, g21: GMatrix, h_values: np.ndarray,
-                 grid: GridSpec, symmetry_tol: float = 0.05):
+    def __init__(self, g12: GMatrix, h_values: np.ndarray):
+        grid = g12.grid
         h_values = np.asarray(h_values)
-        if h_values.shape != (grid.size,):
+        if (g12.i, g12.k) != (1, 2) or h_values.shape != (grid.size,):
             raise InvalidArgumentError(
-                f"h needs shape ({grid.size},), got {h_values.shape}"
-            )
-        self.symmetry_residual = g_symmetry_residual(g12, g21)
-        if not (self.symmetry_residual <= symmetry_tol):
-            raise InvalidArgumentError(
-                f"g blocks violate the flip relation: residual "
-                f"{self.symmetry_residual:.3e} > tol {symmetry_tol:.3e}"
+                f"expected the block g_12 and h of shape ({grid.size},); got "
+                f"g_{g12.i}{g12.k} and h of shape {h_values.shape}"
             )
         self.g12 = g12
-        self.g21 = g21
+        self.g21 = pair_flip_transform(g12)
         self.h_values = h_values
         self.grid = grid
         self._psi_cache: Dict[Tuple[complex, complex], tuple] = {}
@@ -520,6 +527,8 @@ class RhoEvaluator:
 
     def _psi_entry(self, lam) -> tuple:
         """Cached (psi1, psi2, cond of G(lam)); G's LU lives only in this call."""
+        if np.shape(lam) != (2,):
+            raise InvalidArgumentError(f"lam must be one pair, shape (2,); got {np.shape(lam)}")
         key = (complex(lam[0]), complex(lam[1]))
         hit = self._psi_cache.get(key)
         if hit is not None:
@@ -542,12 +551,13 @@ class RhoEvaluator:
             return self._psi_cache.setdefault(key, entry)
 
 
-def build_rho_evaluator(S: ConvOperator, samples: KernelSamples,
-                        symmetry_tol: float = 0.05) -> RhoEvaluator:
-    """Assemble g blocks and h = S^{-1} y, then wrap them in an evaluator."""
-    g12, g21 = compute_g_blocks(S, samples)
-    h = solve_array(S, y_samples(samples))
-    return RhoEvaluator(g12, g21, h, S.grid, symmetry_tol=symmetry_tol)
+def build_rho_evaluator(S: ConvOperator, samples: KernelSamples) -> RhoEvaluator:
+    """g_12 and h = S^{-1} y from one solve of the 2 n2 + 1 columns
+    [Pi_1 | y], wrapped in an evaluator, which derives g_21."""
+    pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
+    kops = {nm: k_op(samples, nm) for nm in ("K11", "K31")}
+    X = solve_array(S, np.column_stack([pis[1].pi, y_samples(samples)]))
+    return RhoEvaluator(_g_block(1, 2, S.grid, pis, kops, X[:, :-1]), X[:, -1].copy())
 
 
 # --------------------------------------------------------------------------
@@ -593,56 +603,65 @@ def rho_direct(S: ConvOperator, lam, mu):
 POLE_RTOL = 1e-6
 
 
-def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None) -> complex:
-    """rho at one pair lam and one pair mu from the structured
-    representation, integrating over side i.
+def structured_axes(lam, mu, i: Optional[int] = None):
+    """``(axis, admissible)`` of :func:`rho_structured` for lam and mu of
+    shape (2,) or (k, 2), as two (k_lam, k_mu) arrays: the side i whose
+    form evaluates each pair (``i``, or the axis with the larger separation
+    when it is None), and whether mu_k is separated from lam_k for the
+    other axis k = 3 - i (see POLE_RTOL)."""
+    if i not in (None, 1, 2):
+        raise InvalidArgumentError(f"axis must be 1 or 2, got {i}")
+    lams, mus = _pairs(lam, "lam")[:, None], _pairs(mu, "mu")[None]
+    gap = np.abs(mus - lams)
+    sep = gap >= POLE_RTOL * np.maximum(1.0, np.abs(lams))
+    # prefer the axis with the larger separation: the 1/(mu_k - lam_k)
+    # prefactor amplifies quadrature error near a coincidence
+    axis = (np.where(sep[..., 1] & (~sep[..., 0] | (gap[..., 1] >= gap[..., 0])), 1, 2)
+            if i is None else np.full(gap.shape[:2], i))
+    return axis, np.where(axis == 1, sep[..., 1], sep[..., 0])
+
+
+def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None):
+    """rho from the structured representation, integrating over side i.
 
     rho = (mu_k - lam_k)^{-1} e^{-i omega . mu}
           * h_i sum_a conj((J_i U_i psi_i(mu))(a)) . psi_i(lam)(a)
 
-    with k = 3 - i the other axis, so the i form needs mu_k separated
-    from lam_k (see POLE_RTOL).  With ``i`` None the axis with the larger
-    separation is used.  A point separated in neither coordinate is
-    rejected (no limit formula is evaluated at the removable singularity);
-    an explicit i whose k is not separated raises PoleProximityError
-    naming the other form.
+    with k = 3 - i; :func:`structured_axes` picks i and the admissible
+    pairs.  One pair each of ``lam`` and ``mu`` gives a complex, (k, 2)
+    arrays the (k_lam, k_mu) block, nan at inadmissible pairs, from psi at
+    each distinct lam and mu and one matrix product per side.  A single
+    inadmissible pair raises UnsupportedEvaluationError if it coincides in
+    both coordinates (no limit formula is evaluated at the removable
+    singularity), else PoleProximityError naming the other form.
     """
-    if i not in (None, 1, 2):
-        raise InvalidArgumentError(f"axis must be 1 or 2, got {i}")
-    if np.shape(lam) != (2,) or np.shape(mu) != (2,):
-        raise InvalidArgumentError(f"lam and mu must each be one pair, shape (2,); "
-                                   f"got {np.shape(lam)} and {np.shape(mu)}")
-    lam = (complex(lam[0]), complex(lam[1]))
-    mu = (complex(mu[0]), complex(mu[1]))
-    gap = [abs(mu[j] - lam[j]) for j in (0, 1)]
-    sep = [gap[j] >= POLE_RTOL * max(1.0, abs(lam[j])) for j in (0, 1)]
-    if not any(sep):
+    axis, ok = structured_axes(lam, mu, i)
+    lams, mus = _pairs(lam, "lam"), _pairs(mu, "mu")
+    one = np.ndim(lam) == np.ndim(mu) == 1
+    if one and not ok[0, 0] and (i is None or not structured_axes(lam, mu)[1][0, 0]):
         raise UnsupportedEvaluationError(
-            f"mu coincides with lam in both coordinates at lam={lam}, mu={mu}"
-        )
-    if i is None:
-        # prefer the axis with the larger separation: the 1/(mu_k - lam_k)
-        # prefactor amplifies quadrature error near a coincidence
-        i = 1 if sep[1] and (not sep[0] or gap[1] >= gap[0]) else 2
-    k = 3 - i
-    if not sep[k - 1]:
-        raise PoleProximityError(
-            f"|mu_{k} - lam_{k}| below pole tolerance; use the i={k} form",
-            suggested_axis=k,
-        )
-
-    g = ev.grid
-    psil = ev.psi(lam)[i - 1]
-    psim = ev.psi(mu)[i - 1]
-    n = g.axis_n(i)
-    h = g.axis_h(i)
-    q1, q2 = psil[:n], psil[n:]
-    # psi_i(mu, omega_i - x_i): exact index reversal on midpoints
-    p1, p2 = psim[:n][::-1], psim[n:][::-1]
-    denom = mu[k - 1] - lam[k - 1]
-    pref = np.exp(-1j * (g.omega1 * mu[0] + g.omega2 * mu[1]))
-    quad = h * np.sum(1j * (p2 * q1 - p1 * q2))
-    return complex(pref / denom * quad)
+            "mu coincides with lam in both coordinates at "
+            f"lam={tuple(map(complex, lams[0]))}, mu={tuple(map(complex, mus[0]))}")
+    if one and not ok[0, 0]:
+        raise PoleProximityError(f"|mu_{3 - i} - lam_{3 - i}| below pole tolerance; "
+                                 f"use the i={3 - i} form", suggested_axis=3 - i)
+    R = np.full(ok.shape, complex(np.nan, np.nan))
+    if ok.any():
+        g = ev.grid
+        (ul, li), (um, mi) = (np.unique(p, axis=0, return_inverse=True) for p in (lams, mus))
+        psi_l, psi_m = [ev.psi(p) for p in ul], [ev.psi(p) for p in um]
+        quad = []
+        for s in (0, 1):
+            # [p2, -p1] for p = psi_i(mu, omega_i - x_i), the exact index
+            # reversal on midpoints, which also swaps the two halves
+            W = np.array([p[s][::-1] for p in psi_m]) * np.repeat([1, -1], g.axis_n(s + 1))
+            QW = np.array([p[s] for p in psi_l]) @ W.T
+            quad.append(1j * g.axis_h(s + 1) * QW[li.reshape(-1)][:, mi.reshape(-1)])
+        d = mus[None] - lams[:, None]
+        denom = np.where(ok, np.where(axis == 1, d[..., 1], d[..., 0]), 1.0)
+        pref = np.exp(-1j * (g.omega1 * mus[:, 0] + g.omega2 * mus[:, 1]))
+        R[ok] = (pref / denom * np.where(axis == 1, *quad))[ok]
+    return complex(R[0, 0]) if one else R
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from diffkern2d import cli
 from diffkern2d.cli import main
-from diffkern2d.config import load_config, parse_config_text
+from diffkern2d.config import RunConfig, load_config, parse_config_text
 from diffkern2d.errors import ConfigError
 from diffkern2d.fileio import read_image, write_pgm
 from diffkern2d.kernels import exp_kernel
@@ -83,6 +83,17 @@ class TestConfigParsing:
     def test_separable_rejects_profiles(self):
         with pytest.raises(ConfigError):
             parse_config_text("kernel = separable\nalpha = sin\n")
+
+    def test_separable_built_in_code_rejects_profiles(self):
+        # the rule lives in RunConfig, so a config built in code is checked
+        # when it builds its model, and the parser reports the key's line
+        cfg = RunConfig(kernel="separable", alpha=("sin", 0.5, 2.0))
+        with pytest.raises(ConfigError, match="fixes its own edge profiles") as err:
+            cfg.build_model()
+        assert err.value.field == "alpha"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("kernel = separable\nn1 = 6\nbeta = cos\n")
+        assert (err.value.line, err.value.field) == (3, "beta")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -160,7 +171,7 @@ class TestVerifyCommand:
 
     def test_unknown_tolerance_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
-        for key in ("nope", "cond_limit"):
+        for key in ("nope", "cond_limit", "symmetry"):
             assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--tol-override", f"{key}=1"]) == 2
 
@@ -230,6 +241,7 @@ class TestVerifyCommand:
 
 
 class TestRhoCommand:
+    @pytest.mark.filterwarnings("error")
     def test_identity_diagonal_column(self, tmp_path):
         # lam = mu pairs on the diagonal: direct rho = area / c, and the
         # structured form must use the admissible off-diagonal pairs
@@ -255,6 +267,23 @@ class TestRhoCommand:
         report = json.loads((out / "rho_report.json").read_text())
         assert report["pairs_evaluated"] == 0
         assert report["explanation"]
+        assert report["skipped"] == [{
+            "lam": [1.0, 1.0], "mu": [1.0, 1.0],
+            "reason": "mu coincides with lam in both coordinates at "
+                      "lam=((1+0j), (1+0j)), mu=((1+0j), (1+0j))"}]
+
+    @pytest.mark.parametrize("n1,n2", [(32, 32), (48, 24)])
+    def test_gaussian_on_a_rectangle_within_bound(self, tmp_path, n1, n2):
+        # G(lam) is ill-conditioned at some lam here (5.7e4 at
+        # lam = (2.2, -1.7)); with a flip-consistent g pair its condition
+        # no longer amplifies a mismatch between the blocks
+        text = ("kernel = gaussian\namp = 8.0\nwidth = 0.15\n"
+                f"omega1 = 1.7\nomega2 = 0.9\nn1 = {n1}\nn2 = {n2}\n")
+        out = tmp_path / "out"
+        assert main(["rho", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "rho_report.json").read_text())
+        assert report["pairs_evaluated"] == 625
+        assert report["max_rel_diff"] <= report["bound"]
 
     def test_runs_above_dense_guard(self, tmp_path, monkeypatch):
         # 66 x 64 points: the g blocks and h are GMRES solves, and nothing
@@ -294,12 +323,13 @@ class TestRhoCommand:
 
     def test_nan_structured_value_fails_the_bound(self, tmp_path, monkeypatch):
         # a nan from the structured form is an evaluated pair that fails,
-        # wherever it falls in the sweep; it is never counted as skipped
-        real, calls = cli.rho_structured, []
+        # wherever it falls in the block; it is never counted as skipped
+        real = cli.rho_structured
 
         def nan_third(ev, lam, mu):
-            calls.append(lam)
-            return complex(np.nan, 0.0) if len(calls) == 3 else real(ev, lam, mu)
+            block = real(ev, lam, mu)
+            block.flat[2] = complex(np.nan, 0.0)
+            return block
 
         monkeypatch.setattr(cli, "rho_structured", nan_third)
         out = tmp_path / "out"

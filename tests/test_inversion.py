@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from diffkern2d import inversion
 from diffkern2d.errors import (
+    ConvergenceError,
     InvalidArgumentError,
     PoleProximityError,
     SingularOperatorError,
@@ -15,7 +16,6 @@ from diffkern2d.errors import (
 from diffkern2d.grid import KernelModel, make_grid
 from diffkern2d.inversion import (
     GMatrix,
-    RhoEvaluator,
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,
@@ -30,6 +30,7 @@ from diffkern2d.inversion import (
     rho_information_count,
     rho_structured,
     solve_array,
+    structured_axes,
     y_samples,
 )
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separable_kernel
@@ -100,14 +101,34 @@ class TestSolve:
             assert np.linalg.norm(X[:, j] - col) <= 1e-12 * np.linalg.norm(col)
 
     def test_backward_error_checked_for_every_column(self, rng, monkeypatch):
-        from diffkern2d.errors import ConvergenceError
-
         monkeypatch.setattr(inversion, "BACKWARD_TOL", 0.0)
         S = ConvOperator(samples_for(exp_kernel(), 8))
         B = np.zeros((64, 3), dtype=complex)
         B[:, 2] = rng.standard_normal(64)
         with pytest.raises(ConvergenceError, match="column 2"):
             solve_array(S, B)
+
+    def test_nan_solution_fails_backward_check(self):
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        B = np.ones((64, 2))
+        with pytest.raises(ConvergenceError, match="column 0"):
+            inversion._check_backward(S, B, np.full_like(B, np.nan))
+
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (66, 64)])   # below / above the guard
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, n1, n2, bad):
+        import warnings
+
+        S = ConvOperator(samples_for(exp_kernel(), n1, n2=n2))
+        B = np.ones((n1 * n2, 3), dtype=complex)
+        B[5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="rhs column 1 "):
+                solve_array(S, B)
+            with pytest.raises(InvalidArgumentError, match="rhs column 0 "):
+                solve_array(S, B[:, 1])
+        assert S._lu is None and S._cond_est is None
 
     @pytest.mark.parametrize("tag", ["zero", "exp", "poly", "gaussian",
                                      "separable", "rich"])
@@ -209,6 +230,20 @@ class TestBackendChoice:
         compute_g_blocks(S, samples)
         assert S._lu is not None and gmres_calls == []
         assert S._cond_est is None
+
+
+    def test_gaussian_evaluator_at_32_hands_over_after_one_gmres_solve(self, gmres_calls):
+        # the 2 n2 + 1 columns are priced for GMRES at two iterations; the
+        # estimate's first solve needs far more (174), and once the whole
+        # job at its count so far overdraws the LU's cost it stops and the
+        # LU takes over
+        from diffkern2d.kernels import gaussian_kernel
+
+        s = samples_for(gaussian_kernel(amp=8.0, width=0.15), 32, omega1=1.7, omega2=0.9)
+        S = ConvOperator(s)
+        build_rho_evaluator(S, s)
+        assert len(gmres_calls) == 1
+        assert S._lu is not None and S._cond_est is None
 
 
 class TestConditionEstimate:
@@ -376,14 +411,16 @@ class TestGSymmetry:
         assert np.abs(back.mat - g12.mat).max() <= 1e-12 * np.abs(g12.mat).max()
         assert (back.i, back.k) == (1, 2)
 
-    def test_corrupted_pair_rejected(self):
-        s = samples_for(exp_kernel(), 8)
+    def test_evaluator_derives_g21_by_exact_flip(self):
+        # odd, non-square grid, unequal steps and a complex kernel: the
+        # evaluator solves g_12 (as compute_g_blocks does) and flips it
+        s = samples_for(exp_kernel(amp=0.05 + 0.1j), 5, n2=7, omega1=1.7, omega2=0.9)
         S = ConvOperator(s)
-        g12, g21 = compute_g_blocks(S, s)
-        h = solve_array(S, y_samples(s).astype(complex))
-        bad = type(g21)(g21.grid, 2, 1, g21.mat + 0.5 * np.abs(g21.mat).max())
-        with pytest.raises(InvalidArgumentError):
-            RhoEvaluator(g12, bad, h, S.grid)
+        ev = build_rho_evaluator(S, s)
+        g12, _ = compute_g_blocks(ConvOperator(s), s)
+        assert np.array_equal(ev.g21.mat, pair_flip_transform(ev.g12).mat)
+        assert (ev.g21.i, ev.g21.k) == (2, 1) and ev.g21.mat.dtype == np.complex128
+        assert np.abs(ev.g12.mat - g12.mat).max() <= 1e-12 * np.abs(g12.mat).max()
 
 
 def evaluator_for(model, n, **kw):
@@ -511,6 +548,12 @@ class TestPsi:
         got = np.concatenate([p1, p2])
         assert np.abs(got - th * x).max() <= 1e-10 * np.abs(th * x).max()
 
+    @pytest.mark.parametrize("lam", [(0.3, 1.1, 9.0), (0.3,), ((0.3, 1.1),)])
+    def test_one_pair_only(self, lam):
+        S, s, ev = evaluator_for(exp_kernel(), 6)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            ev.psi(lam)
+
 
 class TestRhoDirect:
     def test_jump_kernel_closed_form(self):
@@ -582,12 +625,14 @@ class TestRhoArguments:
         ("direct", np.zeros((0, 2)), (0.3, 0.4)),
         ("structured", (0.3, 1.1, 9.0), (1.9, -0.5)),
         ("structured", (0.3, 1.1), (1.9,)),
-        ("structured", np.array([[0.3, 1.1], [0.5, 0.7]]), (1.9, -0.5)),
+        ("structured", np.zeros((0, 2)), (1.9, -0.5)),
+        ("structured", (0.3, 1.1), np.full((2, 3), 0.5)),
     ], ids=["lam-2x3", "lam-flat-4", "mu-flat-4", "lam-empty",
-            "structured-lam-3", "structured-mu-1", "structured-lam-block"])
+            "structured-lam-3", "structured-mu-1", "structured-lam-empty",
+            "structured-mu-2x3"])
     def test_malformed_pairs_rejected(self, form, lam, mu):
-        # each of lam and mu is one pair (l1, l2) or, for rho_direct only,
-        # a (k, 2) array of pairs; nothing else is read as pairs
+        # each of lam and mu is one pair (l1, l2) or a (k, 2) array of
+        # pairs; nothing else is read as pairs
         S, s, ev = evaluator_for(exp_kernel(), 6)
         with pytest.raises(InvalidArgumentError, match="shape"):
             if form == "direct":
@@ -597,6 +642,33 @@ class TestRhoArguments:
 
 
 class TestRhoStructured:
+    @pytest.mark.parametrize("i", [None, 1, 2])
+    def test_block_matches_single_pairs(self, i):
+        # repeated and coincident pairs (mu_1 == lam_1, mu == lam) and both
+        # axis forms; a single pair with no admissible form raises, and the
+        # block holds nan there, where the axis rule marks it
+        S, s, ev = evaluator_for(rich_model(), 6, n2=9, omega1=1.7, omega2=0.9)
+        lams = np.array([(0.7, 1.3), (-1.1, 0.4), (0.7, 1.3), (2.0, -0.5)])
+        mus = np.array([(1.9, -0.5), (0.7, 2.0), (0.7, 1.3), (-1.1, 0.4), (0.3, 1.3)])
+        block = rho_structured(ev, lams, mus, i=i)
+        admissible = structured_axes(lams, mus, i)[1]
+        assert block.shape == admissible.shape == (4, 5)
+        skipped = 0
+        for a, lam in enumerate(lams):
+            for b, mu in enumerate(mus):
+                try:
+                    want = rho_structured(ev, lam, mu, i=i)
+                except (PoleProximityError, UnsupportedEvaluationError):
+                    skipped += 1
+                    assert not admissible[a, b] and np.isnan(block[a, b])
+                    continue
+                assert admissible[a, b]
+                assert abs(block[a, b] - want) <= 1e-13 * abs(want)
+        assert 0 < skipped < block.size
+        row = rho_structured(ev, lams[1], mus, i=i)
+        assert row.shape == (1, 5)
+        assert_allclose(row[0], block[1], rtol=1e-13, atol=0)
+
     def test_tracks_direct_for_jump_kernel(self):
         S, s, ev = evaluator_for(identity_kernel(c=1.0), 8)
         lam, mu = (0.7, 1.3), (1.9, -0.5)
