@@ -92,7 +92,8 @@ GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
 GMRES_CYCLES = 100      # restart cycles of 50 iterations before giving up
 
 # right-hand-side entries per block of the backward-error check; the FFT
-# matvec pads each block to four times this many complex values
+# matvec pads each block to four times this many complex values, so the
+# dense product of the LU path takes blocks four times as large
 CHECK_BLOCK = 1 << 16
 
 
@@ -122,7 +123,9 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     :func:`_cond_estimate`).  Above the guard no condition is estimated.
     GMRES runs to GMRES_RTOL within GMRES_CYCLES restart cycles (see
     :func:`_gmres`).  Either way each column's backward error
-    ||S x - b|| / ||b|| must stay within BACKWARD_TOL.
+    ||S x - b|| / ||b|| must stay within BACKWARD_TOL.  The LU path
+    computes S x with the assembled matrix it factored; every GMRES
+    solve, above or below the guard, with the FFT matvec.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
@@ -138,16 +141,15 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(B).all():
         bad = np.argmin(np.isfinite(B.reshape(N, -1)).all(axis=0))
         raise InvalidArgumentError(f"rhs column {bad} is not finite")
+    X = dense = None
     if N > DENSE_GUARD:
         X = _gmres(S, B)[0]
-    else:
-        X = None
-        if S._lu is None:
-            X = _gmres_within_lu_cost(S, B)
-        if X is None:
-            X = _lu_solve(S, B)
+    elif S._lu is None:
+        X = _gmres_within_lu_cost(S, B)
+    if X is None:
+        X, dense = _lu_solve(S, B), S.dense()
 
-    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1))
+    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), dense)
     return X
 
 
@@ -208,13 +210,16 @@ class _OverBudget(Exception):
 def _lu_solve(S: ConvOperator, B: np.ndarray) -> np.ndarray:
     lu, piv, cond = S.solve_lu()
     _check_cond(cond)
+    return _by_parts(lambda b: scipy.linalg.lu_solve((lu, piv.copy()), b), lu, B)
 
-    def lu_solve(b):
-        return scipy.linalg.lu_solve((lu, piv.copy()), b)
 
-    if np.iscomplexobj(B) and not np.iscomplexobj(lu):
-        return lu_solve(B.real) + 1j * lu_solve(B.imag)
-    return lu_solve(B)
+def _by_parts(f, M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``f(B)`` for an operation ``f`` linear over the reals with the
+    matrix ``M``; a complex ``B`` against a real ``M`` goes as its real and
+    imaginary parts, so no complex copy of ``M`` is made."""
+    if np.iscomplexobj(B) and not np.iscomplexobj(M):
+        return f(B.real) + 1j * f(B.imag)
+    return f(B)
 
 
 def _check_cond(cond: float) -> None:
@@ -344,18 +349,22 @@ def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
     return est * S.norm1(), first, spent
 
 
-def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
+def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray,
+                    dense: Optional[np.ndarray] = None) -> None:
     """Raise ConvergenceError unless every column has ||S x - b|| / ||b||
     within BACKWARD_TOL; a nan backward error fails.
 
-    Columns go through the FFT matvec in blocks of about CHECK_BLOCK
-    entries, which bounds the work arrays however many columns there are.
+    S x is ``dense @ x`` when the assembled matrix ``dense`` is given, in
+    blocks of about 4 CHECK_BLOCK entries, and the FFT matvec otherwise, in
+    blocks of about CHECK_BLOCK entries that it pads four times.  Either
+    way the work arrays stay bounded however many columns there are.
     """
-    step = max(1, CHECK_BLOCK // S.grid.size)
+    step = max(1, (CHECK_BLOCK if dense is None else 4 * CHECK_BLOCK) // S.grid.size)
     for j in range(0, B.shape[1], step):
-        b = B[:, j:j + step]
+        b, x = B[:, j:j + step], X[:, j:j + step]
+        Sx = S.apply_fft(x) if dense is None else _by_parts(dense.__matmul__, dense, x)
         bnorm = np.linalg.norm(b, axis=0)
-        res = np.linalg.norm(S.apply_fft(X[:, j:j + step]) - b, axis=0)
+        res = np.linalg.norm(Sx - b, axis=0)
         back = np.divide(res, bnorm, out=res, where=bnorm > 0)
         worst = int(np.argmax(back))
         if not back[worst] <= BACKWARD_TOL:

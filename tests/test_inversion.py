@@ -114,6 +114,57 @@ class TestSolve:
         with pytest.raises(ConvergenceError, match="column 0"):
             inversion._check_backward(S, B, np.full_like(B, np.nan))
 
+    @staticmethod
+    def lu_path_returning(S, monkeypatch, spoil):
+        """Make solve_array's LU path return ``spoil(X)`` and refuse the FFT
+        matvec, so its backward check must run on the assembled matrix."""
+        S.solve_lu()
+        solve = inversion._lu_solve
+        monkeypatch.setattr(inversion, "_lu_solve", lambda S, B: spoil(solve(S, B)))
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the LU path's check used the FFT matvec")
+
+        monkeypatch.setattr(S, "apply_fft", no_fft)
+
+    def test_dense_check_names_perturbed_column_past_first_block(self, rng, monkeypatch):
+        monkeypatch.setattr(inversion, "CHECK_BLOCK", 64)   # 4 columns per block at 8^2
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        B = rng.standard_normal((64, 10))
+        bump = []
+
+        def perturb(X):
+            X[3, 6] += sum(bump)
+            return X
+
+        self.lu_path_returning(S, monkeypatch, perturb)
+        solve_array(S, B)       # every block passes unperturbed
+        bump.append(1e-3)
+        with pytest.raises(ConvergenceError, match=r"\(column 6\)"):
+            solve_array(S, B)
+
+    def test_dense_check_fails_nan_solution(self, monkeypatch):
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        self.lu_path_returning(S, monkeypatch, lambda X: np.full_like(X, np.nan))
+        with pytest.raises(ConvergenceError, match=r"\(column 0\)"):
+            solve_array(S, np.ones((64, 3)))
+
+    def test_dense_check_of_complex_rhs_matches_fft_check(self, rng, monkeypatch):
+        monkeypatch.setattr(inversion, "BACKWARD_TOL", -1.0)   # report every column
+        S = ConvOperator(samples_for(exp_kernel(), 5, n2=7, omega1=1.7, omega2=0.9))
+        assert np.isrealobj(S.dense())
+        B = rng.standard_normal((35, 6)) + 1j * rng.standard_normal((35, 6))
+        X = np.linalg.solve(S.dense(), B)
+        X += 1e-3 * np.arange(6) * (rng.standard_normal((35, 6)) + 1j)
+
+        def backward(j, dense):
+            with pytest.raises(ConvergenceError) as err:
+                inversion._check_backward(S, B[:, [j]], X[:, [j]], dense)
+            return err.value.residuals[0]
+
+        for j in range(6):
+            assert abs(backward(j, S.dense()) - backward(j, None)) <= 1e-13
+
     @pytest.mark.parametrize("n1,n2", [(8, 8), (66, 64)])   # below / above the guard
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_rejected(self, n1, n2, bad):
