@@ -28,6 +28,7 @@ from .config import RunConfig, check_seed, load_config, parse_sizes
 from .errors import DiffKernError, InvalidArgumentError
 from .grid import normalize_kernel, sample_kernel
 from .inversion import (
+    _by_parts,
     build_rho_evaluator,
     check_difference_kernel,
     g_symmetry_residual,
@@ -122,7 +123,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
             f = rng.standard_normal(S.grid.size) + 1j * rng.standard_normal(S.grid.size)
             if probe == 0:
                 f = f.real      # the real half-spectrum path that deconv takes
-            dense_f = dense @ f
+            dense_f = _by_parts(dense.__matmul__, dense, f)
             diff = np.linalg.norm(S.apply_fft(f) - dense_f)
             agree = max(agree, diff / np.linalg.norm(dense_f))
             for k, calA, G, H in gens:

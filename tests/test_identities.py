@@ -1,5 +1,7 @@
 """Residual verification of the two displacement-identity families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,41 @@ class TestAnisotropicGrids:
                 + k_op(s, "K21" if i == 1 else "K22") @ k_op(s, "K4"))
             want = np.linalg.norm(side) / np.linalg.norm(line @ M4k)
             assert abs(m4_identity_residual(s, i, k) - want) <= 1e-12 * want
+
+
+RESIDUAL_CASES = [(tag, n1, n2) for tag in [*MODEL_BUILDERS, "complex"]
+                  for n1, n2 in ((8, 8), (5, 7), (12, 9), (7, 4), (6, 10))]
+
+
+class TestDisplacementResidual:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("tag,n1,n2", RESIDUAL_CASES,
+                             ids=[f"{t}-{a}x{b}" for t, a, b in RESIDUAL_CASES])
+    def test_matches_kron_formula(self, tag, n1, n2, k):
+        # the prefix-sum residual against A D - D A^* - i Pi PiHat from N x N
+        # Kronecker matrices; absolute, since poly's exact residual is ~1e-16
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        s = samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9)
+        S, pp = ConvOperator(s), assemble_pi(s, k)
+        A, D = kron_integration(S.grid, k), S.dense()
+        R = A @ D - D @ A.conj().T - 1j * pp.pi @ pp.pi_hat
+        want = np.linalg.norm(R) / np.linalg.norm(D)
+        assert abs(displacement_identity_residual(S, pp) - want) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_memory_stays_below_three_dense_copies(self, k):
+        # with D cached, room for one real work array and a real Pi PiHat;
+        # a single complex N x N temporary takes 16 N^2 bytes on its own
+        s = samples_for(rich_model(), 32)
+        S, pp = ConvOperator(s), assemble_pi(s, k)
+        S.dense()
+        tracemalloc.start()
+        try:
+            displacement_identity_residual(S, pp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * S.grid.size ** 2
 
 
 class TestJumpCaseClosedForm:
