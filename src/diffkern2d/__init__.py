@@ -46,13 +46,11 @@ from .operators import (
     m_op,
 )
 from .inversion import (
-    GMatrix,
     RhoEvaluator,
     build_rho_evaluator,
     build_rho_table,
     check_difference_kernel,
     g_symmetry_residual,
-    gamma_apply,
     inverse_from_rho,
     rho_direct,
     rho_structured,

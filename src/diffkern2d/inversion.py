@@ -37,7 +37,6 @@ backward check and the reconstructed T are real.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -66,7 +65,6 @@ from .operators import (
 
 __all__ = [
     "solve_array",
-    "GMatrix",
     "compute_g_blocks",
     "pair_flip_transform",
     "g_symmetry_residual",
@@ -75,14 +73,10 @@ __all__ = [
     "rho_direct",
     "rho_structured",
     "structured_axes",
-    "gamma_apply",
-    "gamma_norm_study",
     "dft_frequencies",
     "build_rho_table",
     "inverse_from_rho",
-    "StructureReport",
     "check_difference_kernel",
-    "rho_information_count",
     "y_samples",
 ]
 
@@ -380,39 +374,31 @@ def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GMatrix:
-    """Dense (2 n_i, 2 n_k) block of g_ik: a stacked pair of side-k
-    functions to a stacked pair of side-i functions."""
-
-    grid: GridSpec
-    i: int
-    k: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if self.i == self.k or self.i not in (1, 2) or self.k not in (1, 2):
-            raise InvalidArgumentError("GMatrix needs (i, k) in {(1,2), (2,1)}")
-        ni = self.grid.axis_n(self.i)
-        nk = self.grid.axis_n(self.k)
-        if self.mat.shape != (2 * ni, 2 * nk):
-            raise InvalidArgumentError(
-                f"g_{self.i}{self.k} must have shape {(2*ni, 2*nk)}, got {self.mat.shape}"
-            )
-        if not np.all(np.isfinite(self.mat)):
-            raise InvalidArgumentError(f"g_{self.i}{self.k} has non-finite entries")
-
-
-def _g_block(i: int, k: int, g: GridSpec, pis: Dict[int, PiPair],
-             kops: Dict[str, np.ndarray], X: np.ndarray) -> GMatrix:
+def _g_block(i: int, k: int, pis: Dict[int, PiPair],
+             kops: Dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     """g_ik = [K_3i; K_1i] [I 0] - PiHat_k X from X = S^{-1} Pi_i, one
-    column per pair basis vector.  The first term acts on the first pair
-    component only, and it is real when the kernel is."""
+    column per pair basis vector: a dense (2 n_i, 2 n_k) block taking a
+    stacked pair of side-k functions to a stacked pair of side-i ones.
+    The first term acts on the first pair component only, and it is real
+    when the kernel is."""
     K = np.vstack([kops[f"K3{i}"], kops[f"K1{i}"]])
-    return GMatrix(g, i, k, np.hstack([K, np.zeros_like(K)]) - pis[k].pi_hat @ X)
+    g = np.hstack([K, np.zeros_like(K)]) - pis[k].pi_hat @ X
+    if not np.isfinite(g).all():
+        raise InvalidArgumentError(f"g_{i}{k} has non-finite entries")
+    return g
 
 
-def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, GMatrix]:
+def _check_block(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
+    """``g`` as an array, which must be shaped as g_ik, (2 n_i, 2 n_k) with
+    k = 3 - i."""
+    g = np.asarray(g)
+    want = (2 * grid.axis_n(i), 2 * grid.axis_n(3 - i))
+    if g.shape != want:
+        raise InvalidArgumentError(f"g_{i}{3 - i} must have shape {want}, got {g.shape}")
+    return g
+
+
+def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[np.ndarray, np.ndarray]:
     """Both blocks (g_12, g_21) from one operator.
 
     Pi_1 and Pi_2 are solved in one call, so the backend choice of
@@ -422,12 +408,14 @@ def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[GMatrix, 
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K12", "K31", "K32")}
     X = solve_array(S, np.hstack([pis[1].pi, pis[2].pi]))
     split = 2 * S.grid.n2                      # Pi_1 has 2 n2 columns
-    return (_g_block(1, 2, S.grid, pis, kops, X[:, :split]),
-            _g_block(2, 1, S.grid, pis, kops, X[:, split:]))
+    return (_g_block(1, 2, pis, kops, X[:, :split]),
+            _g_block(2, 1, pis, kops, X[:, split:]))
 
 
-def pair_flip_transform(g: GMatrix) -> GMatrix:
-    """-U_k J_k g_ik^* J_i U_i as a dense (2 n_k, 2 n_i) block.
+def pair_flip_transform(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
+    """-U_k J_k g_ik^* J_i U_i, k = 3 - i, as a dense (2 n_k, 2 n_i) block
+    from the (2 n_i, 2 n_k) block ``g``; any other shape is an
+    InvalidArgumentError.
 
     U_j reflects a pair across the side midpoint and conjugates; on
     midpoint samples the reflection is the index reversal rev.
@@ -437,25 +425,21 @@ def pair_flip_transform(g: GMatrix) -> GMatrix:
     with P the pair reversal, are K_n = -i [[0, -rev], [rev, 0]], and
     the matrix is -(h_i / h_k) K_{n_k} g^T K_{n_i}.
     """
-    gr = g.grid
-    i, k = g.i, g.k
+    g = _check_block(g, grid, i)
+    k = 3 - i
 
     def K(n):
         rev, Z = np.eye(n)[::-1], np.zeros((n, n))
         return -1j * np.block([[Z, -rev], [rev, Z]])
 
-    out = -(gr.axis_h(i) / gr.axis_h(k)) * K(gr.axis_n(k)) @ g.mat.T @ K(gr.axis_n(i))
-    return GMatrix(gr, k, i, out)
+    return -(grid.axis_h(i) / grid.axis_h(k)) * K(grid.axis_n(k)) @ g.T @ K(grid.axis_n(i))
 
 
-def g_symmetry_residual(g12: GMatrix, g21: GMatrix) -> float:
+def g_symmetry_residual(g12: np.ndarray, g21: np.ndarray, grid: GridSpec) -> float:
     """|| g_21 - (-U_2 J_2 g_12^* J_1 U_1) || / || g_21 ||, Frobenius."""
-    if (g12.i, g12.k) != (1, 2) or (g21.i, g21.k) != (2, 1):
-        raise InvalidArgumentError("expected blocks g_12 and g_21")
-    if g12.grid != g21.grid:
-        raise InvalidArgumentError("grids differ between the two blocks")
-    pred = pair_flip_transform(g12).mat
-    return float(np.linalg.norm(g21.mat - pred) / np.linalg.norm(g21.mat))
+    g21 = _check_block(g21, grid, 2)
+    pred = pair_flip_transform(g12, grid, 1)
+    return float(np.linalg.norm(g21 - pred) / np.linalg.norm(g21))
 
 
 # --------------------------------------------------------------------------
@@ -476,21 +460,17 @@ class RhoEvaluator:
     """Holds g_12 and the h samples; evaluates theta, psi and rho.
 
     g_21 is derived from g_12 by the exact flip (:func:`pair_flip_transform`),
-    so the pair is consistent by construction.  psi and the condition
-    estimate of G(lam) are cached per lam under a lock; the cache only ever
-    grows, so concurrent reads stay consistent.
+    so the pair is consistent by construction.  psi is cached per lam under
+    a lock; the cache only ever grows, so concurrent reads stay consistent.
     """
 
-    def __init__(self, g12: GMatrix, h_values: np.ndarray):
-        grid = g12.grid
+    def __init__(self, grid: GridSpec, g12: np.ndarray, h_values: np.ndarray):
         h_values = np.asarray(h_values)
-        if (g12.i, g12.k) != (1, 2) or h_values.shape != (grid.size,):
+        if h_values.shape != (grid.size,):
             raise InvalidArgumentError(
-                f"expected the block g_12 and h of shape ({grid.size},); got "
-                f"g_{g12.i}{g12.k} and h of shape {h_values.shape}"
-            )
-        self.g12 = g12
-        self.g21 = pair_flip_transform(g12)
+                f"h must have shape ({grid.size},), got {h_values.shape}")
+        self.g21 = pair_flip_transform(g12, grid, 1)
+        self.g12 = np.asarray(g12)
         self.h_values = h_values
         self.grid = grid
         self._psi_cache: Dict[Tuple[complex, complex], tuple] = {}
@@ -498,7 +478,7 @@ class RhoEvaluator:
 
     # -- scalar normalizer ------------------------------------------------
 
-    def theta(self, lam) -> complex:
+    def _theta(self, lam) -> complex:
         l1, l2 = complex(lam[0]), complex(lam[1])
         if l1 == 0 or l2 == 0:
             return 1.0 + 0j
@@ -510,7 +490,7 @@ class RhoEvaluator:
 
     # -- coupling matrix ---------------------------------------------------
 
-    def assemble_G(self, lam) -> np.ndarray:
+    def _assemble_G(self, lam) -> np.ndarray:
         l1, l2 = complex(lam[0]), complex(lam[1])
         g = self.grid
         n1, n2 = g.n1, g.n2
@@ -521,21 +501,16 @@ class RhoEvaluator:
         G[n1:2 * n1, n1:2 * n1] = T1
         G[2 * n1:2 * n1 + n2, 2 * n1:2 * n1 + n2] = T2
         G[2 * n1 + n2:, 2 * n1 + n2:] = T2
-        G[:2 * n1, 2 * n1:] = 1j * l2 * self.g12.mat
-        G[2 * n1:, :2 * n1] = 1j * l1 * self.g21.mat
+        G[:2 * n1, 2 * n1:] = 1j * l2 * self.g12
+        G[2 * n1:, :2 * n1] = 1j * l1 * self.g21
         return G
 
     # -- special solutions -------------------------------------------------
 
     def psi(self, lam) -> Tuple[np.ndarray, np.ndarray]:
-        """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side."""
-        return self._psi_entry(lam)[:2]
-
-    def g_condition(self, lam) -> float:
-        return self._psi_entry(lam)[2]
-
-    def _psi_entry(self, lam) -> tuple:
-        """Cached (psi1, psi2, cond of G(lam)); G's LU lives only in this call."""
+        """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side;
+        ``lam`` must be one pair, shape (2,).  Cached per lam; G's LU lives
+        only in this call."""
         if np.shape(lam) != (2,):
             raise InvalidArgumentError(f"lam must be one pair, shape (2,); got {np.shape(lam)}")
         key = (complex(lam[0]), complex(lam[1]))
@@ -544,7 +519,7 @@ class RhoEvaluator:
             return hit
         g = self.grid
         n1, n2 = g.n1, g.n2
-        lu, piv, cond = lu_factor_cond(self.assemble_G(key))
+        lu, piv, cond = lu_factor_cond(self._assemble_G(key))
         if cond > COND_LIMIT:
             raise NearSingularGError(
                 f"G(lam) condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e} "
@@ -554,8 +529,8 @@ class RhoEvaluator:
             [np.zeros(n1), np.ones(n1), np.zeros(n2), np.ones(n2)]
         ).astype(complex)
         x = scipy.linalg.lu_solve((lu, piv), rhs)
-        th = self.theta(key)
-        entry = (th * x[: 2 * n1], th * x[2 * n1:], cond)
+        th = self._theta(key)
+        entry = (th * x[: 2 * n1], th * x[2 * n1:])
         with self._lock:
             return self._psi_cache.setdefault(key, entry)
 
@@ -566,7 +541,7 @@ def build_rho_evaluator(S: ConvOperator, samples: KernelSamples) -> RhoEvaluator
     pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K31")}
     X = solve_array(S, np.column_stack([pis[1].pi, y_samples(samples)]))
-    return RhoEvaluator(_g_block(1, 2, S.grid, pis, kops, X[:, :-1]), X[:, -1].copy())
+    return RhoEvaluator(S.grid, _g_block(1, 2, pis, kops, X[:, :-1]), X[:, -1].copy())
 
 
 # --------------------------------------------------------------------------
@@ -674,38 +649,6 @@ def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None):
 
 
 # --------------------------------------------------------------------------
-# Gamma
-# --------------------------------------------------------------------------
-
-
-def gamma_apply(ev: RhoEvaluator, lam) -> Tuple[np.ndarray, np.ndarray]:
-    """Gamma e^{i lam x} = -i diag(lam2 I, lam1 I)^{-1}
-    (psi(lam) - col[0, e^{i lam1 x1}, 0, e^{i lam2 x2}])."""
-    l1, l2 = complex(lam[0]), complex(lam[1])
-    if l1 == 0 or l2 == 0:
-        raise InvalidArgumentError("gamma_apply needs lam1 != 0 and lam2 != 0")
-    g = ev.grid
-    psi1, psi2 = ev.psi(lam)
-    ref1 = np.concatenate([np.zeros(g.n1), np.exp(1j * l1 * g.x1)])
-    ref2 = np.concatenate([np.zeros(g.n2), np.exp(1j * l2 * g.x2)])
-    return (-1j / l2) * (psi1 - ref1), (-1j / l1) * (psi2 - ref2)
-
-
-def gamma_norm_study(ev: RhoEvaluator, lam_values) -> dict:
-    """Ratios ||Gamma e^{i lam x}|| / ||e^{i lam x}|| over a lam sample."""
-    g = ev.grid
-    rows = []
-    for lam in lam_values:
-        g1, g2 = gamma_apply(ev, lam)
-        out_norm = np.sqrt(g.h1 * np.sum(np.abs(g1) ** 2)
-                           + g.h2 * np.sum(np.abs(g2) ** 2))
-        in_norm = np.sqrt(g.h1 * g.h2 * np.sum(np.abs(_exp_grid(g, lam)) ** 2))
-        rows.append({"lam": (complex(lam[0]), complex(lam[1])),
-                     "ratio": float(out_norm / in_norm)})
-    return {"samples": rows, "sup_ratio": max(r["ratio"] for r in rows)}
-
-
-# --------------------------------------------------------------------------
 # exact inverse reconstruction from rho
 # --------------------------------------------------------------------------
 
@@ -800,17 +743,9 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Best offset-constant fit of a dense matrix and its residual."""
-
-    residual: float
-    offset_means: np.ndarray   # (2n1-1, 2n2-1), [p1 + n1-1, p2 + n2-1]
-
-
-def check_difference_kernel(Q: np.ndarray, grid: GridSpec) -> StructureReport:
+def check_difference_kernel(Q: np.ndarray, grid: GridSpec) -> float:
     """Fit Q by a matrix constant along diagonal offsets (c I + two axis
-    Toeplitz parts + BTTB) and report the relative misfit.
+    Toeplitz parts + BTTB) and return the relative misfit, Frobenius.
 
     The best fit in Frobenius norm averages entries within each offset
     class (a - a', b - b').  The caller judges the residual: a small one
@@ -841,25 +776,4 @@ def check_difference_kernel(Q: np.ndarray, grid: GridSpec) -> StructureReport:
         means = means_re
     fit = means[KEY].reshape(Q.shape)
     qn = np.linalg.norm(Q)
-    residual = float(np.linalg.norm(Q - fit) / qn) if qn > 0 else 0.0
-    table = means.reshape(2 * n2 - 1, 2 * n1 - 1).T
-    return StructureReport(residual=residual, offset_means=table)
-
-
-def rho_information_count(ev: RhoEvaluator) -> dict:
-    """Stored-data sizes behind rho versus the kernel samples behind S.
-
-    Both are O(n1 n2) numbers: one g block plus the h samples determine
-    rho (hence S^{-1}), matching the sample count that determines S.
-    """
-    g = ev.grid
-    g_entries = ev.g12.mat.size
-    h_entries = ev.h_values.size
-    kernel_entries = ((2 * g.n1 - 1) * (2 * g.n2 - 1)
-                      + (2 * g.n1 - 1) + (2 * g.n2 - 1) + 1)
-    return {
-        "g_entries": int(g_entries),
-        "h_entries": int(h_entries),
-        "rho_total": int(g_entries + h_entries),
-        "kernel_entries": int(kernel_entries),
-    }
+    return float(np.linalg.norm(Q - fit) / qn) if qn > 0 else 0.0

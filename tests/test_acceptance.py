@@ -104,10 +104,9 @@ def test_criterion_4_g_symmetry():
         s = samples_for(exp_kernel(), n)
         S = ConvOperator(s)
         g12, g21 = compute_g_blocks(S, s)
-        vals.append(g_symmetry_residual(g12, g21))
-        back = pair_flip_transform(pair_flip_transform(g12))
-        invol = max(invol, float(np.abs(back.mat - g12.mat).max()
-                                 / np.abs(g12.mat).max()))
+        vals.append(g_symmetry_residual(g12, g21, s.grid))
+        back = pair_flip_transform(pair_flip_transform(g12, s.grid, 1), s.grid, 2)
+        invol = max(invol, float(np.abs(back - g12).max() / np.abs(g12).max()))
     order = fitted_order(sizes, vals)
     ok = order >= 0.8 and invol <= 1e-12
     report(4, "g flip symmetry converges, transform is an involution", ok,
@@ -133,7 +132,7 @@ def test_criterion_5_structured_rho():
                 worst_cross = max(worst_cross, abs(r1 - r2) / abs(d))
         errs.append(worst)
         cross.append(worst_cross)
-        theta_axis_ok &= (ev.theta((0.0, 1.7)) == 1.0 and ev.theta((2.3, 0.0)) == 1.0)
+        theta_axis_ok &= (ev._theta((0.0, 1.7)) == 1.0 and ev._theta((2.3, 0.0)) == 1.0)
     order = fitted_order(sizes, errs)
     cross_ok = all(c <= 10 * e for c, e in zip(cross, errs))
     ok = order >= 0.8 and cross_ok and theta_axis_ok
@@ -179,9 +178,9 @@ def test_criterion_8_round_trip_structure():
         s = samples_for(builder(), 8)
         S = ConvOperator(s)
         T = inverse_from_rho(S)
-        rep = check_difference_kernel(np.linalg.inv(T), s.grid)
-        if rep.residual > worst[1]:
-            worst = (tag, rep.residual)
+        res = check_difference_kernel(np.linalg.inv(T), s.grid)
+        if res > worst[1]:
+            worst = (tag, res)
     ok = worst[1] <= 1e-8
     report(8, "re-inverted reconstruction has difference-kernel structure", ok,
            f"worst {worst[0]}: {worst[1]:.2e}")
