@@ -137,8 +137,8 @@ def read_image(path):
 
     Returns (array (rows, cols) float, maxval or None).  A non-finite
     pixel is an error that names the file and its (row, col), 0-based; so
-    is a P2 pixel outside 0..maxval, and a P2 header outside Netpbm's
-    limits (width, height >= 1, maxval in 1..65535).
+    is a P2 pixel outside 0..maxval, a P2 header outside Netpbm's limits
+    (width, height >= 1, maxval in 1..65535) and a CSV with no rows.
     """
     p = Path(path)
     arr, maxval = _read_pixels(p)
@@ -177,7 +177,9 @@ def _read_pixels(p: Path):
             raise InvalidArgumentError(f"{p}: pixel {pix[bad[0]]:g} at (row, col) = "
                                        f"{divmod(int(bad[0]), w)} is outside 0..{maxval}")
         return pix.reshape(h, w), maxval
-    # CSV matrix
+    # CSV matrix; np.loadtxt only warns when no row is left past '#' comments
+    if not any(line.split("#", 1)[0].strip() for line in text.splitlines()):
+        raise InvalidArgumentError(f"{p}: no pixels, neither P2 nor CSV matrix")
     try:
         arr = np.loadtxt(p, delimiter=",", ndmin=2)
     except ValueError as exc:

@@ -36,7 +36,6 @@ backward check and the reconstructed T are real.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -252,10 +251,9 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
         return None
 
 
-def _gmres(S: ConvOperator, B: np.ndarray, adjoint: bool = False,
-           budget: float = np.inf):
-    """``(X, iterations)``: S^{-1} B, or S^{-H} B with ``adjoint``, by
-    GMRES with the FFT matvec, one column at a time.
+def _gmres(S: ConvOperator, B: np.ndarray, budget: float = np.inf):
+    """``(X, iterations)``: S^{-1} B by GMRES with the FFT matvec, one
+    column at a time.
 
     Raises ConvergenceError for a column that misses GMRES_RTOL within
     GMRES_CYCLES restart cycles, and _OverBudget once the modelled cost
@@ -265,7 +263,7 @@ def _gmres(S: ConvOperator, B: np.ndarray, adjoint: bool = False,
     N = S.grid.size
     dtype = np.result_type(S.lattice_kernel, B, float)
     op = scipy.sparse.linalg.LinearOperator(
-        (N, N), matvec=lambda x: S.apply_fft(x, adjoint=adjoint), dtype=dtype)
+        (N, N), matvec=S.apply_fft, dtype=dtype)
     cols = B.reshape(N, -1)
     X = np.empty(cols.shape, dtype=dtype)
     used = 0
@@ -302,19 +300,20 @@ def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
     sign(y) repeats or when ||y||_1 stops growing.  One extra solve with
     x_i = (-1)^i (1 + i / (N - 1)) gives the lower bound
     2 ||S^{-1} x||_1 / (3 N).  The larger value times the exact ||S||_1
-    is the estimate, which never uses random numbers.  The solves share
-    ``budget`` (see :func:`_gmres`).  The first one raises _OverBudget as
-    soon as it and a job of ``columns`` columns priced at its iteration
-    count so far would overdraw it: both together cost (1 + columns) times
-    the first solve.
+    is the estimate, which never uses random numbers.  Every solve is
+    against S: it is persymmetric, J S J = S^T for the index reversal J, so
+    S^{-H} b = J conj(S^{-1} J conj(b)).  The solves share ``budget`` (see
+    :func:`_gmres`).  The first one raises _OverBudget as soon as it and a
+    job of ``columns`` columns priced at its iteration count so far would
+    overdraw it: both together cost (1 + columns) times the first solve.
     """
     N = S.grid.size
     spent, first = 0.0, None
 
-    def inv(b, adjoint=False):
+    def inv(b):
         nonlocal spent, first
         share = budget / (1 + columns) if first is None else budget - spent
-        x, iters = _gmres(S, b, adjoint, share)
+        x, iters = _gmres(S, b, share)
         spent += _gmres_cost(N, 1, iters)
         first = iters if first is None else first
         return x
@@ -331,7 +330,7 @@ def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
             est = max(est, norm)
             break
         est, xi = norm, sign
-        z = inv(xi, adjoint=True)
+        z = inv(xi[::-1].conj())[::-1].conj()     # S^{-H} xi
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= np.real(np.vdot(z, x)):
             break
@@ -413,9 +412,9 @@ def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[np.ndarra
 
 
 def pair_flip_transform(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
-    """-U_k J_k g_ik^* J_i U_i, k = 3 - i, as a dense (2 n_k, 2 n_i) block
-    from the (2 n_i, 2 n_k) block ``g``; any other shape is an
-    InvalidArgumentError.
+    """-U_k J_k g_ik^* J_i U_i, k = 3 - i, as a (2 n_k, 2 n_i) block from
+    the (2 n_i, 2 n_k) block ``g``, real when ``g`` is; any other shape is
+    an InvalidArgumentError.
 
     U_j reflects a pair across the side midpoint and conjugates; on
     midpoint samples the reflection is the index reversal rev.
@@ -423,16 +422,15 @@ def pair_flip_transform(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
     h-weighted pair inner products.  Both U factors carry a conjugation,
     so the composite is linear: both P_k conj(J_k) and conj(J_i) P_i,
     with P the pair reversal, are K_n = -i [[0, -rev], [rev, 0]], and
-    the matrix is -(h_i / h_k) K_{n_k} g^T K_{n_i}.
+    the matrix is -(h_i / h_k) K_{n_k} g^T K_{n_i}: g^T reversed along
+    both axes, its first n_k rows and last n_i columns negated, times
+    h_i / h_k.
     """
     g = _check_block(g, grid, i)
     k = 3 - i
-
-    def K(n):
-        rev, Z = np.eye(n)[::-1], np.zeros((n, n))
-        return -1j * np.block([[Z, -rev], [rev, Z]])
-
-    return -(grid.axis_h(i) / grid.axis_h(k)) * K(grid.axis_n(k)) @ g.T @ K(grid.axis_n(i))
+    sk = np.repeat([-1.0, 1.0], grid.axis_n(k))[:, None]
+    si = np.repeat([1.0, -1.0], grid.axis_n(i))
+    return (grid.axis_h(i) / grid.axis_h(k)) * sk * g.T[::-1, ::-1] * si
 
 
 def g_symmetry_residual(g12: np.ndarray, g21: np.ndarray, grid: GridSpec) -> float:
@@ -460,8 +458,8 @@ class RhoEvaluator:
     """Holds g_12 and the h samples; evaluates theta, psi and rho.
 
     g_21 is derived from g_12 by the exact flip (:func:`pair_flip_transform`),
-    so the pair is consistent by construction.  psi is cached per lam under
-    a lock; the cache only ever grows, so concurrent reads stay consistent.
+    so the pair is consistent by construction.  It writes no state after
+    construction, so threads may share it.
     """
 
     def __init__(self, grid: GridSpec, g12: np.ndarray, h_values: np.ndarray):
@@ -473,8 +471,6 @@ class RhoEvaluator:
         self.g12 = np.asarray(g12)
         self.h_values = h_values
         self.grid = grid
-        self._psi_cache: Dict[Tuple[complex, complex], tuple] = {}
-        self._lock = threading.Lock()
 
     # -- scalar normalizer ------------------------------------------------
 
@@ -509,14 +505,11 @@ class RhoEvaluator:
 
     def psi(self, lam) -> Tuple[np.ndarray, np.ndarray]:
         """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side;
-        ``lam`` must be one pair, shape (2,).  Cached per lam; G's LU lives
-        only in this call."""
+        ``lam`` must be one pair, shape (2,).  Each call factors G(lam)
+        afresh; its LU lives only in this call."""
         if np.shape(lam) != (2,):
             raise InvalidArgumentError(f"lam must be one pair, shape (2,); got {np.shape(lam)}")
         key = (complex(lam[0]), complex(lam[1]))
-        hit = self._psi_cache.get(key)
-        if hit is not None:
-            return hit
         g = self.grid
         n1, n2 = g.n1, g.n2
         lu, piv, cond = lu_factor_cond(self._assemble_G(key))
@@ -530,9 +523,7 @@ class RhoEvaluator:
         ).astype(complex)
         x = scipy.linalg.lu_solve((lu, piv), rhs)
         th = self._theta(key)
-        entry = (th * x[: 2 * n1], th * x[2 * n1:])
-        with self._lock:
-            return self._psi_cache.setdefault(key, entry)
+        return th * x[: 2 * n1], th * x[2 * n1:]
 
 
 def build_rho_evaluator(S: ConvOperator, samples: KernelSamples) -> RhoEvaluator:
@@ -633,7 +624,11 @@ def rho_structured(ev: RhoEvaluator, lam, mu, i: Optional[int] = None):
     if ok.any():
         g = ev.grid
         (ul, li), (um, mi) = (np.unique(p, axis=0, return_inverse=True) for p in (lams, mus))
-        psi_l, psi_m = [ev.psi(p) for p in ul], [ev.psi(p) for p in um]
+        # psi once per distinct pair of lam and mu together
+        both, which = np.unique(np.concatenate([ul, um]), axis=0, return_inverse=True)
+        psis = [ev.psi(p) for p in both]
+        which = which.reshape(-1)
+        psi_l, psi_m = [psis[j] for j in which[:len(ul)]], [psis[j] for j in which[len(ul):]]
         quad = []
         for s in (0, 1):
             # [p2, -p1] for p = psi_i(mu, omega_i - x_i), the exact index

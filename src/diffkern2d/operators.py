@@ -116,15 +116,14 @@ class ConvOperator:
 
     # -- application paths ------------------------------------------------
 
-    def apply_fft(self, flat: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """S f for a flat (N,) vector, or for each column of an (N, m) block;
-        S^H f with ``adjoint``.
+    def apply_fft(self, flat: np.ndarray) -> np.ndarray:
+        """S f for a flat (N,) vector, or for each column of an (N, m) block.
 
         Real input through a real kernel is convolved in real arithmetic
         (``rfft2``/``irfft2``, half the spectrum) and gives a real result;
-        otherwise the full complex ``fft2`` path runs.  S = P^T C P for the
-        zero padding P and the circulant embedding C, so S^H = P^T C^H P
-        multiplies by the conjugated (half) spectrum instead.
+        otherwise the full complex ``fft2`` path runs.  No adjoint path is
+        needed: S is persymmetric, J S J = S^T for the index reversal J, so
+        S^H f = J conj(S J conj(f)).
         """
         g = self.grid
         flat = np.asarray(flat)
@@ -136,11 +135,11 @@ class ConvOperator:
         shape = (2 * g.n2, 2 * g.n1)   # zero-padded to the circulant embedding
         if self.half_spectrum is not None and np.isrealobj(flat):
             spec = scipy.fft.rfft2(f3, s=shape)
-            spec *= self.half_spectrum.conj() if adjoint else self.half_spectrum
+            spec *= self.half_spectrum
             out = scipy.fft.irfft2(spec, s=shape, overwrite_x=True)
         else:
             spec = scipy.fft.fft2(f3, s=shape)
-            spec *= self.spectrum.conj() if adjoint else self.spectrum
+            spec *= self.spectrum
             out = scipy.fft.ifft2(spec, overwrite_x=True)
         out = out[:, : g.n2, : g.n1]
         return out.reshape(-1, g.size).T.reshape(flat.shape)
@@ -405,7 +404,7 @@ def displacement_identity_residual(S: ConvOperator, pi: PiPair) -> float:
         work_rows[j + 1] += running
     work *= g.axis_h(k)
     work -= (pi.pi @ pi.pi_hat).reshape(work.shape)
-    return float(np.linalg.norm(work) / np.linalg.norm(D))
+    return float(np.linalg.norm(work) / max(np.linalg.norm(D), np.finfo(float).tiny))
 
 
 def m4_identity_residual(samples: KernelSamples, i: int, k: int) -> float:

@@ -146,6 +146,12 @@ class TestVerifyCommand:
         assert (out / "convergence.csv").exists()
         assert (out / "convergence.svg").exists()
 
+    def test_zero_operator_exits_2(self, tmp_path, capsys):
+        # S = 0: the identity residuals read 0 and the g-block solve refuses S
+        cfg = write_cfg(tmp_path, "kernel = identity\nc = 0\nsizes = 4,8\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "condition estimate inf" in capsys.readouterr().err
+
     def test_exp_kernel_orders(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)
         out = tmp_path / "out"

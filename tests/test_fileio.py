@@ -7,7 +7,9 @@ formatter, ``np.savetxt``, ``json.dumps``) cannot move a byte unnoticed.
 import numpy as np
 import pytest
 
+from diffkern2d.errors import InvalidArgumentError
 from diffkern2d.fileio import (
+    read_image,
     write_convergence_csv,
     write_json_report,
     write_pgm,
@@ -95,3 +97,11 @@ def test_convergence_csv(tmp_path):
 def test_pgm_rounds_and_clips(tmp_path):
     write_pgm(tmp_path / "p.pgm", np.array([[-3.0, 12.4, 300.0], [0.5, 1.5, 254.6 + 1j]]), 255)
     assert (tmp_path / "p.pgm").read_text() == "P2\n3 2\n255\n0 12 255\n0 2 255\n"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"], ids=["empty", "blank", "comment"])
+def test_csv_without_rows_rejected_naming_the_file(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match="in.csv: no pixels"):
+        read_image(path)

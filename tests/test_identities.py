@@ -238,6 +238,13 @@ class TestDisplacementResidual:
         assert abs(displacement_identity_residual(S, pp) - want) <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_operator_reads_zero(self, k):
+        # c = 0 and no kernel: S, Pi_k PiHat_k and so the residual vanish,
+        # with no 0/0
+        s = samples_for(identity_kernel(c=0.0), 4, n2=5, normalize=False)
+        assert displacement_identity_residual(ConvOperator(s), assemble_pi(s, k)) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
     def test_memory_stays_below_three_dense_copies(self, k):
         # with D cached, room for one real work array and a real Pi PiHat;
         # a single complex N x N temporary takes 16 N^2 bytes on its own

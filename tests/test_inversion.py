@@ -310,6 +310,28 @@ class TestConditionEstimate:
         assert k >= 1 and spent > 0
         assert _cond_estimate(S, np.inf)[0] == cond
 
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    def test_adjoint_solve_matches_dense(self, kernel, monkeypatch):
+        # the second solve is S^{-H} sign(y) for the first one's y, taken as
+        # J conj(S^{-1} J conj(sign(y))) by persymmetry
+        model = rich_model() if kernel == "real" else exp_kernel(amp=0.05 + 0.1j)
+        S = ConvOperator(samples_for(model, 5, n2=7, omega1=1.7, omega2=0.9))
+        calls = []
+        real = inversion._gmres
+
+        def spy(S, b, budget=np.inf):
+            out = real(S, b, budget)
+            calls.append((b, out[0]))
+            return out
+
+        monkeypatch.setattr(inversion, "_gmres", spy)
+        inversion._cond_estimate(S, np.inf)
+        (_, y), (b, x) = calls[:2]
+        xi = y / np.abs(y)
+        assert np.array_equal(b, xi[::-1].conj())
+        want = np.linalg.solve(S.dense().conj().T, xi)
+        assert np.linalg.norm(x[::-1].conj() - want) <= 1e-10 * np.linalg.norm(want)
+
 
 class TestSharedFactorizationThreads:
     """One operator and one evaluator shared by several threads: every LU
@@ -436,7 +458,32 @@ class TestComputeG:
             RhoEvaluator(S.grid, g21, h)
 
 
+def dense_k_flip(g, grid, i):
+    """The pair flip as -(h_i / h_k) K_{n_k} g^T K_{n_i} with the dense
+    K_n = -i [[0, -rev], [rev, 0]]: the reference for pair_flip_transform."""
+    k = 3 - i
+
+    def K(n):
+        rev, Z = np.eye(n)[::-1], np.zeros((n, n))
+        return -1j * np.block([[Z, -rev], [rev, Z]])
+
+    return -(grid.axis_h(i) / grid.axis_h(k)) * K(grid.axis_n(k)) @ g.T @ K(grid.axis_n(i))
+
+
 class TestGSymmetry:
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (8, 8), (12, 9)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_flip_matches_dense_k_formula(self, rng, i, n1, n2, dtype):
+        grid = make_grid(1.7, 0.9, n1, n2)
+        shape = (2 * grid.axis_n(i), 2 * grid.axis_n(3 - i))
+        g = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            g += 1j * rng.standard_normal(shape)
+        got = pair_flip_transform(g, grid, i)
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, dense_k_flip(g, grid, i))
+
     def test_jump_kernel_exact(self):
         s = samples_for(identity_kernel(c=1.0), 8)
         g12, g21 = compute_g_blocks(ConvOperator(s), s)
@@ -722,6 +769,23 @@ class TestRhoStructured:
         row = rho_structured(ev, lams[1], mus, i=i)
         assert row.shape == (1, 5)
         assert_allclose(row[0], block[1], rtol=1e-13, atol=0)
+
+    def test_one_factorization_per_distinct_pair(self, monkeypatch):
+        # lam and mu share pairs: G is factored once per distinct pair of
+        # the two together, however often a pair recurs
+        S, s, ev = evaluator_for(rich_model(), 6, n2=9, omega1=1.7, omega2=0.9)
+        lams = np.array([(0.7, 1.3), (-1.1, 0.4), (0.7, 1.3)])
+        mus = np.array([(1.9, -0.5), (0.7, 1.3), (-1.1, 0.4), (1.9, -0.5)])
+        factored = []
+        real = inversion.lu_factor_cond
+
+        def spy(mat):
+            factored.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(inversion, "lu_factor_cond", spy)
+        rho_structured(ev, lams, mus)
+        assert len(factored) == 3
 
     def test_tracks_direct_for_jump_kernel(self):
         S, s, ev = evaluator_for(identity_kernel(c=1.0), 8)
