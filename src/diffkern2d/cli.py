@@ -389,7 +389,8 @@ def main(argv=None) -> int:
         for item in args.tol_override:
             if "=" not in item:
                 raise InvalidArgumentError(f"bad --tol-override {item!r}, expected KEY=VALUE")
-            cfg.set_tolerance(*item.split("=", 1))
+            key, value = item.split("=", 1)
+            cfg.set_tolerance(key.strip(), value.strip())
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

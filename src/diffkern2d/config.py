@@ -295,4 +295,11 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text())
+    raw = p.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: byte "
+                          f"0x{raw[exc.start]:02x} at offset {exc.start}",
+                          line=raw.count(b"\n", 0, exc.start) + 1) from exc
+    return parse_config_text(text)

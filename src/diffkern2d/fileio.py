@@ -138,7 +138,9 @@ def read_image(path):
     Returns (array (rows, cols) float, maxval or None).  A non-finite
     pixel is an error that names the file and its (row, col), 0-based; so
     is a P2 pixel outside 0..maxval, a P2 header outside Netpbm's limits
-    (width, height >= 1, maxval in 1..65535) and a CSV with no rows.
+    (width, height >= 1, maxval in 1..65535), a P2 pixel count other than
+    width * height, a CSV with no rows, a raw P5 graymap and a file that is
+    not UTF-8 text.
     """
     p = Path(path)
     arr, maxval = _read_pixels(p)
@@ -152,7 +154,14 @@ def read_image(path):
 
 
 def _read_pixels(p: Path):
-    text = p.read_text()
+    raw = p.read_bytes()
+    if raw.lstrip().startswith(b"P5"):
+        raise InvalidArgumentError(f"{p}: a raw P5 graymap; only plain P2 is read")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{p}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                                   f"at offset {exc.start}") from exc
     if text.lstrip().startswith("P2"):
         tokens = []
         for line in text.splitlines():
@@ -162,7 +171,7 @@ def _read_pixels(p: Path):
             raise InvalidArgumentError(f"{p}: not a P2 graymap")
         try:
             w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            pix = np.array([float(t) for t in tokens[4:4 + w * h]])
+            pix = np.array([float(t) for t in tokens[4:]])
         except (ValueError, IndexError) as exc:
             raise InvalidArgumentError(f"{p}: malformed P2 data: {exc}") from exc
         if w < 1 or h < 1 or not 1 <= maxval <= 65535:     # Netpbm's limits

@@ -23,6 +23,10 @@ whose mixed derivative is c*delta + delta(x1) alpha'(x2)
 operator is identity-plus-convolutions:
 
     S f = c f + h1 (beta' *_1 f) + h2 (alpha' *_2 f) + h1 h2 (v * f).
+
+The package never evaluates s pointwise: :func:`sample_kernel` evaluates
+each part on the sample families the operators read, and the operators
+combine those samples.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "make_grid",
     "sample_kernel",
     "normalize_kernel",
-    "grid_inner",
 ]
 
 
@@ -123,11 +126,6 @@ def make_grid(omega1: float, omega2: float, n1: int, n2: int) -> GridSpec:
     return GridSpec(float(omega1), float(omega2), int(n1), int(n2))
 
 
-def grid_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> complex:
-    """h1 h2 sum f conj(g) on the rectangle."""
-    return grid.h1 * grid.h2 * complex(np.sum(np.asarray(f) * np.conj(g)))
-
-
 # --------------------------------------------------------------------------
 # kernel model
 # --------------------------------------------------------------------------
@@ -151,7 +149,10 @@ class KernelModel:
     ``alpha``/``beta`` take arguments anywhere on (-omega2, omega2) /
     (-omega1, omega1); the sigma family is defined on the extended
     rectangle.  ``v`` must be the mixed partial of ``sigma`` (checked by
-    finite differences in the test suite, not at construction).
+    finite differences in the test suite, not at construction).  The
+    package evaluates the parts one by one (:func:`sample_kernel`,
+    :func:`normalize_model`); s itself, summed from them pointwise, is
+    evaluated only by the test suite's references.
     """
 
     c: complex = 1.0
@@ -164,16 +165,6 @@ class KernelModel:
     sigma_x2: Fun2 = _zeros2
     v: Fun2 = _zeros2
     name: str = "custom"
-
-    def s_values(self, x1, x2) -> np.ndarray:
-        """Evaluate s(x) pointwise with sgn(0) = 0."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        s1, s2 = np.sign(x1), np.sign(x2)
-        return (0.25 * self.c * s1 * s2
-                + 0.5 * s1 * self.alpha(x2)
-                + 0.5 * s2 * self.beta(x1)
-                + self.sigma(x1, x2))
 
 
 def _eval_checked(label: str, fn: Callable, *args) -> np.ndarray:
@@ -341,24 +332,3 @@ def normalize_kernel(samples: KernelSamples) -> KernelSamples:
     out = sample_kernel(hat, samples.grid)
     object.__setattr__(out, "normalized", True)
     return out
-
-
-def quadrant_sum_residual(samples: KernelSamples) -> float:
-    """Max |h-weighted quadrant sum| of the smooth samples.
-
-    Zero (to roundoff) after :func:`normalize_kernel`: for every second
-    argument the h1-weighted sum of sigma(-t1, .) over the t1 midpoints
-    vanishes, and symmetrically for the first argument.
-    """
-    g = samples.grid
-    r1 = np.abs(g.h1 * samples.sigma_np.sum(axis=0)).max()
-    r2 = np.abs(g.h1 * samples.sigma_nn.sum(axis=0)).max()
-    r3 = np.abs(g.h2 * samples.sigma_pn.sum(axis=1)).max()
-    r4 = np.abs(g.h2 * samples.sigma_nn.sum(axis=1)).max()
-    # lattice second/first arguments, via the model
-    m = samples.model
-    lat2 = (g.p2 * g.h2)[None, :]
-    lat1 = (g.p1 * g.h1)[:, None]
-    r5 = np.abs(g.h1 * np.asarray(m.sigma(-g.x1[:, None], lat2)).sum(axis=0)).max()
-    r6 = np.abs(g.h2 * np.asarray(m.sigma(lat1, -g.x2[None, :])).sum(axis=1)).max()
-    return float(max(r1, r2, r3, r4, r5, r6))

@@ -1,4 +1,6 @@
-"""Shared fixtures and independent oracle helpers for the test suite."""
+"""Shared fixtures, model builders and dense assembly helpers for the test
+suite.  The brute-force references (quadrature ``M_jk``, the pointwise s,
+the 1-D solver) are in ``oracle.py``; tests import both modules by name."""
 
 import numpy as np
 import pytest

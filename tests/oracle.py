@@ -6,8 +6,9 @@ derivatives (step h/2 on a half-shifted lattice, so the sign jumps are
 crossed rather than sampled), dense inverses instead of structured
 solves, and a plain 1-D difference-kernel solver for tensor-product
 cross-checks.  The error of these routes is qualitatively different from
-the analytic expansions in :mod:`.operators`, so agreement between the
-two is evidence rather than shared bias.
+the analytic expansions in :mod:`diffkern2d.operators`, so agreement
+between the two is evidence rather than shared bias.  No command of the
+package runs any of it; tests import it as ``from oracle import ...``.
 """
 
 from __future__ import annotations
@@ -16,15 +17,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularOperatorError
-from .grid import KernelSamples
-from .operators import m_op
+from diffkern2d.errors import InvalidArgumentError, SingularOperatorError
+from diffkern2d.grid import GridSpec, KernelModel, KernelSamples
+from diffkern2d.operators import m_op
 
-__all__ = [
-    "Kernel1D",
-    "oracle_m_op",
-    "rho_1d",
-]
+
+def s_values(model: KernelModel, x1, x2) -> np.ndarray:
+    """Evaluate the model's s(x) pointwise with sgn(0) = 0."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    s1, s2 = np.sign(x1), np.sign(x2)
+    return (0.25 * model.c * s1 * s2
+            + 0.5 * s1 * model.alpha(x2)
+            + 0.5 * s2 * model.beta(x1)
+            + model.sigma(x1, x2))
+
+
+def grid_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> complex:
+    """h1 h2 sum f conj(g) on the rectangle."""
+    return grid.h1 * grid.h2 * complex(np.sum(np.asarray(f) * np.conj(g)))
+
+
+def quadrant_sum_residual(samples: KernelSamples) -> float:
+    """Max |h-weighted quadrant sum| of the smooth samples.
+
+    Zero (to roundoff) after :func:`diffkern2d.grid.normalize_kernel`: for
+    every second argument the h1-weighted sum of sigma(-t1, .) over the t1
+    midpoints vanishes, and symmetrically for the first argument.
+    """
+    g = samples.grid
+    r1 = np.abs(g.h1 * samples.sigma_np.sum(axis=0)).max()
+    r2 = np.abs(g.h1 * samples.sigma_nn.sum(axis=0)).max()
+    r3 = np.abs(g.h2 * samples.sigma_pn.sum(axis=1)).max()
+    r4 = np.abs(g.h2 * samples.sigma_nn.sum(axis=1)).max()
+    # lattice second/first arguments, via the model
+    m = samples.model
+    lat2 = (g.p2 * g.h2)[None, :]
+    lat1 = (g.p1 * g.h1)[:, None]
+    r5 = np.abs(g.h1 * np.asarray(m.sigma(-g.x1[:, None], lat2)).sum(axis=0)).max()
+    r6 = np.abs(g.h2 * np.asarray(m.sigma(lat1, -g.x2[None, :])).sum(axis=1)).max()
+    return float(max(r1, r2, r3, r4, r5, r6))
+
+
+# --------------------------------------------------------------------------
+# M_jk blocks
+# --------------------------------------------------------------------------
 
 
 def oracle_m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
@@ -48,16 +85,16 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
         # (M_11 f)(x) = d/dx2 int s(x1, x2 - t2) f(t2) dt2
         d = 0.5 * h2
         D = x2[:, None] - x2[None, :]                     # (b, b')
-        Fp = model.s_values(x1[:, None, None], (D + d)[None, :, :])
-        Fm = model.s_values(x1[:, None, None], (D - d)[None, :, :])
+        Fp = s_values(model, x1[:, None, None], (D + d)[None, :, :])
+        Fm = s_values(model, x1[:, None, None], (D - d)[None, :, :])
         M = h2 * (Fp - Fm) / (2 * d)                      # [a, b, b']
         mat = M.transpose(1, 0, 2).reshape(g.size, n2)
 
     elif (j, k) == (1, 2):
         d = 0.5 * h1
         D = x1[:, None] - x1[None, :]                     # (a, a')
-        Fp = model.s_values((D + d)[:, None, :], x2[None, :, None])
-        Fm = model.s_values((D - d)[:, None, :], x2[None, :, None])
+        Fp = s_values(model, (D + d)[:, None, :], x2[None, :, None])
+        Fm = s_values(model, (D - d)[:, None, :], x2[None, :, None])
         M = h1 * (Fp - Fm) / (2 * d)                      # [a, b, a']
         mat = M.transpose(1, 0, 2).reshape(g.size, n1)
 
@@ -65,16 +102,16 @@ def oracle_m_op(samples: KernelSamples, j: int, k: int) -> np.ndarray:
         # (M_41 f)(x2) = -d/dx2 int s(-t1, x2 - t2) f(t) dt
         d = 0.5 * h2
         D = x2[:, None] - x2[None, :]                     # (b, b')
-        Fp = model.s_values(-x1[:, None, None], (D + d)[None, :, :])
-        Fm = model.s_values(-x1[:, None, None], (D - d)[None, :, :])
+        Fp = s_values(model, -x1[:, None, None], (D + d)[None, :, :])
+        Fm = s_values(model, -x1[:, None, None], (D - d)[None, :, :])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a', b, b']
         mat = M.transpose(1, 2, 0).reshape(n2, g.size)
 
     elif (j, k) == (4, 2):
         d = 0.5 * h1
         D = x1[:, None] - x1[None, :]                     # (a, a')
-        Fp = model.s_values((D + d)[:, None, :], -x2[None, :, None])
-        Fm = model.s_values((D - d)[:, None, :], -x2[None, :, None])
+        Fp = s_values(model, (D + d)[:, None, :], -x2[None, :, None])
+        Fm = s_values(model, (D - d)[:, None, :], -x2[None, :, None])
         M = -h1 * h2 * (Fp - Fm) / (2 * d)                # [a, b', a']
         mat = M.reshape(n1, g.size)
 

@@ -30,9 +30,9 @@ from diffkern2d.operators import (
     m4_identity_residual,
     m_op,
 )
-from diffkern2d.oracle import kernel1d_from_profile, oracle_m_op, rho_1d
 
 from conftest import MODEL_BUILDERS, rich_model, samples_for
+from oracle import kernel1d_from_profile, oracle_m_op, rho_1d
 
 
 def report(num, desc, ok, detail):
@@ -258,7 +258,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     mods = {m.split(".")[1] for m in list(__import__("sys").modules)
             if m.startswith("diffkern2d.")}
     expected = {"errors", "grid", "kernels", "operators", "inversion",
-                "oracle", "config", "fileio", "cli"}
+                "config", "fileio", "cli"}
     self_contained = mods <= expected | {"__main__"}
     ok = identical and self_contained
     report(11, "verify reports are byte-identical; primary build is self-contained",

@@ -99,6 +99,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"kernel = exp\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text: byte 0xe9") as err:
+            load_config(path)
+        assert err.value.line == 2
+        assert main(["rho", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config file {path} is not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", [
         "rho_max_rel_err = nan", "rho_max_rel_err = inf", "rho_max_rel_err = -0.1",
         "sizes = 8", "sizes = 8,8", "sizes = 1,8", "sizes = 8,16,8", "seed = -1",
@@ -388,6 +397,16 @@ class TestDeconvCommand:
         blurred, _ = read_image(out / "blurred.pgm")
         assert np.abs(blurred - img).max() > 1.0    # the blur actually acted
 
+    def test_tol_override_strips_spaces(self, tmp_path):
+        # as in the config file, where `key = value` carries spaces
+        cfg = write_cfg(tmp_path, IDENTITY_CFG)
+        write_pgm(tmp_path / "in.pgm", checkerboard(8), 255)
+        out = tmp_path / "o"
+        assert main(["deconv", "--config", cfg, "--out", str(out),
+                     "--input", str(tmp_path / "in.pgm"),
+                     "--tol-override", " psnr_min = 90 "]) == 0
+        assert json.loads((out / "deconv_report.json").read_text())["psnr_min"] == 90.0
+
     def test_dimension_mismatch_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, GAUSS_BLUR_CFG)   # grid is 32x32
         write_pgm(tmp_path / "in.pgm", checkerboard(16), 255)
@@ -416,11 +435,27 @@ class TestDeconvCommand:
         ("2 2\n-5", "1 2 3 4"),
         ("2 2\n0", "0 0 0 0"),            # PSNR against a zero peak
         ("2 2\n255", "1 2 300 4"),
-    ], ids=["negative-size", "negative-maxval", "zero-maxval", "pixel-above-maxval"])
+        ("2 2\n255", "1 2 3 4 5 6"),
+    ], ids=["negative-size", "negative-maxval", "zero-maxval", "pixel-above-maxval",
+            "too-many-pixels"])
     def test_bad_p2_header_or_pixel_exits_2(self, tmp_path, capsys, header, pixels):
         cfg = write_cfg(tmp_path, "kernel = identity\nn1 = 2\nn2 = 2\n")
         path = tmp_path / "in.pgm"
         path.write_text(f"P2\n{header}\n{pixels}\n")
+        code = main(["deconv", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--input", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "deconv_report.json").exists()
+
+    @pytest.mark.parametrize("data", [
+        b"P5\n2 2\n255\n" + bytes([0, 200, 255, 17]),
+        b"P2\n2 2\n255\n1 2 3 \xe9\n",
+    ], ids=["raw-p5", "not-utf8"])
+    def test_raw_or_non_utf8_input_exits_2(self, tmp_path, capsys, data):
+        cfg = write_cfg(tmp_path, "kernel = identity\nn1 = 2\nn2 = 2\n")
+        path = tmp_path / "in.pgm"
+        path.write_bytes(data)
         code = main(["deconv", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--input", str(path)])
         assert code == 2

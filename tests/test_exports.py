@@ -1,10 +1,14 @@
-"""Every name the package and its modules export resolves, and every
-module-level import is used."""
+"""Every name the package and its modules export resolves, every
+module-level import is used, and every module ships because a command
+runs it."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,19 @@ def test_module_all_resolves(module):
     mod = importlib.import_module(f"diffkern2d.{module}")
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing
+
+
+def test_cli_loads_every_module():
+    # test-only code (brute-force references, helpers) lives in tests/, so
+    # a fresh process that imports the CLI loads the whole package
+    root = str(Path(diffkern2d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, diffkern2d.cli; print(*sorted(m.split('.', 1)[1] "
+            "for m in sys.modules if m.startswith('diffkern2d.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    shipped = {m.name for m in pkgutil.iter_modules(diffkern2d.__path__)} - {"__main__"}
+    assert set(out.split()) == shipped
 
 
 def test_package_reexports_resolve():

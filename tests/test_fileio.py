@@ -105,3 +105,15 @@ def test_csv_without_rows_rejected_naming_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InvalidArgumentError, match="in.csv: no pixels"):
         read_image(path)
+
+
+@pytest.mark.parametrize("data,match", [
+    (b"P5\n2 2\n255\n" + bytes([0, 200, 255, 17]), "a raw P5 graymap; only plain P2 is read"),
+    (b"1,2\n3,\xe9\n", "not UTF-8 text: byte 0xe9 at offset 6"),
+    (b"P2\n2 2\n255\n1 2 3 4 5 6\n", "expected 4 pixels, found 6"),
+], ids=["raw-p5", "not-utf8", "too-many-pixels"])
+def test_unreadable_image_rejected_naming_the_file(tmp_path, data, match):
+    path = tmp_path / "in.pgm"
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgumentError, match=f"in.pgm: {match}"):
+        read_image(path)

@@ -10,9 +10,9 @@ from diffkern2d.errors import InvalidArgumentError, SingularOperatorError
 from diffkern2d.grid import KernelModel
 from diffkern2d.kernels import exp_kernel, identity_kernel, separable_factors
 from diffkern2d.operators import m_op
-from diffkern2d.oracle import Kernel1D, kernel1d_from_profile, oracle_m_op, rho_1d
 
 from conftest import rich_model, samples_for
+from oracle import Kernel1D, kernel1d_from_profile, oracle_m_op, rho_1d
 
 
 class TestOracleMOps:
