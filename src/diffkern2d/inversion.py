@@ -36,11 +36,11 @@ backward check and the reconstructed T are real.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceError,
@@ -84,9 +84,8 @@ BACKWARD_TOL = 1e-9     # largest ||S x - b|| / ||b|| a solve may return
 GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
 GMRES_CYCLES = 100      # restart cycles of 50 iterations before giving up
 
-# right-hand-side entries per block of the backward-error check; the FFT
-# matvec pads each block to four times this many complex values, so the
-# dense product of the LU path takes blocks four times as large
+# the LU path's backward check forms the dense product in blocks of about
+# 4 CHECK_BLOCK rhs entries, so its work arrays stay bounded
 CHECK_BLOCK = 1 << 16
 
 
@@ -114,11 +113,11 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
     operator's cached Hager-Higham estimate on the GMRES path (see
     :func:`_cond_estimate`).  Above the guard no condition is estimated.
-    GMRES runs to GMRES_RTOL within GMRES_CYCLES restart cycles (see
-    :func:`_gmres`).  Either way each column's backward error
-    ||S x - b|| / ||b|| must stay within BACKWARD_TOL.  The LU path
-    computes S x with the assembled matrix it factored; every GMRES
-    solve, above or below the guard, with the FFT matvec.
+    Either way each column's backward error ||S x - b|| / ||b|| must stay
+    within BACKWARD_TOL.  The LU path checks it with the assembled matrix
+    it factored; a GMRES column's last true residual, by the FFT matvec,
+    is its check, as it must be within GMRES_RTOL <= BACKWARD_TOL (see
+    :func:`_gmres_column`).  An empty block returns with no backend run.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
@@ -128,21 +127,18 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     B = np.asarray(rhs)
     N = S.grid.size
     if B.ndim not in (1, 2) or B.shape[0] != N:
-        raise InvalidArgumentError(
-            f"rhs shape {B.shape}, expected ({N},) or ({N}, m)"
-        )
+        raise InvalidArgumentError(f"rhs shape {B.shape}, expected ({N},) or ({N}, m)")
+    if B.size == 0:
+        return np.zeros(B.shape, np.result_type(S.lattice_kernel, B, float))
     if not np.isfinite(B).all():
         bad = np.argmin(np.isfinite(B.reshape(N, -1)).all(axis=0))
         raise InvalidArgumentError(f"rhs column {bad} is not finite")
-    X = dense = None
     if N > DENSE_GUARD:
-        X = _gmres(S, B)[0]
-    elif S._lu is None:
-        X = _gmres_within_lu_cost(S, B)
+        return _gmres(S, B)[0]
+    X = None if S._lu is not None else _gmres_within_lu_cost(S, B)
     if X is None:
-        X, dense = _lu_solve(S, B), S.dense()
-
-    _check_backward(S, B.reshape(N, -1), X.reshape(N, -1), dense)
+        X = _lu_solve(S, B)
+        _check_backward(S.dense(), B.reshape(N, -1), X.reshape(N, -1))
     return X
 
 
@@ -253,39 +249,86 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
 
 def _gmres(S: ConvOperator, B: np.ndarray, budget: float = np.inf):
     """``(X, iterations)``: S^{-1} B by GMRES with the FFT matvec, one
-    column at a time.
+    column at a time (:func:`_gmres_column`).
 
     Raises ConvergenceError for a column that misses GMRES_RTOL within
-    GMRES_CYCLES restart cycles, and _OverBudget once the modelled cost
-    (:func:`_gmres_cost`) of the iterations so far exceeds ``budget``
-    seconds.  ``iterations`` counts them over all columns.
+    GMRES_CYCLES restart cycles or meets a non-finite value, and
+    _OverBudget once the modelled cost (:func:`_gmres_cost`) of the
+    iterations so far exceeds ``budget`` seconds.  ``iterations`` counts
+    them over all columns.
     """
     N = S.grid.size
     dtype = np.result_type(S.lattice_kernel, B, float)
-    op = scipy.sparse.linalg.LinearOperator(
-        (N, N), matvec=S.apply_fft, dtype=dtype)
     cols = B.reshape(N, -1)
     X = np.empty(cols.shape, dtype=dtype)
     used = 0
     for j in range(cols.shape[1]):
-        history = []
-
-        def step(pr):
-            history.append(float(pr))
-            if _gmres_cost(N, j + 1, used + len(history)) > budget:
-                raise _OverBudget
-
-        X[:, j], info = scipy.sparse.linalg.gmres(
-            op, cols[:, j].astype(dtype), rtol=GMRES_RTOL, atol=0.0,
-            restart=50, maxiter=GMRES_CYCLES, callback=step, callback_type="pr_norm",
-        )
-        used += len(history)
-        if info != 0:
-            raise ConvergenceError(
-                f"GMRES did not reach rtol={GMRES_RTOL} (info={info}, column {j})",
-                residuals=history,
-            )
+        left = budget - _gmres_cost(N, j, used)
+        X[:, j], k = _gmres_column(S, cols[:, j].astype(dtype), j, left)
+        used += k
     return X.reshape(B.shape), used
+
+
+def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, budget: float):
+    """``(x, iterations)``: S x = b for column ``j`` of a solve, by GMRES
+    restarted every 50 iterations (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986) with a (51, N) basis orthogonalized by classical
+    Gram-Schmidt run twice (Giraud, Langou & Rozloznik, Comput. Math.
+    Appl. 50, 2005) and Givens rotations for the residual estimate.  The
+    zero start needs no matvec; each cycle ends with the true residual
+    b - S x, which alone decides convergence, so there is one FFT matvec
+    per iteration and per cycle, and ||S x - b|| <= GMRES_RTOL ||b||.
+    ConvergenceError carries the estimates relative to ||b||, and a
+    non-finite or singular step raises it at once.
+    """
+    history, x, r, cycles = [], np.zeros_like(b), b, 0
+    V = np.empty((51, b.size), b.dtype)
+    R = np.zeros((50, 50), b.dtype)          # the rotated Hessenberg matrix
+    beta = bnorm = float(np.linalg.norm(b))
+    tol = GMRES_RTOL * bnorm
+
+    def fail(why):
+        raise ConvergenceError(f"GMRES {why} (column {j})", residuals=history)
+
+    while beta > tol:
+        if cycles == GMRES_CYCLES:
+            fail(f"did not reach rtol={GMRES_RTOL} in {cycles} cycles")
+        cycles += 1
+        V[0] = r / beta
+        g, rotations = [beta], []
+        for k in range(50):
+            w = S.apply_fft(V[k])
+            basis = V[: k + 1]
+            h = (basis @ w.conj()).conj()
+            w -= h @ basis
+            d = (basis @ w.conj()).conj()
+            w -= d @ basis
+            col, hn = (h + d).tolist(), float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s.conjugate() * col[i])
+            a = col[k]
+            pivot = math.hypot(abs(a), hn)
+            if not 0.0 < pivot < math.inf:
+                fail(f"met a non-finite or singular step at iteration {len(history) + 1}")
+            phase = a / abs(a) if a else 1.0
+            c, s = abs(a) / pivot, phase * hn / pivot
+            rotations.append((c, s))
+            R[: k + 1, k] = col[:k] + [phase * pivot]
+            g[k:] = [c * g[k], -s.conjugate() * g[k]]
+            history.append(abs(g[k + 1]) / bnorm)
+            if _gmres_cost(b.size, 1, len(history)) > budget:
+                raise _OverBudget
+            if abs(g[k + 1]) <= tol:
+                break
+            V[k + 1] = w / hn
+        y = scipy.linalg.solve_triangular(R[: k + 1, : k + 1], g[: k + 1], check_finite=False)
+        x += y @ V[: k + 1]
+        r = b - S.apply_fft(x)
+        beta = float(np.linalg.norm(r))
+        if not math.isfinite(beta):
+            fail(f"true residual is {beta} after {len(history)} iterations")
+    return x, len(history)
 
 
 def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
@@ -342,20 +385,18 @@ def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
     return est * S.norm1(), first, spent
 
 
-def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray,
-                    dense: Optional[np.ndarray] = None) -> None:
+def _check_backward(dense: np.ndarray, B: np.ndarray, X: np.ndarray) -> None:
     """Raise ConvergenceError unless every column has ||S x - b|| / ||b||
     within BACKWARD_TOL; a nan backward error fails.
 
-    S x is ``dense @ x`` when the assembled matrix ``dense`` is given, in
-    blocks of about 4 CHECK_BLOCK entries, and the FFT matvec otherwise, in
-    blocks of about CHECK_BLOCK entries that it pads four times.  Either
-    way the work arrays stay bounded however many columns there are.
+    The LU path's check: S x is ``dense @ x`` with the assembled matrix
+    it factored, in blocks of about 4 CHECK_BLOCK entries.  A GMRES
+    solve's check is its last true residual (:func:`_gmres_column`).
     """
-    step = max(1, (CHECK_BLOCK if dense is None else 4 * CHECK_BLOCK) // S.grid.size)
+    step = max(1, 4 * CHECK_BLOCK // dense.shape[0])
     for j in range(0, B.shape[1], step):
         b, x = B[:, j:j + step], X[:, j:j + step]
-        Sx = S.apply_fft(x) if dense is None else _by_parts(dense.__matmul__, dense, x)
+        Sx = _by_parts(dense.__matmul__, dense, x)
         bnorm = np.linalg.norm(b, axis=0)
         res = np.linalg.norm(Sx - b, axis=0)
         back = np.divide(res, bnorm, out=res, where=bnorm > 0)

@@ -81,8 +81,8 @@ class ConvOperator:
     convolution with a precomputed spectral table; the dense assembly is
     the BTTB matrix with entry W at offset (a-a', b-b').  When W is real
     the table's half spectrum is kept too, and real input is convolved
-    with ``rfft2``/``irfft2``; complex input or a complex W takes the
-    full ``fft2`` path.
+    with real transforms along x1; complex input or a complex W takes the
+    full complex path.
     """
 
     def __init__(self, samples: KernelSamples):
@@ -119,9 +119,12 @@ class ConvOperator:
     def apply_fft(self, flat: np.ndarray) -> np.ndarray:
         """S f for a flat (N,) vector, or for each column of an (N, m) block.
 
-        Real input through a real kernel is convolved in real arithmetic
-        (``rfft2``/``irfft2``, half the spectrum) and gives a real result;
-        otherwise the full complex ``fft2`` path runs.  No adjoint path is
+        On the (2 n2, 2 n1) circulant embedding only the first n2 rows are
+        nonzero in and kept out, so the x1 transforms run on those rows
+        alone: forward along x1 then x2, inverse along x2 then x1.  Real
+        input through a real kernel is convolved in real arithmetic
+        (``rfft``/``irfft`` along x1, half the spectrum) and gives a real
+        result; otherwise the full complex path runs.  No adjoint path is
         needed: S is persymmetric, J S J = S^T for the index reversal J, so
         S^H f = J conj(S J conj(f)).
         """
@@ -132,16 +135,12 @@ class ConvOperator:
                 f"input shape {flat.shape}, expected ({g.size},) or ({g.size}, m)"
             )
         f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
-        shape = (2 * g.n2, 2 * g.n1)   # zero-padded to the circulant embedding
-        if self.half_spectrum is not None and np.isrealobj(flat):
-            spec = scipy.fft.rfft2(f3, s=shape)
-            spec *= self.half_spectrum
-            out = scipy.fft.irfft2(spec, s=shape, overwrite_x=True)
-        else:
-            spec = scipy.fft.fft2(f3, s=shape)
-            spec *= self.spectrum
-            out = scipy.fft.ifft2(spec, overwrite_x=True)
-        out = out[:, : g.n2, : g.n1]
+        real = self.half_spectrum is not None and np.isrealobj(flat)
+        fwd, inv = (scipy.fft.rfft, scipy.fft.irfft) if real else (scipy.fft.fft, scipy.fft.ifft)
+        spec = scipy.fft.fft(fwd(f3, 2 * g.n1), 2 * g.n2, axis=1, overwrite_x=True)
+        spec *= self.half_spectrum if real else self.spectrum
+        rows = scipy.fft.ifft(spec, axis=1, overwrite_x=True)[:, : g.n2]
+        out = inv(rows, 2 * g.n1)[:, :, : g.n1]
         return out.reshape(-1, g.size).T.reshape(flat.shape)
 
     def norm1(self) -> float:

@@ -81,6 +81,16 @@ class TestSolve:
         assert S._dense is None
         assert err.value.cond == S._cond_est[0] > 1.0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_block_returns_at_once(self, dtype, monkeypatch):
+        estimates = []
+        monkeypatch.setattr(inversion, "_cond_estimate",
+                            lambda *args: estimates.append(1) or (1.0, 2, 0.0))
+        S = ConvOperator(samples_for(exp_kernel(), 24))
+        X = solve_array(S, np.zeros((576, 0), dtype=dtype))
+        assert X.shape == (576, 0) and X.dtype == np.dtype(dtype)
+        assert estimates == [] and S._cond_est is None and S._lu is None
+
     def test_shape_check(self):
         S = ConvOperator(samples_for(exp_kernel(), 8))
         with pytest.raises(InvalidArgumentError):
@@ -110,7 +120,7 @@ class TestSolve:
         S = ConvOperator(samples_for(exp_kernel(), 8))
         B = np.ones((64, 2))
         with pytest.raises(ConvergenceError, match="column 0"):
-            inversion._check_backward(S, B, np.full_like(B, np.nan))
+            inversion._check_backward(S.dense(), B, np.full_like(B, np.nan))
 
     @staticmethod
     def lu_path_returning(S, monkeypatch, spoil):
@@ -148,6 +158,8 @@ class TestSolve:
             solve_array(S, np.ones((64, 3)))
 
     def test_dense_check_of_complex_rhs_matches_fft_check(self, rng, monkeypatch):
+        # the dense check of a complex rhs against a real S, taken by parts,
+        # reads the backward error the FFT matvec gives
         monkeypatch.setattr(inversion, "BACKWARD_TOL", -1.0)   # report every column
         S = ConvOperator(samples_for(exp_kernel(), 5, n2=7, omega1=1.7, omega2=0.9))
         assert np.isrealobj(S.dense())
@@ -155,13 +167,11 @@ class TestSolve:
         X = np.linalg.solve(S.dense(), B)
         X += 1e-3 * np.arange(6) * (rng.standard_normal((35, 6)) + 1j)
 
-        def backward(j, dense):
-            with pytest.raises(ConvergenceError) as err:
-                inversion._check_backward(S, B[:, [j]], X[:, [j]], dense)
-            return err.value.residuals[0]
-
         for j in range(6):
-            assert abs(backward(j, S.dense()) - backward(j, None)) <= 1e-13
+            with pytest.raises(ConvergenceError) as err:
+                inversion._check_backward(S.dense(), B[:, [j]], X[:, [j]])
+            fft = np.linalg.norm(S.apply_fft(X[:, j]) - B[:, j]) / np.linalg.norm(B[:, j])
+            assert abs(err.value.residuals[0] - fft) <= 1e-13
 
     @pytest.mark.parametrize("n1,n2", [(8, 8), (66, 64)])   # below / above the guard
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -201,10 +211,22 @@ class TestSolve:
 
         monkeypatch.setattr(inversion, "GMRES_RTOL", 1e-300)
         monkeypatch.setattr(inversion, "GMRES_CYCLES", 2)
+        columns = []
+        real = inversion._gmres_column
+
+        def spy(S, b, j, budget):
+            columns.append(j)
+            return real(S, b, j, budget)
+
+        monkeypatch.setattr(inversion, "_gmres_column", spy)
         S = ConvOperator(samples_for(exp_kernel(), 80, normalize=False))
         with pytest.raises(ConvergenceError, match=r"column 0\)") as err:
             solve_array(S, np.ones(6400))
         assert len(err.value.residuals) > 0
+        # both cycles ran all 50 iterations, one estimate each
+        assert columns == [0] and "did not reach" in str(err.value)
+        assert len(err.value.residuals) == 100
+        assert all(type(r) is float for r in err.value.residuals)
         # column 0 is zero and converges at once; column 1 fails
         B = np.zeros((6400, 2), dtype=complex)
         B[:, 1] = 1j
@@ -238,16 +260,15 @@ class TestBackendChoice:
 
     @pytest.fixture
     def gmres_calls(self, monkeypatch):
-        import scipy.sparse.linalg
-
+        # one entry per GMRES column solve
         calls = []
-        real = scipy.sparse.linalg.gmres
+        real = inversion._gmres_column
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
+        monkeypatch.setattr(inversion, "_gmres_column", spy)
         return calls
 
     def test_one_column_at_8_takes_lu(self, rng, gmres_calls):
@@ -293,6 +314,120 @@ class TestBackendChoice:
         build_rho_evaluator(S, s)
         assert len(gmres_calls) == 1
         assert S._lu is not None and S._cond_est is None
+
+
+class TestGmres:
+    """The restarted GMRES of _gmres: agreement with scipy's, its paths,
+    its matvec count and its failures."""
+
+    @staticmethod
+    def counting(S):
+        """Count S's FFT matvecs."""
+        calls = []
+        real = S.apply_fft
+
+        def spy(f):
+            calls.append(1)
+            return real(f)
+
+        S.apply_fft = spy
+        return calls
+
+    @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (12, 9), (48, 40)])
+    def test_agrees_with_scipy_gmres(self, tag, n1, n2, rng):
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        from diffkern2d.cli import _cond_2
+
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, omega1=1.7, omega2=0.9))
+        D = S.dense()
+        # cond_2 by Lanczos, which TestCond2 pins to np.linalg.cond
+        cond = _cond_2(D, scipy.linalg.inv(D, assume_a="general"))
+        rtol = inversion.GMRES_RTOL
+        for b in (rng.standard_normal(n1 * n2),
+                  rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)):
+            x, _ = inversion._gmres(S, b)
+            op = scipy.sparse.linalg.LinearOperator(D.shape, matvec=S.apply_fft, dtype=x.dtype)
+            ref, info = scipy.sparse.linalg.gmres(op, b, rtol=rtol, atol=0.0, restart=50,
+                                                  maxiter=inversion.GMRES_CYCLES)
+            assert info == 0 and x.dtype == np.result_type(D, b)
+            for sol in (x, ref):
+                assert np.linalg.norm(D @ sol - b) <= rtol * np.linalg.norm(b)
+            assert np.linalg.norm(x - ref) <= 10 * cond * rtol * np.linalg.norm(ref)
+
+    def test_restart_path(self, rng):
+        from diffkern2d.kernels import gaussian_kernel
+
+        model = gaussian_kernel(amp=10.0, width=0.15)
+        S = ConvOperator(samples_for(model, 96, n2=80, omega1=1.7, omega2=0.9))
+        f0 = rng.standard_normal(S.grid.size)
+        b = S.apply_fft(f0)
+        calls = self.counting(S)
+        x, k = inversion._gmres(S, b)
+        assert k > 3 * 50
+        # one matvec per iteration and one true residual per cycle
+        assert len(calls) == k + -(-k // 50)
+        assert np.linalg.norm(S.apply_fft(x) - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
+        assert np.linalg.norm(x - f0) <= 1e-6 * np.linalg.norm(f0)
+
+    def test_zero_column_costs_nothing(self, rng):
+        S = ConvOperator(samples_for(exp_kernel(), 12, n2=9))
+        calls = self.counting(S)
+        x, k = inversion._gmres(S, np.zeros(108))
+        assert k == 0 and calls == [] and not x.any() and x.dtype == np.float64
+        B = np.zeros((108, 3), dtype=complex)
+        B[:, 1] = rng.standard_normal(108)
+        X, k = inversion._gmres(S, B)
+        assert not X[:, [0, 2]].any() and k == 2 and len(calls) == k + 1
+
+    def test_exact_breakdown_on_multiple_of_identity(self, rng):
+        # S = c I: the first Arnoldi step breaks down with the exact solution
+        S = ConvOperator(samples_for(identity_kernel(c=2.5), 9, n2=7, normalize=False))
+        b = rng.standard_normal(63) + 1j * rng.standard_normal(63)
+        calls = self.counting(S)
+        x, k = inversion._gmres(S, b)
+        assert k == 1 and len(calls) == 2
+        assert_allclose(x, b / 2.5, rtol=0, atol=1e-15 * np.abs(b).max())
+
+    @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
+    def test_matvecs_per_column(self, tag, rng):
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 12, n2=9, omega1=1.7, omega2=0.9))
+        B = rng.standard_normal((108, 3)) + 1j * rng.standard_normal((108, 3))
+        calls = self.counting(S)
+        _, k = inversion._gmres(S, B)
+        assert len(calls) == k + 3         # every column within one cycle
+
+    def test_gmres_solves_skip_the_dense_check(self, rng, monkeypatch):
+        checks = []
+        real = inversion._check_backward
+
+        def spy(dense, B, X):
+            checks.append(dense)
+            return real(dense, B, X)
+
+        monkeypatch.setattr(inversion, "_check_backward", spy)
+        above = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
+        solve_array(above, rng.standard_normal((6400, 2)))
+        below = ConvOperator(samples_for(deconv_model(), 48))
+        solve_array(below, rng.standard_normal(48 * 48))
+        assert below._cond_est is not None and below._lu is None
+        assert checks == []
+        lu = ConvOperator(samples_for(exp_kernel(), 8))
+        solve_array(lu, rng.standard_normal(64))
+        assert len(checks) == 1 and checks[0] is lu.dense()
+
+    def test_overflowing_matvec_fails_within_one_cycle(self):
+        # a finite lattice kernel and spectrum whose matvec overflows
+        S = ConvOperator(samples_for(exp_kernel(amp=1e306, c=1.0), 80, normalize=False))
+        assert np.isfinite(S.lattice_kernel).all() and np.isfinite(S.spectrum).all()
+        calls = self.counting(S)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match=r"non-finite .*\(column 0\)") as err:
+                solve_array(S, np.ones(6400))
+        assert 0 < len(calls) < 50
+        assert isinstance(err.value.residuals, list)
 
 
 class TestConditionEstimate:

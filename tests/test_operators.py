@@ -75,6 +75,41 @@ class TestConvApply:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @staticmethod
+    def padded_apply(S, flat):
+        """The full padded formula: one rfft2/irfft2 (or fft2/ifft2) on the
+        (2 n2, 2 n1) circulant embedding, with the leading block kept."""
+        import scipy.fft
+
+        g = S.grid
+        f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
+        shape = (2 * g.n2, 2 * g.n1)
+        if S.half_spectrum is not None and np.isrealobj(flat):
+            out = scipy.fft.irfft2(scipy.fft.rfft2(f3, s=shape) * S.half_spectrum, s=shape)
+        else:
+            out = scipy.fft.ifft2(scipy.fft.fft2(f3, s=shape) * S.spectrum)
+        return out[:, : g.n2, : g.n1].reshape(-1, g.size).T.reshape(flat.shape)
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (12, 9), (7, 4)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_pruned_fft_matches_dense_and_padded(self, rng, tag, n1, n2, dtype, cols):
+        # the x1 transforms run on the n2 data rows only; the result is the
+        # full padded formula's, and real stays real through a real kernel
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+        shape = (n1 * n2,) if cols is None else (n1 * n2, cols)
+        f = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            f += 1j * rng.standard_normal(shape)
+        got, want, padded = S.apply_fft(f), S.dense() @ f, self.padded_apply(S, f)
+        assert got.shape == want.shape and got.dtype == want.dtype == padded.dtype
+        if tag != "complex" and dtype is float:
+            assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - padded) <= 1e-15 * np.linalg.norm(padded)
+
     @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
     @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (12, 9), (7, 4)])
     def test_persymmetric(self, tag, n1, n2):
