@@ -49,7 +49,6 @@ from .inversion import (
     RhoEvaluator,
     build_rho_evaluator,
     build_rho_table,
-    check_difference_kernel,
     g_symmetry_residual,
     inverse_from_rho,
     rho_direct,

@@ -169,8 +169,11 @@ class KernelModel:
 
 def _eval_checked(label: str, fn: Callable, *args) -> np.ndarray:
     """fn(*args) as an array; a non-finite value raises KernelEvaluationError
-    naming the evaluator and the first offending index."""
-    out = np.asarray(fn(*args))
+    naming the evaluator and the first offending index.  Floating-point
+    warnings inside fn are not raised: the inf or nan they leave is what
+    this check reports."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray(fn(*args))
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         idx = tuple(bad[0]) if bad.size else ()
@@ -298,7 +301,9 @@ def normalize_model(model: KernelModel, grid: GridSpec) -> KernelModel:
         block = fn(np.asarray(x1)[..., None], xn2.reshape((1,) * x1.ndim + (-1,)))
         return np.asarray(block).mean(axis=-1)
 
-    m12 = complex(np.asarray(model.sigma(xn1[:, None], xn2[None, :])).mean())
+    # an overflowing mean leaves inf in sigma_hat, which sampling reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        m12 = complex(np.asarray(model.sigma(xn1[:, None], xn2[None, :])).mean())
     if m12.imag == 0:
         m12 = m12.real
 

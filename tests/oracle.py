@@ -177,3 +177,43 @@ def rho_1d(k1: Kernel1D, lam: complex, mu: complex) -> complex:
         raise SingularOperatorError("1-D operator is numerically singular")
     return complex(k1.h * np.sum(em * sol))
 
+
+# --------------------------------------------------------------------------
+# difference-kernel structure check
+# --------------------------------------------------------------------------
+
+
+def check_difference_kernel(Q: np.ndarray, grid: GridSpec) -> float:
+    """Fit Q by a matrix constant along diagonal offsets (c I + two axis
+    Toeplitz parts + BTTB) and return the relative misfit, Frobenius.
+
+    The best fit in Frobenius norm averages entries within each offset
+    class (a - a', b - b').  The caller judges the residual: a small one
+    shows difference-kernel structure at grid level.
+    """
+    Q = np.asarray(Q)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise InvalidArgumentError(f"expected a square matrix, got {Q.shape}")
+    if Q.shape[0] != grid.size:
+        raise InvalidArgumentError(
+            f"matrix size {Q.shape[0]} does not match grid ({grid.size})"
+        )
+    n1, n2 = grid.n1, grid.n2
+    A = np.arange(n1)
+    B = np.arange(n2)
+    P1 = A[:, None] - A[None, :] + (n1 - 1)
+    P2 = B[:, None] - B[None, :] + (n2 - 1)
+    # KEY[b, a, b', a'] indexes the offset class, p2-major
+    KEY = (P2[:, None, :, None] * (2 * n1 - 1) + P1[None, :, None, :]).reshape(-1)
+    nclass = (2 * n1 - 1) * (2 * n2 - 1)
+    counts = np.bincount(KEY, minlength=nclass)
+    flat = Q.reshape(-1)
+    means_re = np.bincount(KEY, weights=flat.real, minlength=nclass) / counts
+    if np.iscomplexobj(Q):
+        means_im = np.bincount(KEY, weights=flat.imag, minlength=nclass) / counts
+        means = means_re + 1j * means_im
+    else:
+        means = means_re
+    fit = means[KEY].reshape(Q.shape)
+    qn = np.linalg.norm(Q)
+    return float(np.linalg.norm(Q - fit) / qn) if qn > 0 else 0.0

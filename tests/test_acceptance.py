@@ -13,7 +13,6 @@ from diffkern2d.cli import main
 from diffkern2d.config import RunConfig
 from diffkern2d.inversion import (
     build_rho_evaluator,
-    check_difference_kernel,
     compute_g_blocks,
     g_symmetry_residual,
     inverse_from_rho,
@@ -32,7 +31,7 @@ from diffkern2d.operators import (
 )
 
 from conftest import MODEL_BUILDERS, rich_model, samples_for
-from oracle import kernel1d_from_profile, oracle_m_op, rho_1d
+from oracle import check_difference_kernel, kernel1d_from_profile, oracle_m_op, rho_1d
 
 
 def report(num, desc, ok, detail):

@@ -14,10 +14,12 @@ from diffkern2d.cli import main
 from diffkern2d.config import RunConfig, load_config, parse_config_text
 from diffkern2d.errors import ConfigError
 from diffkern2d.fileio import read_image, write_pgm
+from diffkern2d.inversion import inverse_from_rho
 from diffkern2d.kernels import exp_kernel
 from diffkern2d.operators import ConvOperator
 
 from conftest import MODEL_BUILDERS, operator_for
+from oracle import check_difference_kernel
 
 IDENTITY_CFG = """# pure jump kernel
 kernel = identity
@@ -37,6 +39,14 @@ n2 = 8
 sizes = 8,16,32
 """
 
+# the mean that normalization takes over the sigma samples overflows
+HUGE_AMP_CFG = """kernel = exp
+amp = 1e306
+c = 1.0
+n1 = 24
+n2 = 24
+"""
+
 GAUSS_BLUR_CFG = """kernel = gaussian
 c = 1.0
 amp = 0.4
@@ -44,6 +54,11 @@ width = 0.45
 n1 = 32
 n2 = 32
 """
+
+
+def model_for(tag):
+    """A ``MODEL_BUILDERS`` kernel, or a complex exp kernel for "complex"."""
+    return exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -529,6 +544,50 @@ class TestReconstructCommand:
         assert code == 2
         assert "dense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (12, 9), (7, 4)])
+    def test_residuals_match_dense_products(self, tag, n1, n2, blocked, rng, monkeypatch):
+        # blocked: 8 columns per apply_fft, with a shorter last block
+        if blocked:
+            monkeypatch.setattr(cli, "CHECK_BLOCK", 2 * n1 * n2)
+        model = model_for(tag)
+        S = operator_for(model, n1, n2, omega1=1.7, omega2=0.9)
+        D, eye = S.dense(), np.eye(n1 * n2)
+        T = rng.standard_normal(D.shape)
+        if tag == "complex":
+            T = T + 1j * rng.standard_normal(D.shape)
+        for got, want in ((cli._inverse_residual(S, T), np.linalg.norm(D @ T - eye)),
+                          (cli._inverse_residual(S, T.T[::-1, ::-1]),
+                           np.linalg.norm(T @ D - eye))):
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (12, 9), (7, 4)])
+    def test_residuals_bound_the_dense_inverse_metrics(self, tag, n1, n2):
+        # the values reconstruct reported before: T against a dense S^{-1},
+        # and the offset-class fit of a dense T^{-1}
+        model = model_for(tag)
+        S = operator_for(model, n1, n2, omega1=1.7, omega2=0.9)
+        T = inverse_from_rho(S)
+        dense_inv = np.linalg.inv(S.dense())
+        rec_err = np.linalg.norm(T - dense_inv) / np.linalg.norm(dense_inv)
+        structure = check_difference_kernel(np.linalg.inv(T), S.grid)
+        assert rec_err <= cli._inverse_residual(S, T) <= 1e-12
+        assert structure <= cli._inverse_residual(S, T.T[::-1, ::-1]) <= 1e-12
+
+    def test_perturbed_inverse_fails_both_gates(self, tmp_path, monkeypatch, capsys):
+        E = np.random.default_rng(3).standard_normal((64, 64))
+        monkeypatch.setattr(cli, "inverse_from_rho", lambda S: inverse_from_rho(S) + 1e-6 * E)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", write_cfg(tmp_path, EXP_CFG),
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["reconstruction_error"] > report["reconstruction_tol"]
+        assert report["structure_residual"] > report["structure_tol"]
+        assert report["overall_pass"] is False
+        assert "FAIL reconstruct" in capsys.readouterr().err
+
 
 class TestCond2:
     @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
@@ -536,10 +595,42 @@ class TestCond2:
     def test_matches_full_svd(self, tag, n1, n2):
         # the default gaussian at 32^2 has its top two singular values
         # equal to 15 digits, the hard case for Lanczos
-        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        model = model_for(tag)
         dense = operator_for(model, n1, n2).dense()
         ref = np.linalg.cond(dense)
         assert abs(cli._cond_2(dense, np.linalg.inv(dense)) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (16, 16), (24, 24)])
+    def test_matches_full_svd_with_the_rho_inverse(self, tag, n1, n2):
+        # reconstruct's cond_S: ||T||_2 for the inverse built from rho
+        model = model_for(tag)
+        S = operator_for(model, n1, n2)
+        ref = np.linalg.cond(S.dense())
+        assert abs(cli._cond_2(S.dense(), inverse_from_rho(S)) - ref) <= 1e-12 * ref
+
+
+class TestOverflowingKernel:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,message", [
+        ("verify", "operator condition estimate"),
+        ("rho", "kernel evaluator 'sigma' returned a non-finite value"),
+        ("deconv", "kernel evaluator 'sigma' returned a non-finite value"),
+        ("reconstruct", "kernel evaluator 'sigma' returned a non-finite value"),
+    ])
+    def test_huge_amplitude_exits_2_under_warnings_as_errors(self, tmp_path, capsys,
+                                                             command, message):
+        # verify starts at its first default size, 8, where the
+        # normalization holds and the g-block solve's condition check
+        # refuses S
+        argv = [command, "--config", write_cfg(tmp_path, HUGE_AMP_CFG),
+                "--out", str(tmp_path / "o")]
+        if command == "deconv":
+            img = np.random.default_rng(1).integers(0, 256, (24, 24))
+            np.savetxt(tmp_path / "in.csv", img, fmt="%d", delimiter=",")
+            argv += ["--input", str(tmp_path / "in.csv")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestThreadedRho:
