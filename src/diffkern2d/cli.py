@@ -100,8 +100,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         dense = S.dense()       # refused above the guard, before any output
         # the g blocks solve against S first, so a near-singular S raises
         # SingularOperatorError before a residual's norm can overflow
-        g12, g21 = compute_g_blocks(S, samples)
-        pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
+        pis = {k: assemble_pi(samples, k) for k in (1, 2)}
+        g12, g21 = compute_g_blocks(S, samples, pis)
 
         r_k1 = displacement_identity_residual(S, pis[1])
         r_k2 = displacement_identity_residual(S, pis[2])

@@ -60,6 +60,7 @@ from .operators import (
     k_op,
     line_integration_op,
     lu_factor_cond,
+    pi_factor,
 )
 
 __all__ = [
@@ -81,7 +82,8 @@ __all__ = [
 COND_LIMIT = 1e12
 BACKWARD_TOL = 1e-9     # largest ||S x - b|| / ||b|| a solve may return
 GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
-GMRES_CYCLES = 100      # restart cycles of 50 iterations before giving up
+GMRES_RESTART = 50      # Krylov basis length: iterations per restart cycle
+GMRES_MAXITER = 5000    # iterations a column may take over all its cycles
 
 # the LU path's backward check forms the dense product in blocks of about
 # 4 CHECK_BLOCK rhs entries, so its work arrays stay bounded
@@ -97,16 +99,15 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs for an (N,) vector or for each column of an (N, m) block.
 
     Above DENSE_GUARD GMRES with the FFT matvec solves column by column.
-    At desk scale (N <= DENSE_GUARD) one cost rule picks the backend: the
-    operator's LU when it is already cached, otherwise GMRES when its
-    modelled cost m (T_COL + (k + 1) t_it(N)), plus the condition
-    estimate's solves when none is cached, is below the LU's modelled
-    cost t_lu(N, m).  k is the iteration count of the estimate's first
-    solve, 2 before any estimate.  The GMRES work below the guard,
-    estimate included, may spend at most t_lu(N, m); a run that would
-    overdraw it, or that does not converge, hands over to the LU, so the
-    worst case costs about twice the LU path.  A non-finite ``rhs`` column
-    is an InvalidArgumentError naming the column.
+    At desk scale (N <= DENSE_GUARD) one rule in FFT matvecs picks the
+    backend: the operator's LU when it is cached, otherwise GMRES when
+    m (k + 1), plus ESTIMATE_SOLVES (k + 1) for the condition estimate
+    when none is cached, is within the LU's cost t_lu(N, m) / t_it(N).  k
+    is the iteration count of the estimate's first solve, 2 before any.
+    GMRES below the guard, estimate included, may spend at most that many
+    matvecs; a run that would overdraw them, or that does not converge,
+    hands over to the LU, so the worst case costs about twice the LU path.
+    A non-finite ``rhs`` column is an InvalidArgumentError naming it.
 
     Below the guard every returned solve has passed a condition check
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
@@ -155,8 +156,9 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 #   64^2   1.72    1.81    2.57           1.43    1.51    2.70
 #
 # GMRES, ms per complex column of a 4-column block, k iterations per
-# column (zero, exp, separable and rich kernels); _gmres_cost is within
-# 10% of every entry except 16^2 at k = 1 (0.73x):
+# column (zero, exp, separable and rich kernels); (k + 1) _t_it, one
+# matvec per iteration and one true residual, is within 10% of every
+# entry except 16^2 at k = 1 (0.69x):
 #
 #   grid   k = 1   k = 2   k = 4   k = 6
 #   16^2   0.31    0.30    0.56    0.77
@@ -169,8 +171,7 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 # them; a real column costs about 0.75x as much.  Per iteration Gram-Schmidt
 # work grows with k, so at k = 32 (the deconv kernel) the model reads
 # 0.4-0.9x of the measured time; GMRES is then cheaper than LU by an order
-# of magnitude from 48^2 up, and the budget bounds the loss below that.
-T_COL = 1.3e-5
+# of magnitude from 48^2 up, and the allowance bounds the loss below that.
 ESTIMATE_SOLVES = 5     # solves of _cond_estimate, in the model
 
 
@@ -183,16 +184,6 @@ def _t_lu(N: int, m: int) -> float:
     """Modelled seconds of the LU path for m columns: assembly, factor,
     ``gecon`` and the triangular solves."""
     return 15.2e-12 * N ** 3 + 22.7e-9 * N ** 2 + 0.074e-9 * N ** 2 * m
-
-
-def _gmres_cost(N: int, columns: int, iterations: int) -> float:
-    """Modelled seconds of GMRES over ``columns`` columns that took
-    ``iterations`` iterations in all (one more matvec per column)."""
-    return columns * T_COL + (iterations + columns) * _t_it(N)
-
-
-class _OverBudget(Exception):
-    """A GMRES run below the guard would overdraw its modelled budget."""
 
 
 def _lu_solve(S: ConvOperator, B: np.ndarray) -> np.ndarray:
@@ -219,70 +210,66 @@ def _check_cond(cond: float) -> None:
 
 
 def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
-    """S^{-1} B by GMRES when the cost rule of :func:`solve_array` picks it
-    and it finishes within the LU's modelled cost; None hands over to LU."""
+    """S^{-1} B by GMRES when the rule of :func:`solve_array` picks it and
+    it finishes within the LU's cost in FFT matvecs; None hands over to LU."""
     N = S.grid.size
     m = B.reshape(N, -1).shape[1]
-    budget = _t_lu(N, m)
+    allowance = int(_t_lu(N, m) / _t_it(N))
     est = S._cond_est
     # before any estimate, 2: the fewest iterations measured on any kernel
     # but a multiple of the identity
     k = 2 if est is None else est[1]
-    cost = _gmres_cost(N, m, m * k)
-    if est is None:
-        cost += _gmres_cost(N, ESTIMATE_SOLVES, ESTIMATE_SOLVES * k)
-    if cost > budget:
+    if (m + (ESTIMATE_SOLVES if est is None else 0)) * (k + 1) > allowance:
         return None
     try:
         if est is None:
-            cond, k, spent = _cond_estimate(S, budget, m)
+            # the first solve stops once it and m columns like it overdraw
+            cond, k, spent = _cond_estimate(S, allowance, allowance // (1 + m))
             est = S._cond_est = (cond, k)
-            budget -= spent
+            allowance -= spent
         _check_cond(est[0])
-        if _gmres_cost(N, m, m * est[1]) > budget:
+        if m * (est[1] + 1) > allowance:
             return None
-        return _gmres(S, B, budget=budget)[0]
-    except (_OverBudget, ConvergenceError):
+        return _gmres(S, B, allowance)[0]
+    except ConvergenceError:
         return None
 
 
-def _gmres(S: ConvOperator, B: np.ndarray, budget: float = np.inf):
-    """``(X, iterations)``: S^{-1} B by GMRES with the FFT matvec, one
-    column at a time (:func:`_gmres_column`).
-
-    Raises ConvergenceError for a column that misses GMRES_RTOL within
-    GMRES_CYCLES restart cycles or meets a non-finite value, and
-    _OverBudget once the modelled cost (:func:`_gmres_cost`) of the
-    iterations so far exceeds ``budget`` seconds.  ``iterations`` counts
-    them over all columns.
+def _gmres(S: ConvOperator, B: np.ndarray, matvecs=math.inf):
+    """``(X, iterations, spent)``: S^{-1} B by GMRES with the FFT matvec,
+    one column at a time (:func:`_gmres_column`), with the iterations and
+    FFT matvecs of all columns.  Each column may spend what the ones
+    before it left of ``matvecs``; one that misses GMRES_RTOL within its
+    limit, or meets a non-finite value, raises ConvergenceError.
     """
     N = S.grid.size
     dtype = np.result_type(S.lattice_kernel, B, float)
     cols = B.reshape(N, -1)
     X = np.empty(cols.shape, dtype=dtype)
-    used = 0
+    iterations = spent = 0
     for j in range(cols.shape[1]):
-        left = budget - _gmres_cost(N, j, used)
-        X[:, j], k = _gmres_column(S, cols[:, j].astype(dtype), j, left)
-        used += k
-    return X.reshape(B.shape), used
+        X[:, j], k, used = _gmres_column(S, cols[:, j].astype(dtype), j, matvecs - spent)
+        iterations += k
+        spent += used
+    return X.reshape(B.shape), iterations, spent
 
 
-def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, budget: float):
-    """``(x, iterations)``: S x = b for column ``j`` of a solve, by GMRES
-    restarted every 50 iterations (Saad & Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986) with a (51, N) basis orthogonalized by classical
-    Gram-Schmidt run twice (Giraud, Langou & Rozloznik, Comput. Math.
-    Appl. 50, 2005) and Givens rotations for the residual estimate.  The
-    zero start needs no matvec; each cycle ends with the true residual
-    b - S x, which alone decides convergence, so there is one FFT matvec
-    per iteration and per cycle, and ||S x - b|| <= GMRES_RTOL ||b||.
-    ConvergenceError carries the estimates relative to ||b||, and a
-    non-finite or singular step raises it at once.
+def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
+    """``(x, iterations, spent)``: S x = b for column ``j`` of a solve, by
+    GMRES restarted every GMRES_RESTART iterations (Saad & Schultz, SIAM
+    J. Sci. Stat. Comput. 7, 1986), classical Gram-Schmidt run twice
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005) and Givens
+    rotations for the residual estimate.  The zero start needs no matvec;
+    each cycle ends with the true residual b - S x, which alone decides
+    convergence, so ``spent`` is one FFT matvec per iteration and one per
+    cycle, and ||S x - b|| <= GMRES_RTOL ||b||.  It stops when its
+    iterations reach GMRES_MAXITER or the ``matvecs`` left after one true
+    residual per cycle so far, raising ConvergenceError with the estimates
+    relative to ||b||, as a non-finite or singular step does at once.
     """
     history, x, r, cycles = [], np.zeros_like(b), b, 0
-    V = np.empty((51, b.size), b.dtype)
-    R = np.zeros((50, 50), b.dtype)          # the rotated Hessenberg matrix
+    V = np.empty((GMRES_RESTART + 1, b.size), b.dtype)
+    R = np.zeros((GMRES_RESTART, GMRES_RESTART), b.dtype)   # the rotated Hessenberg matrix
     beta = bnorm = float(np.linalg.norm(b))
     tol = GMRES_RTOL * bnorm
 
@@ -290,12 +277,12 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, budget: float):
         raise ConvergenceError(f"GMRES {why} (column {j})", residuals=history)
 
     while beta > tol:
-        if cycles == GMRES_CYCLES:
-            fail(f"did not reach rtol={GMRES_RTOL} in {cycles} cycles")
         cycles += 1
         V[0] = r / beta
         g, rotations = [beta], []
-        for k in range(50):
+        for k in range(GMRES_RESTART):
+            if len(history) >= min(GMRES_MAXITER, matvecs - cycles):
+                fail(f"did not reach rtol={GMRES_RTOL} in {len(history)} iterations")
             w = S.apply_fft(V[k])
             basis = V[: k + 1]
             h = (basis @ w.conj()).conj()
@@ -316,8 +303,6 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, budget: float):
             R[: k + 1, k] = col[:k] + [phase * pivot]
             g[k:] = [c * g[k], -s.conjugate() * g[k]]
             history.append(abs(g[k + 1]) / bnorm)
-            if _gmres_cost(b.size, 1, len(history)) > budget:
-                raise _OverBudget
             if abs(g[k + 1]) <= tol:
                 break
             V[k + 1] = w / hn
@@ -327,12 +312,12 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, budget: float):
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):
             fail(f"true residual is {beta} after {len(history)} iterations")
-    return x, len(history)
+    return x, len(history), len(history) + cycles
 
 
-def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
+def _cond_estimate(S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
     """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
-    solves, the iterations of its first solve and their modelled seconds.
+    solves, the iterations of its first solve and the FFT matvecs of all.
 
     Hager's estimator of ||S^{-1}||_1 with t = 1 (Hager, SIAM J. Sci.
     Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988, as in LAPACK
@@ -344,20 +329,17 @@ def _cond_estimate(S: ConvOperator, budget: float, columns: int = 0):
     2 ||S^{-1} x||_1 / (3 N).  The larger value times the exact ||S||_1
     is the estimate, which never uses random numbers.  Every solve is
     against S: it is persymmetric, J S J = S^T for the index reversal J, so
-    S^{-H} b = J conj(S^{-1} J conj(b)).  The solves share ``budget`` (see
-    :func:`_gmres`).  The first one raises _OverBudget as soon as it and a
-    job of ``columns`` columns priced at its iteration count so far would
-    overdraw it: both together cost (1 + columns) times the first solve.
+    S^{-H} b = J conj(S^{-1} J conj(b)).  The solves may spend ``matvecs``
+    FFT matvecs in all and the first ``first_matvecs`` (see :func:`_gmres`).
     """
     N = S.grid.size
-    spent, first = 0.0, None
+    spent, first = 0, None
 
     def inv(b):
         nonlocal spent, first
-        share = budget / (1 + columns) if first is None else budget - spent
-        x, iters = _gmres(S, b, share)
-        spent += _gmres_cost(N, 1, iters)
-        first = iters if first is None else first
+        x, k, used = _gmres(S, b, first_matvecs if first is None else matvecs - spent)
+        spent += used
+        first = k if first is None else first
         return x
 
     x = np.full(N, 1.0 / N)
@@ -396,8 +378,11 @@ def _check_backward(dense: np.ndarray, B: np.ndarray, X: np.ndarray) -> None:
     for j in range(0, B.shape[1], step):
         b, x = B[:, j:j + step], X[:, j:j + step]
         Sx = _by_parts(dense.__matmul__, dense, x)
-        bnorm = np.linalg.norm(b, axis=0)
-        res = np.linalg.norm(Sx - b, axis=0)
+        # norms scaled by each column's largest |b|, so no square overflows
+        scale = np.abs(b).max(axis=0)
+        scale[scale == 0] = 1.0
+        bnorm = np.linalg.norm(b / scale, axis=0)
+        res = np.linalg.norm((Sx - b) / scale, axis=0)
         back = np.divide(res, bnorm, out=res, where=bnorm > 0)
         worst = int(np.argmax(back))
         if not back[worst] <= BACKWARD_TOL:
@@ -413,17 +398,18 @@ def _check_backward(dense: np.ndarray, B: np.ndarray, X: np.ndarray) -> None:
 # --------------------------------------------------------------------------
 
 
-def _g_block(i: int, k: int, pis: Dict[int, PiPair],
-             kops: Dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
-    """g_ik = [K_3i; K_1i] [I 0] - PiHat_k X from X = S^{-1} Pi_i, one
-    column per pair basis vector: a dense (2 n_i, 2 n_k) block taking a
-    stacked pair of side-k functions to a stacked pair of side-i ones.
+def _g_block(i: int, pi_hat: np.ndarray, kops: Dict[str, np.ndarray],
+             X: np.ndarray) -> np.ndarray:
+    """g_ik = [K_3i; K_1i] [I 0] - PiHat_k X, k = 3 - i, from X = S^{-1} Pi_i,
+    one column per pair basis vector: a dense (2 n_i, 2 n_k) block taking
+    a stacked pair of side-k functions to a stacked pair of side-i ones.
     The first term acts on the first pair component only, and it is real
-    when the kernel is."""
+    when the kernel is.  Overflow raises no floating-point warning."""
     K = np.vstack([kops[f"K3{i}"], kops[f"K1{i}"]])
-    g = np.hstack([K, np.zeros_like(K)]) - pis[k].pi_hat @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.hstack([K, np.zeros_like(K)]) - pi_hat @ X
     if not np.isfinite(g).all():
-        raise InvalidArgumentError(f"g_{i}{k} has non-finite entries")
+        raise InvalidArgumentError(f"g_{i}{3 - i} has non-finite entries")
     return g
 
 
@@ -437,18 +423,20 @@ def _check_block(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
     return g
 
 
-def compute_g_blocks(S: ConvOperator, samples: KernelSamples) -> Tuple[np.ndarray, np.ndarray]:
-    """Both blocks (g_12, g_21) from one operator.
+def compute_g_blocks(S: ConvOperator, samples: KernelSamples,
+                     pis: Optional[Dict[int, PiPair]] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Both blocks (g_12, g_21) from one operator and the factor pairs of
+    both axes, ``pis`` or else assembled from ``samples``.
 
     Pi_1 and Pi_2 are solved in one call, so the backend choice of
     :func:`solve_array` weighs all 2 (n1 + n2) columns against one LU.
     """
-    pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
+    pis = pis or {k: assemble_pi(samples, k) for k in (1, 2)}
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K12", "K31", "K32")}
     X = solve_array(S, np.hstack([pis[1].pi, pis[2].pi]))
     split = 2 * S.grid.n2                      # Pi_1 has 2 n2 columns
-    return (_g_block(1, 2, pis, kops, X[:, :split]),
-            _g_block(2, 1, pis, kops, X[:, split:]))
+    return (_g_block(1, pis[2].pi_hat, kops, X[:, :split]),
+            _g_block(2, pis[1].pi_hat, kops, X[:, split:]))
 
 
 def pair_flip_transform(g: np.ndarray, grid: GridSpec, i: int) -> np.ndarray:
@@ -568,11 +556,12 @@ class RhoEvaluator:
 
 def build_rho_evaluator(S: ConvOperator, samples: KernelSamples) -> RhoEvaluator:
     """g_12 and h = S^{-1} y from one solve of the 2 n2 + 1 columns
-    [Pi_1 | y], wrapped in an evaluator, which derives g_21."""
-    pis = {1: assemble_pi(samples, 1), 2: assemble_pi(samples, 2)}
+    [Pi_1 | y], wrapped in an evaluator, which derives g_21.  Of the two
+    factor pairs only Pi_1 and PiHat_2 are built."""
     kops = {nm: k_op(samples, nm) for nm in ("K11", "K31")}
-    X = solve_array(S, np.column_stack([pis[1].pi, y_samples(samples)]))
-    return RhoEvaluator(S.grid, _g_block(1, 2, pis, kops, X[:, :-1]), X[:, -1].copy())
+    X = solve_array(S, np.column_stack([pi_factor(samples, 1), y_samples(samples)]))
+    g12 = _g_block(1, pi_factor(samples, 2, hat=True), kops, X[:, :-1])
+    return RhoEvaluator(S.grid, g12, X[:, -1].copy())
 
 
 # --------------------------------------------------------------------------

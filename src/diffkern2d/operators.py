@@ -49,6 +49,7 @@ __all__ = [
     "m_op",
     "k_op",
     "assemble_pi",
+    "pi_factor",
     "displacement_identity_residual",
     "m4_identity_residual",
     "discrete_generator",
@@ -370,10 +371,16 @@ class PiPair:
 
 
 def assemble_pi(samples: KernelSamples, k: int) -> PiPair:
+    return PiPair(axis=k, pi=pi_factor(samples, k), pi_hat=pi_factor(samples, k, hat=True))
+
+
+def pi_factor(samples: KernelSamples, k: int, hat: bool = False) -> np.ndarray:
+    """Pi_k = [M_1k  M_3k], or PiHat_k = [M_2k; M_4k] when ``hat``."""
     if k not in (1, 2):
         raise InvalidArgumentError(f"axis must be 1 or 2, got {k}")
-    m1, m2, m3, m4 = (m_op(samples, j, k) for j in (1, 2, 3, 4))
-    return PiPair(axis=k, pi=np.hstack([m1, m3]), pi_hat=np.vstack([m2, m4]))
+    if hat:
+        return np.vstack([m_op(samples, 2, k), m_op(samples, 4, k)])
+    return np.hstack([m_op(samples, 1, k), m_op(samples, 3, k)])
 
 
 def displacement_identity_residual(S: ConvOperator, pi: PiPair) -> float:

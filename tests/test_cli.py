@@ -176,6 +176,23 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "condition estimate inf" in capsys.readouterr().err
 
+    def test_factor_pairs_built_once_per_size(self, tmp_path, monkeypatch):
+        from diffkern2d import inversion
+
+        built = []
+        real = cli.assemble_pi
+
+        def spy(samples, k):
+            built.append((samples.grid.n1, k))
+            return real(samples, k)
+
+        monkeypatch.setattr(cli, "assemble_pi", spy)
+        monkeypatch.setattr(inversion, "assemble_pi", spy)
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--sizes", "8,12"]) == 0
+        assert built == [(8, 1), (8, 2), (12, 1), (12, 2)]
+
     def test_exp_kernel_orders(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)
         out = tmp_path / "out"
@@ -631,6 +648,17 @@ class TestOverflowingKernel:
             argv += ["--input", str(tmp_path / "in.csv")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_factor_columns_pass_the_backward_check(self, tmp_path, capsys):
+        # unnormalized, the Pi_1 columns that the evaluator solves are too
+        # large to square: the LU path's backward check scales them and
+        # holds, and the psi form then refuses its G(lam)
+        cfg = write_cfg(tmp_path, "kernel = gaussian\namp = 1e308\nwidth = 0.01\n"
+                                  "normalize = false\nn1 = 8\nn2 = 8\n")
+        assert main(["rho", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "G(lam) condition estimate" in err and "backward error" not in err
 
 
 class TestThreadedRho:

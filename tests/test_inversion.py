@@ -172,6 +172,19 @@ class TestSolve:
             fft = np.linalg.norm(S.apply_fft(X[:, j]) - B[:, j]) / np.linalg.norm(B[:, j])
             assert abs(err.value.residuals[0] - fft) <= 1e-13
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rhs_passes_the_backward_check(self, rng):
+        # entries near 1e300 square past the largest double; each column's
+        # norms are scaled by its largest entry
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        B = 1e300 * rng.standard_normal((64, 3))
+        X = solve_array(S, B)
+        assert S._lu is not None
+        assert np.linalg.norm(S.apply_fft(X[:, 0] / 1e300) - B[:, 0] / 1e300) <= (
+            1e-12 * np.linalg.norm(B[:, 0] / 1e300))
+        with pytest.raises(ConvergenceError, match="column 1"):
+            inversion._check_backward(S.dense(), B, X + [[0.0, 1e295, 0.0]])
+
     @pytest.mark.parametrize("n1,n2", [(8, 8), (66, 64)])   # below / above the guard
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_rejected(self, n1, n2, bad):
@@ -209,22 +222,23 @@ class TestSolve:
         from diffkern2d.errors import ConvergenceError
 
         monkeypatch.setattr(inversion, "GMRES_RTOL", 1e-300)
-        monkeypatch.setattr(inversion, "GMRES_CYCLES", 2)
+        monkeypatch.setattr(inversion, "GMRES_MAXITER", 120)
         columns = []
         real = inversion._gmres_column
 
-        def spy(S, b, j, budget):
+        def spy(S, b, j, matvecs):
             columns.append(j)
-            return real(S, b, j, budget)
+            return real(S, b, j, matvecs)
 
         monkeypatch.setattr(inversion, "_gmres_column", spy)
         S = ConvOperator(samples_for(exp_kernel(), 80, normalize=False))
         with pytest.raises(ConvergenceError, match=r"column 0\)") as err:
             solve_array(S, np.ones(6400))
         assert len(err.value.residuals) > 0
-        # both cycles ran all 50 iterations, one estimate each
+        # the cap counts iterations over all cycles: two restarts in, after
+        # cycles of 50, 50 and 20 iterations, one estimate each
         assert columns == [0] and "did not reach" in str(err.value)
-        assert len(err.value.residuals) == 100
+        assert len(err.value.residuals) == 120
         assert all(type(r) is float for r in err.value.residuals)
         # column 0 is zero and converges at once; column 1 fails
         B = np.zeros((6400, 2), dtype=complex)
@@ -347,10 +361,11 @@ class TestGmres:
         rtol = inversion.GMRES_RTOL
         for b in (rng.standard_normal(n1 * n2),
                   rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)):
-            x, _ = inversion._gmres(S, b)
+            x = inversion._gmres(S, b)[0]
             op = scipy.sparse.linalg.LinearOperator(D.shape, matvec=S.apply_fft, dtype=x.dtype)
-            ref, info = scipy.sparse.linalg.gmres(op, b, rtol=rtol, atol=0.0, restart=50,
-                                                  maxiter=inversion.GMRES_CYCLES)
+            ref, info = scipy.sparse.linalg.gmres(
+                op, b, rtol=rtol, atol=0.0, restart=inversion.GMRES_RESTART,
+                maxiter=inversion.GMRES_MAXITER // inversion.GMRES_RESTART)
             assert info == 0 and x.dtype == np.result_type(D, b)
             for sol in (x, ref):
                 assert np.linalg.norm(D @ sol - b) <= rtol * np.linalg.norm(b)
@@ -364,30 +379,56 @@ class TestGmres:
         f0 = rng.standard_normal(S.grid.size)
         b = S.apply_fft(f0)
         calls = self.counting(S)
-        x, k = inversion._gmres(S, b)
-        assert k > 3 * 50
+        x, k, spent = inversion._gmres(S, b)
+        assert k > 3 * inversion.GMRES_RESTART
         # one matvec per iteration and one true residual per cycle
-        assert len(calls) == k + -(-k // 50)
+        assert len(calls) == spent == k + -(-k // inversion.GMRES_RESTART)
         assert np.linalg.norm(S.apply_fft(x) - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
         assert np.linalg.norm(x - f0) <= 1e-6 * np.linalg.norm(f0)
+
+    def test_allowance_bounds_the_matvecs(self, rng):
+        # the restart path's column spends one matvec per iteration and one
+        # true residual per cycle; every smaller allowance stops it within
+        # what it allows, the exact one solves it unchanged
+        from diffkern2d.kernels import gaussian_kernel
+
+        model = gaussian_kernel(amp=10.0, width=0.15)
+        S = ConvOperator(samples_for(model, 96, n2=80, omega1=1.7, omega2=0.9))
+        b = S.apply_fft(rng.standard_normal(S.grid.size))
+        calls = self.counting(S)
+        x, k, spent = inversion._gmres(S, b)
+        assert k > 3 * inversion.GMRES_RESTART and len(calls) == spent
+        for allowance in (0, 1, 2, 51, 52, 120, spent - 1):
+            calls.clear()
+            with pytest.raises(ConvergenceError, match=r"did not reach .*\(column 0\)"):
+                inversion._gmres(S, b, allowance)
+            assert len(calls) <= allowance
+        calls.clear()
+        X, k2, spent2 = inversion._gmres(S, b, spent)
+        assert np.array_equal(X, x) and (k2, spent2) == (k, spent) == (k, len(calls))
+        # the columns of a block share one allowance
+        calls.clear()
+        with pytest.raises(ConvergenceError, match=r"\(column 1\)"):
+            inversion._gmres(S, np.column_stack([b, b]), 2 * spent - 1)
+        assert len(calls) <= 2 * spent - 1
 
     def test_zero_column_costs_nothing(self, rng):
         S = ConvOperator(samples_for(exp_kernel(), 12, n2=9))
         calls = self.counting(S)
-        x, k = inversion._gmres(S, np.zeros(108))
-        assert k == 0 and calls == [] and not x.any() and x.dtype == np.float64
+        x, k, spent = inversion._gmres(S, np.zeros(108))
+        assert k == spent == 0 and calls == [] and not x.any() and x.dtype == np.float64
         B = np.zeros((108, 3), dtype=complex)
         B[:, 1] = rng.standard_normal(108)
-        X, k = inversion._gmres(S, B)
-        assert not X[:, [0, 2]].any() and k == 2 and len(calls) == k + 1
+        X, k, spent = inversion._gmres(S, B)
+        assert not X[:, [0, 2]].any() and k == 2 and len(calls) == spent == k + 1
 
     def test_exact_breakdown_on_multiple_of_identity(self, rng):
         # S = c I: the first Arnoldi step breaks down with the exact solution
         S = ConvOperator(samples_for(identity_kernel(c=2.5), 9, n2=7, normalize=False))
         b = rng.standard_normal(63) + 1j * rng.standard_normal(63)
         calls = self.counting(S)
-        x, k = inversion._gmres(S, b)
-        assert k == 1 and len(calls) == 2
+        x, k, spent = inversion._gmres(S, b)
+        assert k == 1 and len(calls) == spent == 2
         assert_allclose(x, b / 2.5, rtol=0, atol=1e-15 * np.abs(b).max())
 
     @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
@@ -395,8 +436,8 @@ class TestGmres:
         S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 12, n2=9, omega1=1.7, omega2=0.9))
         B = rng.standard_normal((108, 3)) + 1j * rng.standard_normal((108, 3))
         calls = self.counting(S)
-        _, k = inversion._gmres(S, B)
-        assert len(calls) == k + 3         # every column within one cycle
+        _, k, spent = inversion._gmres(S, B)
+        assert len(calls) == spent == k + 3         # every column within one cycle
 
     def test_gmres_solves_skip_the_dense_check(self, rng, monkeypatch):
         checks = []
@@ -439,11 +480,11 @@ class TestConditionEstimate:
         S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
         D = S.dense()
         exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
-        cond, k, spent = _cond_estimate(S, np.inf)
+        cond, k, spent = _cond_estimate(S)
         # a lower bound up to the GMRES tolerance, and deterministic
         assert exact / 3 <= cond <= exact * (1 + 1e-9)
-        assert k >= 1 and spent > 0
-        assert _cond_estimate(S, np.inf)[0] == cond
+        assert k >= 1 and spent > k
+        assert _cond_estimate(S)[0] == cond
 
     @pytest.mark.parametrize("kernel", ["real", "complex"])
     def test_adjoint_solve_matches_dense(self, kernel, monkeypatch):
@@ -454,13 +495,13 @@ class TestConditionEstimate:
         calls = []
         real = inversion._gmres
 
-        def spy(S, b, budget=np.inf):
-            out = real(S, b, budget)
+        def spy(S, b, matvecs):
+            out = real(S, b, matvecs)
             calls.append((b, out[0]))
             return out
 
         monkeypatch.setattr(inversion, "_gmres", spy)
-        inversion._cond_estimate(S, np.inf)
+        inversion._cond_estimate(S)
         (_, y), (b, x) = calls[:2]
         xi = y / np.abs(y)
         assert np.array_equal(b, xi[::-1].conj())
@@ -579,6 +620,30 @@ class TestComputeG:
         pi = assemble_pi(s, k)
         g_mats = compute_g_blocks(ConvOperator(s), s)
         assert [m.dtype for m in (pi.pi, pi.pi_hat, *g_mats)] == [want] * 4
+
+    def test_evaluator_builds_only_pi_1_and_pihat_2(self, monkeypatch):
+        from diffkern2d import operators
+
+        s = samples_for(rich_model(), 6, n2=5, omega1=1.7, omega2=0.9)
+        built = []
+        real = operators.m_op
+
+        def spy(samples, j, k):
+            built.append((j, k))
+            return real(samples, j, k)
+
+        monkeypatch.setattr(operators, "m_op", spy)
+        ev = build_rho_evaluator(ConvOperator(s), s)
+        assert sorted(built) == [(1, 1), (2, 2), (3, 1), (4, 2)]
+        g12 = compute_g_blocks(ConvOperator(s), s)[0]
+        assert np.abs(ev.g12 - g12).max() <= 1e-12 * np.abs(g12).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_block_reported_as_non_finite(self):
+        # K_31 - PiHat_2 X past the largest double, on one-point shapes
+        kops = {"K31": np.full((1, 1), 1e308), "K11": np.full((1, 1), 1e308)}
+        with pytest.raises(InvalidArgumentError, match="g_12 has non-finite entries"):
+            inversion._g_block(1, np.full((2, 1), -1.0), kops, np.full((1, 2), 1e308))
 
     def test_misplaced_block_rejected(self):
         # g_21 handed over where g_12 belongs: on a 5 x 7 grid its shape

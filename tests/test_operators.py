@@ -14,6 +14,7 @@ from diffkern2d.operators import (
     k_op,
     line_integration_op,
     m_op,
+    pi_factor,
 )
 
 from conftest import (
@@ -343,4 +344,13 @@ class TestPiPair:
         s = samples_for(exp_kernel(), 4)
         with pytest.raises(InvalidArgumentError):
             assemble_pi(s, 3)
+        with pytest.raises(InvalidArgumentError):
+            pi_factor(s, 0, hat=True)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_factors_one_at_a_time(self, k):
+        s = samples_for(rich_model(), 5, n2=7, omega1=1.7, omega2=0.9)
+        pp = assemble_pi(s, k)
+        assert np.array_equal(pi_factor(s, k), pp.pi)
+        assert np.array_equal(pi_factor(s, k, hat=True), pp.pi_hat)
 
