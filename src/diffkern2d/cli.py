@@ -268,8 +268,12 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
     recovered = solve_array(S, blurred)
 
     peak = float(maxval) if maxval is not None else float(np.abs(img).max() or 1.0)
-    mse = float(np.mean(np.abs(recovered - f) ** 2))
-    psnr = float("inf") if mse == 0 else 10.0 * np.log10(peak * peak / mse)
+    # error and peak scaled exactly by 2^-e, e the peak's exponent: no square overflows
+    peak_e, e = np.frexp(peak)
+    mse_e = float(np.mean(np.ldexp(np.abs(recovered - f), -e) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.ldexp(mse_e, 2 * e))
+    psnr = float("inf") if mse_e == 0 else 10.0 * np.log10(peak_e * peak_e / mse_e)
 
     rec2d = grid.to2d(recovered.real)
     blur2d = grid.to2d(np.asarray(blurred).real)

@@ -111,7 +111,7 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 
     Below the guard every returned solve has passed a condition check
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
-    operator's cached Hager-Higham estimate on the GMRES path (see
+    operator's cached ``onenormest`` estimate on the GMRES path (see
     :func:`_cond_estimate`).  Above the guard no condition is estimated.
     Either way each column's backward error ||S x - b|| / ||b|| must stay
     within BACKWARD_TOL.  The LU path checks it with the assembled matrix
@@ -265,8 +265,12 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
     cycle, and ||S x - b|| <= GMRES_RTOL ||b||.  It stops when its
     iterations reach GMRES_MAXITER or the ``matvecs`` left after one true
     residual per cycle so far, raising ConvergenceError with the estimates
-    relative to ||b||, as a non-finite or singular step does at once.
+    relative to ||b||, as a non-finite or singular step does at once.  It
+    solves b scaled exactly by 2^-e, e the binary exponent of max |b_i|, so
+    no norm of a finite b overflows; an x that overflows scaled back raises.
     """
+    e = int(np.frexp(np.abs(b).max())[1])
+    b = np.ldexp(b.view(b.real.dtype), -e).view(b.dtype)   # a complex b by its two parts
     history, x, r, cycles = [], np.zeros_like(b), b, 0
     V = np.empty((GMRES_RESTART + 1, b.size), b.dtype)
     R = np.zeros((GMRES_RESTART, GMRES_RESTART), b.dtype)   # the rotated Hessenberg matrix
@@ -312,6 +316,10 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):
             fail(f"true residual is {beta} after {len(history)} iterations")
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x.view(x.real.dtype), e).view(x.dtype)
+    if not np.isfinite(x).all():
+        fail(f"solution overflows when scaled back by 2^{e}")
     return x, len(history), len(history) + cycles
 
 
@@ -319,50 +327,37 @@ def _cond_estimate(S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
     """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
     solves, the iterations of its first solve and the FFT matvecs of all.
 
-    Hager's estimator of ||S^{-1}||_1 with t = 1 (Hager, SIAM J. Sci.
-    Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988, as in LAPACK
-    ``xLACN2``): from x = ones / N it alternates y = S^{-1} x and
-    z = S^{-H} sign(y), moving x to the unit vector at the largest |z_j|,
-    for at most 5 rounds; it stops early when |z_j| <= Re z^H x, when
-    sign(y) repeats or when ||y||_1 stops growing.  One extra solve with
-    x_i = (-1)^i (1 + i / (N - 1)) gives the lower bound
-    2 ||S^{-1} x||_1 / (3 N).  The larger value times the exact ||S||_1
-    is the estimate, which never uses random numbers.  Every solve is
-    against S: it is persymmetric, J S J = S^T for the index reversal J, so
-    S^{-H} b = J conj(S^{-1} J conj(b)).  The solves may spend ``matvecs``
-    FFT matvecs in all and the first ``first_matvecs`` (see :func:`_gmres`).
+    scipy's ``onenormest`` at t = 1 (Higham & Tisseur, SIAM J. Matrix
+    Anal. Appl. 21, 2000) is Hager's estimator of ||S^{-1}||_1 (SIAM J.
+    Sci. Stat. Comput. 5, 1984): from ones / N, at most 5 rounds and no
+    random numbers.  One extra solve with x_i = (-1)^i (1 + i / (N - 1))
+    gives the lower bound 2 ||S^{-1} x||_1 / (3 N) (Higham, ACM TOMS 14,
+    1988); the larger bound times the exact ||S||_1 is the estimate.  S is
+    persymmetric, J S J = S^T for the index reversal J, so S^{-H} b =
+    J conj(S^{-1} J conj(b)) is a solve against S too.  The solves may
+    spend ``matvecs`` FFT matvecs in all and the first ``first_matvecs``
+    (see :func:`_gmres`).
     """
+    # imported here so that ``import diffkern2d`` leaves scipy.sparse unloaded
+    import scipy.sparse.linalg
+
     N = S.grid.size
     spent, first = 0, None
 
     def inv(b):
         nonlocal spent, first
-        x, k, used = _gmres(S, b, first_matvecs if first is None else matvecs - spent)
+        x, k, used = _gmres(S, b.ravel(), first_matvecs if first is None else matvecs - spent)
         spent += used
         first = k if first is None else first
         return x
 
-    x = np.full(N, 1.0 / N)
-    est, xi = 0.0, None
-    for _ in range(5):
-        y = inv(x)
-        mag = np.abs(y)
-        nonzero = mag > 0
-        sign = np.where(nonzero, y, 1.0) / np.where(nonzero, mag, 1.0)
-        norm = float(mag.sum())
-        if norm <= est or (xi is not None and np.array_equal(sign, xi)):
-            est = max(est, norm)
-            break
-        est, xi = norm, sign
-        z = inv(xi[::-1].conj())[::-1].conj()     # S^{-H} xi
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= np.real(np.vdot(z, x)):
-            break
-        x = np.zeros(N)
-        x[j] = 1.0
+    op = scipy.sparse.linalg.LinearOperator(
+        (N, N), matvec=inv, rmatvec=lambda b: inv(b[::-1].conj())[::-1].conj(),
+        dtype=np.result_type(S.lattice_kernel, float))
+    est = scipy.sparse.linalg.onenormest(op, t=1)
     i = np.arange(N)
     alt = (-1.0) ** i * (1.0 + i / max(N - 1, 1))
-    est = max(est, 2.0 * float(np.abs(inv(alt)).sum()) / (3 * N))
+    est = max(float(est), 2.0 * float(np.abs(inv(alt)).sum()) / (3 * N))
     return est * S.norm1(), first, spent
 
 

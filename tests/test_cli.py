@@ -508,6 +508,25 @@ class TestDeconvCommand:
                                    "recovered.csv", "recovered.pgm"]
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_psnr_of_a_huge_image_is_finite(self, tmp_path, rng):
+        # peak^2 passes the largest double; the report still gives the
+        # PSNR that the error measured on a 1e155 scale implies
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        img = 1e155 * rng.integers(1, 256, (8, 8)).astype(float)
+        np.savetxt(tmp_path / "in.csv", img, delimiter=",")
+        out = tmp_path / "out"
+        assert main(["deconv", "--config", cfg, "--out", str(out),
+                     "--input", str(tmp_path / "in.csv")]) == 0
+        report = json.loads((out / "deconv_report.json").read_text())
+        rec = np.loadtxt(out / "recovered.csv", delimiter=",")
+        mse = np.mean(((rec - img) / 1e155) ** 2)
+        want = 20 * np.log10(report["peak"] / 1e155) - 10 * np.log10(mse)
+        assert np.isfinite(report["psnr_db"]) and np.isfinite(report["mse"])
+        assert abs(report["psnr_db"] - want) <= 1e-12 * want
+        assert abs(report["psnr_db"] - (20 * np.log10(report["peak"])
+                                        - 10 * np.log10(report["mse"]))) <= 1e-12 * want
+
     def test_csv_input(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
         img = checkerboard(8)

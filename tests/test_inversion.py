@@ -185,6 +185,20 @@ class TestSolve:
         with pytest.raises(ConvergenceError, match="column 1"):
             inversion._check_backward(S.dense(), B, X + [[0.0, 1e295, 0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [40, 80])     # GMRES below / above the guard
+    def test_huge_rhs_on_the_gmres_path(self, n):
+        # ||b|| squares past the largest double; GMRES solves the column
+        # scaled by a power of two, so its backward error on the scaled
+        # vectors is its last true residual
+        S = ConvOperator(samples_for(exp_kernel(), n))
+        b = 1e155 * np.ones(n * n)
+        x = solve_array(S, b)
+        assert S._lu is None
+        e = np.frexp(1e155)[1]
+        xs, bs = np.ldexp(x, -e), np.ldexp(b, -e)
+        assert np.linalg.norm(S.apply_fft(xs) - bs) <= inversion.GMRES_RTOL * np.linalg.norm(bs)
+
     @pytest.mark.parametrize("n1,n2", [(8, 8), (66, 64)])   # below / above the guard
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_rejected(self, n1, n2, bad):
@@ -431,6 +445,23 @@ class TestGmres:
         assert k == 1 and len(calls) == spent == 2
         assert_allclose(x, b / 2.5, rtol=0, atol=1e-15 * np.abs(b).max())
 
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["2^-600", "2^600"])
+    def test_power_of_two_rhs_scales_the_solution_exactly(self, scale, rng):
+        S = ConvOperator(samples_for(rich_model(), 12, n2=9, omega1=1.7, omega2=0.9))
+        B = rng.standard_normal((108, 2)) + 1j * rng.standard_normal((108, 2))
+        X, k, spent = inversion._gmres(S, B)
+        Y, k2, spent2 = inversion._gmres(S, scale * B)
+        assert np.array_equal(Y, scale * X) and (k2, spent2) == (k, spent)
+
+    @pytest.mark.filterwarnings("error")
+    def test_solution_overflowing_when_scaled_back_is_reported(self):
+        # S = 1e-300 I: the scaled column solves to about 0.5e300, which
+        # column 1's scale of 2^34 takes past the largest double
+        S = ConvOperator(samples_for(identity_kernel(c=1e-300), 8, normalize=False))
+        B = np.column_stack([np.ones(64), 1e10 * np.ones(64)])
+        with pytest.raises(ConvergenceError, match=r"overflows when scaled back .*\(column 1\)"):
+            inversion._gmres(S, B)
+
     @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
     def test_matvecs_per_column(self, tag, rng):
         S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), 12, n2=9, omega1=1.7, omega2=0.9))
@@ -480,11 +511,53 @@ class TestConditionEstimate:
         S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
         D = S.dense()
         exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
+        calls = TestGmres.counting(S)
         cond, k, spent = _cond_estimate(S)
         # a lower bound up to the GMRES tolerance, and deterministic
         assert exact / 3 <= cond <= exact * (1 + 1e-9)
-        assert k >= 1 and spent > k
+        assert k >= 1 and spent == len(calls) > k
         assert _cond_estimate(S)[0] == cond
+
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    def test_draws_no_random_numbers(self, kernel, monkeypatch):
+        # onenormest with one column, t = 1, never samples a random sign vector
+        model = rich_model() if kernel == "real" else exp_kernel(amp=0.05 + 0.1j)
+        S = ConvOperator(samples_for(model, 5, n2=7, omega1=1.7, omega2=0.9))
+        want = inversion._cond_estimate(S)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random number was drawn")
+
+        monkeypatch.setattr(np.random, "randint", refuse)
+        assert inversion._cond_estimate(S) == want
+
+    def test_allowance_bounds_the_matvecs(self, monkeypatch):
+        # every allowance below the estimate's spend stops it within what it
+        # allows; the ConvergenceError crosses onenormest unless the extra
+        # alternating-sign solve, the last one, raises it
+        S = ConvOperator(samples_for(rich_model(), 5, n2=7, omega1=1.7, omega2=0.9))
+        spends = []
+        real = inversion._gmres
+
+        def spy(S, b, matvecs):
+            out = real(S, b, matvecs)
+            spends.append(out[2])
+            return out
+
+        monkeypatch.setattr(inversion, "_gmres", spy)
+        want = inversion._cond_estimate(S)
+        spent, last = want[2], spends[-1]
+        assert spent == sum(spends) and len(spends) >= 3
+        calls = TestGmres.counting(S)
+        for allowance in range(spent):
+            calls.clear()
+            with pytest.raises(ConvergenceError, match=r"did not reach") as err:
+                inversion._cond_estimate(S, allowance, allowance)
+            assert len(calls) <= allowance
+            crossed = any("onenormest" in str(entry.path) for entry in err.traceback)
+            assert crossed == (allowance < spent - last)
+        calls.clear()
+        assert inversion._cond_estimate(S, spent, spent) == want and len(calls) == spent
 
     @pytest.mark.parametrize("kernel", ["real", "complex"])
     def test_adjoint_solve_matches_dense(self, kernel, monkeypatch):
