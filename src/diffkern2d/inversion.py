@@ -98,7 +98,9 @@ CHECK_BLOCK = 1 << 16
 def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs for an (N,) vector or for each column of an (N, m) block.
 
-    Above DENSE_GUARD GMRES with the FFT matvec solves column by column.
+    Above DENSE_GUARD a Krylov solver with the FFT matvec solves column by
+    column (:func:`_gmres_column`): MINRES for a Hermitian S, GMRES
+    otherwise; below, "GMRES" names that solver, MINRES included.
     At desk scale (N <= DENSE_GUARD) one rule in FFT matvecs picks the
     backend: the operator's LU when it is cached, otherwise GMRES when
     m (k + 1), plus ESTIMATE_SOLVES (k + 1) for the condition estimate
@@ -168,10 +170,13 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 #   64^2   0.85    1.46    2.25    3.10
 #
 # Complex columns are fitted because every multi-column caller passes
-# them; a real column costs about 0.75x as much.  Per iteration Gram-Schmidt
-# work grows with k, so at k = 32 (the deconv kernel) the model reads
-# 0.4-0.9x of the measured time; GMRES is then cheaper than LU by an order
-# of magnitude from 48^2 up, and the allowance bounds the loss below that.
+# them; a real column costs about 0.75x as much.  For a non-Hermitian S
+# Gram-Schmidt work per iteration grows with k, so at k = 32 the model
+# reads 0.4-0.7x of the measured time.  MINRES, which solves a Hermitian
+# S, adds O(N) work per iteration to the matvec at any k: on the deconv
+# kernel (k = 34) the model reads 0.6-0.75x from 16^2 to 64^2.  Either
+# way the Krylov solve is then cheaper than LU by an order of magnitude
+# from 48^2 up, and the allowance bounds the loss below that.
 ESTIMATE_SOLVES = 5     # solves of _cond_estimate, in the model
 
 
@@ -236,11 +241,12 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
 
 
 def _gmres(S: ConvOperator, B: np.ndarray, matvecs=math.inf):
-    """``(X, iterations, spent)``: S^{-1} B by GMRES with the FFT matvec,
-    one column at a time (:func:`_gmres_column`), with the iterations and
-    FFT matvecs of all columns.  Each column may spend what the ones
-    before it left of ``matvecs``; one that misses GMRES_RTOL within its
-    limit, or meets a non-finite value, raises ConvergenceError.
+    """``(X, iterations, spent)``: S^{-1} B with the FFT matvec, one column
+    at a time (:func:`_gmres_column`: MINRES for a Hermitian S, GMRES
+    otherwise), with the iterations and FFT matvecs of all columns.  Each
+    column may spend what the ones before it left of ``matvecs``; one that
+    misses GMRES_RTOL within its limit, or meets a non-finite value,
+    raises ConvergenceError.
     """
     N = S.grid.size
     dtype = np.result_type(S.lattice_kernel, B, float)
@@ -255,13 +261,22 @@ def _gmres(S: ConvOperator, B: np.ndarray, matvecs=math.inf):
 
 
 def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
-    """``(x, iterations, spent)``: S x = b for column ``j`` of a solve, by
-    GMRES restarted every GMRES_RESTART iterations (Saad & Schultz, SIAM
-    J. Sci. Stat. Comput. 7, 1986), classical Gram-Schmidt run twice
-    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005) and Givens
-    rotations for the residual estimate.  The zero start needs no matvec;
-    each cycle ends with the true residual b - S x, which alone decides
-    convergence, so ``spent`` is one FFT matvec per iteration and one per
+    """``(x, iterations, spent)``: S x = b for column ``j`` of a solve.
+
+    A Hermitian S (``S.hermitian``) is solved by MINRES (Paige & Saunders,
+    SIAM J. Numer. Anal. 12, 1975): the Lanczos three-term recurrence
+    builds the same minimal-residual iterate as unrestarted GMRES from
+    O(N) memory, and x is updated every iteration from the last two
+    search directions, so a cycle needs no Krylov basis and no restart.
+    Any other S is solved by GMRES restarted every GMRES_RESTART
+    iterations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), with
+    classical Gram-Schmidt run twice (Giraud, Langou & Rozloznik, Comput.
+    Math. Appl. 50, 2005).  Both take Givens rotations for the residual
+    estimate.  The zero start needs no matvec; each cycle ends with the
+    true residual b - S x, which alone decides convergence (the MINRES
+    recurrence may drift from it: Sleijpen, van der Vorst & Modersitzki,
+    SIAM J. Matrix Anal. Appl. 22, 2000), and a miss starts a new cycle
+    from x.  So ``spent`` is one FFT matvec per iteration and one per
     cycle, and ||S x - b|| <= GMRES_RTOL ||b||.  It stops when its
     iterations reach GMRES_MAXITER or the ``matvecs`` left after one true
     residual per cycle so far, raising ConvergenceError with the estimates
@@ -272,46 +287,69 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
     e = int(np.frexp(np.abs(b).max())[1])
     b = np.ldexp(b.view(b.real.dtype), -e).view(b.dtype)   # a complex b by its two parts
     history, x, r, cycles = [], np.zeros_like(b), b, 0
-    V = np.empty((GMRES_RESTART + 1, b.size), b.dtype)
+    lanczos = S.hermitian
+    # the Krylov basis, or a ring of MINRES's last two Lanczos vectors
+    V = np.empty((2 if lanczos else GMRES_RESTART + 1, b.size), b.dtype)
     R = np.zeros((GMRES_RESTART, GMRES_RESTART), b.dtype)   # the rotated Hessenberg matrix
     beta = bnorm = float(np.linalg.norm(b))
     tol = GMRES_RTOL * bnorm
 
     def fail(why):
-        raise ConvergenceError(f"GMRES {why} (column {j})", residuals=history)
+        raise ConvergenceError(f"{'MINRES' if lanczos else 'GMRES'} {why} (column {j})",
+                               residuals=history)
 
     while beta > tol:
         cycles += 1
         V[0] = r / beta
-        g, rotations = [beta], []
-        for k in range(GMRES_RESTART):
+        g, rotations, hn = [beta], [], 0.0
+        D = np.zeros((2, b.size), b.dtype) if lanczos else None   # MINRES directions
+        for k in range(GMRES_MAXITER if lanczos else GMRES_RESTART):
             if len(history) >= min(GMRES_MAXITER, matvecs - cycles):
                 fail(f"did not reach rtol={GMRES_RTOL} in {len(history)} iterations")
-            w = S.apply_fft(V[k])
-            basis = V[: k + 1]
-            h = (basis @ w.conj()).conj()
-            w -= h @ basis
-            d = (basis @ w.conj()).conj()
-            w -= d @ basis
-            col, hn = (h + d).tolist(), float(np.linalg.norm(w))
-            for i, (c, s) in enumerate(rotations):
+            v = V[k % len(V)]
+            w = S.apply_fft(v)
+            if lanczos:
+                # S v_k = hn v_{k-1} + alpha v_k + ||w|| v_{k+1}, hn = ||w|| of
+                # the step before; column k of the tridiagonal matrix from
+                # row lo = max(k - 2, 0), all real
+                alpha = float(np.vdot(v, w).real)
+                w -= alpha * v
+                if k:
+                    w -= hn * V[(k - 1) % 2]
+                lo, col = max(k - 2, 0), [0.0, hn, alpha][max(2 - k, 0):]
+            else:
+                basis = V[: k + 1]
+                h = (basis @ w.conj()).conj()
+                w -= h @ basis
+                d = (basis @ w.conj()).conj()
+                w -= d @ basis
+                lo, col = 0, (h + d).tolist()
+            hn = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations[lo:]):   # earlier ones meet zeros
                 col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
                                       c * col[i + 1] - s.conjugate() * col[i])
-            a = col[k]
+            a = col[-1]
             pivot = math.hypot(abs(a), hn)
             if not 0.0 < pivot < math.inf:
                 fail(f"met a non-finite or singular step at iteration {len(history) + 1}")
             phase = a / abs(a) if a else 1.0
             c, s = abs(a) / pivot, phase * hn / pivot
             rotations.append((c, s))
-            R[: k + 1, k] = col[:k] + [phase * pivot]
             g[k:] = [c * g[k], -s.conjugate() * g[k]]
             history.append(abs(g[k + 1]) / bnorm)
+            if lanczos:
+                # d_k = (v_k - R[k-1, k] d_{k-1} - R[k-2, k] d_{k-2}) / R[k, k]
+                r2, r1 = ([0.0, 0.0] + col[:-1])[-2:]
+                D[k % 2] = (v - r1 * D[(k - 1) % 2] - r2 * D[k % 2]) / (phase * pivot)
+                x += g[k] * D[k % 2]
+            else:
+                R[: k + 1, k] = col[:k] + [phase * pivot]
             if abs(g[k + 1]) <= tol:
                 break
-            V[k + 1] = w / hn
-        y = scipy.linalg.solve_triangular(R[: k + 1, : k + 1], g[: k + 1], check_finite=False)
-        x += y @ V[: k + 1]
+            V[(k + 1) % len(V)] = w / hn
+        if not lanczos:
+            y = scipy.linalg.solve_triangular(R[: k + 1, : k + 1], g[: k + 1], check_finite=False)
+            x += y @ V[: k + 1]
         r = b - S.apply_fft(x)
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):

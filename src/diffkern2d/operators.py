@@ -99,6 +99,8 @@ class ConvOperator:
         if np.max(np.abs(W.imag)) == 0.0:
             W = W.real.copy()
         self.lattice_kernel = W  # (2n1-1, 2n2-1), [p1 + n1-1, p2 + n2-1]
+        # S is Hermitian exactly when W(-p) = conj W(p); not up to roundoff
+        self.hermitian = bool(np.array_equal(W, W[::-1, ::-1].conj()))
 
         # circulant embedding, (2n2, 2n1) for [b, a]-ordered 2-D views
         C = np.zeros((2 * n2, 2 * n1), dtype=W.dtype)

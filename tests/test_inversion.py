@@ -37,10 +37,22 @@ from oracle import check_difference_kernel, s_values
 
 
 def deconv_model():
-    """The deconv benchmark's kernel: GMRES needs about 32 iterations."""
+    """The deconv benchmark's kernel, Hermitian: MINRES needs about 34
+    iterations at 64^2."""
     from diffkern2d.kernels import gaussian_kernel
 
     return gaussian_kernel(amp=8.0, width=0.15)
+
+
+def restart_operator():
+    """A non-Hermitian operator whose GMRES crosses several restarts:
+    gaussian amp 10 with an exp beta profile, 96 x 80 on 1.7 x 0.9."""
+    from diffkern2d.kernels import gaussian_kernel, with_profiles
+
+    model = with_profiles(gaussian_kernel(amp=10.0, width=0.15), beta=("exp", 0.08, 0.5))
+    S = ConvOperator(samples_for(model, 96, n2=80, omega1=1.7, omega2=0.9))
+    assert not S.hermitian
+    return S
 
 
 class TestSolve:
@@ -186,12 +198,16 @@ class TestSolve:
             inversion._check_backward(S.dense(), B, X + [[0.0, 1e295, 0.0]])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", [40, 80])     # GMRES below / above the guard
-    def test_huge_rhs_on_the_gmres_path(self, n):
-        # ||b|| squares past the largest double; GMRES solves the column
+    # GMRES (exp) and MINRES (gaussian), below / above the guard
+    @pytest.mark.parametrize("n,model", [
+        pytest.param(40, exp_kernel, id="40"), pytest.param(80, exp_kernel, id="80"),
+        pytest.param(40, deconv_model, id="40-hermitian"),
+        pytest.param(80, deconv_model, id="80-hermitian")])
+    def test_huge_rhs_on_the_gmres_path(self, n, model):
+        # ||b|| squares past the largest double; the column is solved
         # scaled by a power of two, so its backward error on the scaled
         # vectors is its last true residual
-        S = ConvOperator(samples_for(exp_kernel(), n))
+        S = ConvOperator(samples_for(model(), n))
         b = 1e155 * np.ones(n * n)
         x = solve_array(S, b)
         assert S._lu is None
@@ -331,9 +347,9 @@ class TestBackendChoice:
 
     def test_gaussian_evaluator_at_32_hands_over_after_one_gmres_solve(self, gmres_calls):
         # the 2 n2 + 1 columns are priced for GMRES at two iterations; the
-        # estimate's first solve needs far more (174), and once the whole
-        # job at its count so far overdraws the LU's cost it stops and the
-        # LU takes over
+        # estimate's first solve needs far more (88, by MINRES: the kernel
+        # is Hermitian), and once the whole job at its count so far
+        # overdraws the LU's cost it stops and the LU takes over
         from diffkern2d.kernels import gaussian_kernel
 
         s = samples_for(gaussian_kernel(amp=8.0, width=0.15), 32, omega1=1.7, omega2=0.9)
@@ -386,10 +402,7 @@ class TestGmres:
             assert np.linalg.norm(x - ref) <= 10 * cond * rtol * np.linalg.norm(ref)
 
     def test_restart_path(self, rng):
-        from diffkern2d.kernels import gaussian_kernel
-
-        model = gaussian_kernel(amp=10.0, width=0.15)
-        S = ConvOperator(samples_for(model, 96, n2=80, omega1=1.7, omega2=0.9))
+        S = restart_operator()
         f0 = rng.standard_normal(S.grid.size)
         b = S.apply_fft(f0)
         calls = self.counting(S)
@@ -404,17 +417,14 @@ class TestGmres:
         # the restart path's column spends one matvec per iteration and one
         # true residual per cycle; every smaller allowance stops it within
         # what it allows, the exact one solves it unchanged
-        from diffkern2d.kernels import gaussian_kernel
-
-        model = gaussian_kernel(amp=10.0, width=0.15)
-        S = ConvOperator(samples_for(model, 96, n2=80, omega1=1.7, omega2=0.9))
+        S = restart_operator()
         b = S.apply_fft(rng.standard_normal(S.grid.size))
         calls = self.counting(S)
         x, k, spent = inversion._gmres(S, b)
         assert k > 3 * inversion.GMRES_RESTART and len(calls) == spent
         for allowance in (0, 1, 2, 51, 52, 120, spent - 1):
             calls.clear()
-            with pytest.raises(ConvergenceError, match=r"did not reach .*\(column 0\)"):
+            with pytest.raises(ConvergenceError, match=r"^GMRES did not reach .*\(column 0\)"):
                 inversion._gmres(S, b, allowance)
             assert len(calls) <= allowance
         calls.clear()
@@ -445,9 +455,13 @@ class TestGmres:
         assert k == 1 and len(calls) == spent == 2
         assert_allclose(x, b / 2.5, rtol=0, atol=1e-15 * np.abs(b).max())
 
-    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["2^-600", "2^600"])
-    def test_power_of_two_rhs_scales_the_solution_exactly(self, scale, rng):
-        S = ConvOperator(samples_for(rich_model(), 12, n2=9, omega1=1.7, omega2=0.9))
+    @pytest.mark.parametrize("scale,model", [
+        pytest.param(2.0 ** -600, rich_model, id="2^-600"),
+        pytest.param(2.0 ** 600, rich_model, id="2^600"),
+        pytest.param(2.0 ** -600, deconv_model, id="2^-600-hermitian"),
+        pytest.param(2.0 ** 600, deconv_model, id="2^600-hermitian")])
+    def test_power_of_two_rhs_scales_the_solution_exactly(self, scale, model, rng):
+        S = ConvOperator(samples_for(model(), 12, n2=9, omega1=1.7, omega2=0.9))
         B = rng.standard_normal((108, 2)) + 1j * rng.standard_normal((108, 2))
         X, k, spent = inversion._gmres(S, B)
         Y, k2, spent2 = inversion._gmres(S, scale * B)
@@ -455,12 +469,16 @@ class TestGmres:
 
     @pytest.mark.filterwarnings("error")
     def test_solution_overflowing_when_scaled_back_is_reported(self):
-        # S = 1e-300 I: the scaled column solves to about 0.5e300, which
+        # S = 1e-300 I (Hermitian) and 1e-300 I plus a small exp part (not
+        # Hermitian): the scaled column solves to about 0.5e300, which
         # column 1's scale of 2^34 takes past the largest double
-        S = ConvOperator(samples_for(identity_kernel(c=1e-300), 8, normalize=False))
         B = np.column_stack([np.ones(64), 1e10 * np.ones(64)])
-        with pytest.raises(ConvergenceError, match=r"overflows when scaled back .*\(column 1\)"):
-            inversion._gmres(S, B)
+        for model, hermitian in ((identity_kernel(c=1e-300), True),
+                                 (exp_kernel(c=1e-300, amp=1e-302), False)):
+            S = ConvOperator(samples_for(model, 8, normalize=False))
+            assert S.hermitian == hermitian
+            with pytest.raises(ConvergenceError, match=r"overflows when scaled back .*\(column 1\)"):
+                inversion._gmres(S, B)
 
     @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
     def test_matvecs_per_column(self, tag, rng):
@@ -490,15 +508,147 @@ class TestGmres:
         assert len(checks) == 1 and checks[0] is lu.dense()
 
     def test_overflowing_matvec_fails_within_one_cycle(self):
-        # a finite lattice kernel and spectrum whose matvec overflows
-        S = ConvOperator(samples_for(exp_kernel(amp=1e306, c=1.0), 80, normalize=False))
-        assert np.isfinite(S.lattice_kernel).all() and np.isfinite(S.spectrum).all()
-        calls = self.counting(S)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError, match=r"non-finite .*\(column 0\)") as err:
-                solve_array(S, np.ones(6400))
-        assert 0 < len(calls) < 50
-        assert isinstance(err.value.residuals, list)
+        # finite lattice kernels and spectra whose matvecs overflow, through
+        # GMRES (exp) and MINRES (gaussian)
+        from diffkern2d.kernels import gaussian_kernel
+
+        for model, hermitian in ((exp_kernel(amp=1e306, c=1.0), False),
+                                 (gaussian_kernel(amp=1e306, c=1.0), True)):
+            S = ConvOperator(samples_for(model, 80, normalize=False))
+            assert np.isfinite(S.lattice_kernel).all() and np.isfinite(S.spectrum).all()
+            assert S.hermitian == hermitian
+            calls = self.counting(S)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ConvergenceError, match=r"non-finite .*\(column 0\)") as err:
+                    solve_array(S, np.ones(6400))
+            assert 0 < len(calls) < 50
+            assert isinstance(err.value.residuals, list)
+
+
+class TestMinres:
+    """MINRES, the column solver's path for a Hermitian S: the flag that
+    picks it, agreement with a dense solve, its matvec count, allowance
+    and cycles, and its memory."""
+
+    EXPECTED = {"zero": True, "exp": False, "poly": True, "gaussian": True,
+                "separable": False, "rich": False}
+
+    @staticmethod
+    def odd_samples():
+        """The deconv kernel on an odd, non-square grid: 17 x 11 on 1.7 x 0.9,
+        where MINRES needs 82-84 iterations for a standard-normal rhs."""
+        return samples_for(deconv_model(), 17, n2=11, omega1=1.7, omega2=0.9)
+
+    def complex_hermitian_operator(self):
+        """The odd-grid deconv kernel with its lattice v times e^{i theta(p)},
+        theta odd: a complex Hermitian S."""
+        import dataclasses
+
+        s = self.odd_samples()
+        g = s.grid
+        p1 = np.arange(-(g.n1 - 1), g.n1)[:, None] * g.h1
+        p2 = np.arange(-(g.n2 - 1), g.n2)[None, :] * g.h2
+        S = ConvOperator(dataclasses.replace(s, v_lat=s.v_lat * np.exp(1j * (3 * p1 - 2 * p2))))
+        assert np.iscomplexobj(S.lattice_kernel)
+        return S
+
+    @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (17, 11), (64, 64)])
+    def test_flag_set_exactly_for_hermitian_kernels(self, tag, n1, n2):
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, omega1=1.7, omega2=0.9))
+        assert S.hermitian is self.EXPECTED[tag]
+        if S.hermitian and S.grid.size < 1000:
+            assert_allclose(S.dense(), S.dense().conj().T, rtol=0, atol=0)
+
+    def test_flag_refuses_a_kernel_hermitian_only_to_roundoff(self):
+        import dataclasses
+
+        s = samples_for(deconv_model(), 12, n2=9)
+        v = s.v_lat.copy()
+        v[0, 0] = np.nextafter(v[0, 0], np.inf)
+        assert ConvOperator(s).hermitian
+        assert not ConvOperator(dataclasses.replace(s, v_lat=v)).hermitian
+
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    def test_agrees_with_dense_solve_on_odd_grid(self, kernel, rng):
+        S = (ConvOperator(self.odd_samples()) if kernel == "real"
+             else self.complex_hermitian_operator())
+        D = S.dense()
+        assert S.hermitian and np.array_equal(D, D.conj().T)
+        cond = np.linalg.cond(D)
+        for b in (rng.standard_normal(187),
+                  rng.standard_normal(187) + 1j * rng.standard_normal(187)):
+            calls = TestGmres.counting(S)
+            x, k, spent = inversion._gmres(S, b)
+            ref = np.linalg.solve(D, b)
+            assert x.dtype == np.result_type(D, b) and len(calls) == spent == k + 1
+            assert np.linalg.norm(D @ x - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
+            assert np.linalg.norm(x - ref) <= 10 * cond * inversion.GMRES_RTOL * np.linalg.norm(ref)
+
+    def test_allowance_bounds_the_matvecs(self, rng):
+        # as on the GMRES path: every smaller allowance stops the column
+        # within what it allows, the exact one solves it unchanged
+        S = ConvOperator(self.odd_samples())
+        b = rng.standard_normal(187)
+        calls = TestGmres.counting(S)
+        x, k, spent = inversion._gmres(S, b)
+        assert k > inversion.GMRES_RESTART and len(calls) == spent == k + 1
+        for allowance in range(spent):
+            calls.clear()
+            with pytest.raises(ConvergenceError, match=r"^MINRES did not reach .*\(column 0\)"):
+                inversion._gmres(S, b, allowance)
+            assert len(calls) <= allowance
+        calls.clear()
+        X, k2, spent2 = inversion._gmres(S, b, spent)
+        assert np.array_equal(X, x) and (k2, spent2) == (k, spent) == (k, len(calls))
+
+    def test_missed_true_residual_starts_a_new_cycle(self, rng):
+        # the first Lanczos matvec reads S scaled by 1 + 1e-6, so the first
+        # cycle's recurrence ends at an x whose true residual misses; a
+        # second cycle from that x solves the column
+        S = ConvOperator(self.odd_samples())
+        b = rng.standard_normal(187)
+        real, calls = S.apply_fft, []
+
+        def skewed(f):
+            calls.append(1)
+            return real(f) * (1 + 1e-6 if len(calls) == 1 else 1)
+
+        S.apply_fft = skewed
+        x, k, spent = inversion._gmres(S, b)
+        assert len(calls) == spent == k + 2
+        assert np.linalg.norm(real(x) - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
+
+    def test_holds_no_krylov_basis(self, rng):
+        # a column of N = 7680 doubles takes 61 kB; GMRES's basis alone
+        # takes GMRES_RESTART + 1 of them, MINRES a handful plus the
+        # matvec's work arrays
+        import tracemalloc
+
+        S = ConvOperator(samples_for(deconv_model(), 96, n2=80, omega1=1.7, omega2=0.9))
+        b = rng.standard_normal(S.grid.size)
+        S.apply_fft(b)
+        tracemalloc.start()
+        try:
+            x, k, _ = inversion._gmres(S, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k > inversion.GMRES_RESTART
+        assert peak <= 20 * b.nbytes < (inversion.GMRES_RESTART + 1) * b.nbytes
+
+    def test_well_conditioned_kernel_that_stalled_gmres_solves(self):
+        # gaussian amp 40, width 0.08 at 128^2, above the dense guard: GMRES(50)
+        # raised ConvergenceError after 5000 iterations on the blurred seeded
+        # image; MINRES reaches GMRES_RTOL in a few hundred
+        from diffkern2d.kernels import gaussian_kernel
+
+        S = ConvOperator(samples_for(gaussian_kernel(amp=40.0, width=0.08), 128))
+        f = np.random.default_rng(3).integers(0, 256, S.grid.size).astype(float)
+        b = S.apply_fft(f)
+        x = solve_array(S, b)
+        assert S.hermitian and S._lu is None
+        assert np.linalg.norm(S.apply_fft(x) - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
 
 
 class TestConditionEstimate:
