@@ -29,7 +29,7 @@ from .config import RunConfig, check_seed, load_config, parse_sizes
 from .errors import DiffKernError, InvalidArgumentError
 from .grid import normalize_kernel, sample_kernel
 from .inversion import (
-    CHECK_BLOCK,
+    _blocks,
     _by_parts,
     build_rho_evaluator,
     g_symmetry_residual,
@@ -329,15 +329,14 @@ def _cond_2(dense: np.ndarray, dense_inv: np.ndarray) -> float:
 
 
 def _inverse_residual(S: ConvOperator, X: np.ndarray) -> float:
-    """||S X - I||_F, with S X by the FFT matvec over blocks of about
-    4 CHECK_BLOCK entries of X, so the work arrays stay bounded."""
-    N = X.shape[1]
-    step = max(1, 4 * CHECK_BLOCK // N)
+    """||S X - I||_F, with S X by the FFT matvec over the cache-sized
+    column blocks of ``inversion._blocks``, so the work arrays stay
+    bounded."""
     norms = []
-    for j in range(0, N, step):
-        R = S.apply_fft(X[:, j:j + step])
+    for cols in _blocks(X.shape[1]):
+        R = S.apply_fft(X[:, cols])
         k = np.arange(R.shape[1])
-        R[j + k, k] -= 1.0
+        R[cols.start + k, k] -= 1.0
         norms.append(np.linalg.norm(R))
     return float(np.linalg.norm(norms))
 

@@ -86,8 +86,17 @@ GMRES_RESTART = 50      # Krylov basis length: iterations per restart cycle
 GMRES_MAXITER = 5000    # iterations a column may take over all its cycles
 
 # the LU path's backward check forms the dense product in blocks of about
-# 4 CHECK_BLOCK rhs entries, so its work arrays stay bounded
+# 4 CHECK_BLOCK rhs entries; _blocks sizes the other blocked N x N work
 CHECK_BLOCK = 1 << 16
+
+
+def _blocks(N: int):
+    """Slices of range(N) for products that act on one index of an N x N
+    array: about CHECK_BLOCK / 4 entries each (256 KB complex, in cache)
+    beside the array.  Each is a multiple of 8 lines, at least 8, so BLAS's
+    micro-tiles fall as on the whole array and the bits are the same."""
+    step = 8 * max(1, CHECK_BLOCK // (32 * N))
+    return [slice(j, j + step) for j in range(0, N, step)]
 
 
 # --------------------------------------------------------------------------
@@ -228,8 +237,9 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
         return None
     try:
         if est is None:
-            # the first solve stops once it and m columns like it overdraw
-            cond, k, spent = _cond_estimate(S, allowance, allowance // (1 + m))
+            # the first solve stops once it, the estimate's other solves
+            # and m columns like it overdraw
+            cond, k, spent = _cond_estimate(S, allowance, allowance // (ESTIMATE_SOLVES + m))
             est = S._cond_est = (cond, k)
             allowance -= spent
         _check_cond(est[0])
@@ -729,12 +739,9 @@ def _basis_factors(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
             np.exp(1j * grid.x2[:, None] * l2))
 
 
-def _apply_basis(grid: GridSpec, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """E X (or E^H X) for the DFT basis E = E2 (x) E1, columns lam1-fastest,
-    applied axis by axis with the n_i x n_i sampled exponentials E_i."""
-    E1, E2 = _basis_factors(grid)
-    if adjoint:
-        E1, E2 = E1.conj().T, E2.conj().T
+def _apply_basis(E1: np.ndarray, E2: np.ndarray, grid: GridSpec, X: np.ndarray) -> np.ndarray:
+    """(E2 (x) E1) X for n_i x n_i factors E_i, columns lam1-fastest,
+    applied axis by axis."""
     return apply_along(E2, apply_along(E1, X, grid, 1), grid, 2)
 
 
@@ -754,19 +761,24 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
     For a real S the N columns of F are solved, and backward-checked, in
     real arithmetic instead of the 2N real columns of E; a complex S
     solves N complex columns.  Then R = h1 h2 E^H S^{-1} E, with both
-    Kronecker products applied axis by axis.
+    Kronecker products applied axis by axis.  Beside Y the one N x N array
+    is R: Y (M2 (x) M1) fills it a block of rows at a time, then h1 h2 E^H
+    acts on it in place a block of columns at a time (:func:`_blocks`).
     """
     g = S.grid
     E1, E2 = _basis_factors(g)
     F1, F2 = E1.real + E1.imag, E2.real + E2.imag
     Y = solve_array(S, np.kron(F2, F1))
-    # Y (M2 (x) M1) = ((M2^T (x) M1^T) Y^T)^T.  Each N x N intermediate is
-    # dropped as soon as it is used, which keeps peak resident memory down.
-    X = apply_along((F1.T @ E1 / g.n1).T, Y.T, g, 1)
+    # rows of Y (M2 (x) M1) = ((M2^T (x) M1^T) Y^T)^T are columns of R.T
+    M1T, M2T = (F1.T @ E1 / g.n1).T, (F2.T @ E2 / g.n2).T
+    R = np.empty((g.size, g.size), complex, order="F")
+    for rows in _blocks(g.size):
+        R.T[:, rows] = _apply_basis(M1T, M2T, g, Y[rows].T)
     del Y
-    X = apply_along((F2.T @ E2 / g.n2).T, X, g, 2).T
-    R = _apply_basis(g, X, adjoint=True)
-    R *= g.h1 * g.h2
+    E1H, E2H = E1.conj().T, E2.conj().T
+    for cols in _blocks(g.size):
+        R[:, cols] = _apply_basis(E1H, E2H, g, R[:, cols])
+        R[:, cols] *= g.h1 * g.h2
     return R
 
 
@@ -775,22 +787,27 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
 
     Exact at the discrete level because the sampled exponentials form an
     orthogonal basis.  E R and E (E R)^H = (E R E^H)^H are each evaluated
-    axis by axis.  For a real lattice kernel the exact T is real, and the
-    real part is returned (float64); otherwise T is complex.  ``reconstruct``
-    judges T by ||S T - I||_F and ||T S - I||_F, both by the FFT matvec.
+    axis by axis, in place on the table, E on a block of its columns and
+    then E^H on a block of its rows at a time.  For a real lattice kernel
+    the exact T is real, and its real part is returned (float64, the one
+    copy); otherwise T is the table's array.  T is Fortran-ordered, like
+    the unblocked (E R E^H)^H transposed, which fixes the summation order
+    of svds in ``cond_S``.  ``reconstruct`` judges T by ||S T - I||_F and
+    ||T S - I||_F, both by the FFT matvec.
     """
     if not isinstance(S, ConvOperator):
         raise InvalidArgumentError(f"expected a ConvOperator, got {type(S).__name__}")
     R = build_rho_table(S)
     g = S.grid
+    E1, E2 = _basis_factors(g)
+    for cols in _blocks(g.size):
+        R[:, cols] = _apply_basis(E1, E2, g, R[:, cols])
+    # R.T becomes TH = E (E R)^H = (E R E^H)^H a block of columns at a time
+    for rows in _blocks(g.size):
+        R.T[:, rows] = _apply_basis(E1, E2, g, R[rows].conj().T)
     scale = 1.0 / (g.omega1 * g.omega2 * g.size)
-    ER = _apply_basis(g, R)
-    del R
-    np.conjugate(ER, out=ER)
-    TH = _apply_basis(g, ER.T)           # (E R E^H)^H
-    del ER
     if np.isrealobj(S.lattice_kernel):
-        return TH.real.T * scale
-    np.conjugate(TH, out=TH)
-    TH *= scale
-    return TH.T
+        return R.real * scale
+    np.conjugate(R, out=R)
+    R *= scale
+    return R

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffkern2d import cli
+from diffkern2d import cli, inversion
 from diffkern2d.cli import main
 from diffkern2d.config import RunConfig, load_config, parse_config_text
 from diffkern2d.errors import ConfigError
@@ -586,7 +586,7 @@ class TestReconstructCommand:
     def test_residuals_match_dense_products(self, tag, n1, n2, blocked, rng, monkeypatch):
         # blocked: 8 columns per apply_fft, with a shorter last block
         if blocked:
-            monkeypatch.setattr(cli, "CHECK_BLOCK", 2 * n1 * n2)
+            monkeypatch.setattr(inversion, "CHECK_BLOCK", 32 * n1 * n2)
         model = model_for(tag)
         S = operator_for(model, n1, n2, omega1=1.7, omega2=0.9)
         D, eye = S.dense(), np.eye(n1 * n2)

@@ -30,7 +30,7 @@ from diffkern2d.inversion import (
     y_samples,
 )
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separable_kernel
-from diffkern2d.operators import ConvOperator, assemble_pi, k_op
+from diffkern2d.operators import ConvOperator, apply_along, assemble_pi, k_op
 
 from conftest import MODEL_BUILDERS, convergence_orders, rich_model, samples_for
 from oracle import check_difference_kernel, s_values
@@ -357,6 +357,29 @@ class TestBackendChoice:
         build_rho_evaluator(S, s)
         assert len(gmres_calls) == 1
         assert S._lu is not None and S._cond_est is None
+
+    def test_estimate_hands_over_once_its_first_solve_cannot_fit(self):
+        # deconv's P2 config in CI: one column, gaussian amp 8 at 40 x 24
+        # on 1.7 x 0.9, Hermitian.  The estimate's first solve would take
+        # 88 MINRES iterations, so it, the estimate's other solves and the
+        # column cannot fit the allowance (215 matvecs); that solve stops
+        # at its share and the LU takes over.  Spending the whole
+        # allowance on the estimate first took 214 matvecs.
+        from diffkern2d.kernels import gaussian_kernel
+
+        S = ConvOperator(samples_for(gaussian_kernel(amp=8.0, width=0.15), 40, n2=24,
+                                     omega1=1.7, omega2=0.9))
+        f0 = np.random.default_rng(2).integers(0, 256, 40 * 24).astype(float)
+        b = S.apply_fft(f0)
+        calls = []
+        apply_fft = S.apply_fft
+        S.apply_fft = lambda f: calls.append(1) or apply_fft(f)
+        rec = solve_array(S, b)
+        N = S.grid.size
+        allowance = int(inversion._t_lu(N, 1) / inversion._t_it(N))
+        assert 0 < len(calls) <= allowance // (inversion.ESTIMATE_SOLVES + 1)
+        assert S._lu is not None and S._cond_est is None
+        assert np.linalg.norm(rec - f0) <= 1e-12 * np.linalg.norm(f0)
 
 
 class TestGmres:
@@ -1371,6 +1394,59 @@ class TestInverseFromRho:
         from diffkern2d.inversion import _basis_factors
         for F in (E.real + E.imag for E in _basis_factors(make_grid(1.7, 0.9, n, n))):
             assert np.abs(F.T @ F - n * np.eye(n)).max() <= 1e-12
+
+    @staticmethod
+    def unblocked(S):
+        """(R, T) by whole-array products, Kronecker factors axis by axis."""
+        g = S.grid
+        E1, E2 = inversion._basis_factors(g)
+        F1, F2 = E1.real + E1.imag, E2.real + E2.imag
+        Y = solve_array(S, np.kron(F2, F1))
+        X = apply_along((F1.T @ E1 / g.n1).T, Y.T, g, 1)
+        X = apply_along((F2.T @ E2 / g.n2).T, X, g, 2).T
+        R = apply_along(E2.conj().T, apply_along(E1.conj().T, X, g, 1), g, 2)
+        R *= g.h1 * g.h2
+        ER = apply_along(E2, apply_along(E1, R, g, 1), g, 2).conj()
+        TH = apply_along(E2, apply_along(E1, ER.T, g, 1), g, 2)   # (E R E^H)^H
+        scale = 1.0 / (g.omega1 * g.omega2 * g.size)
+        if np.isrealobj(S.lattice_kernel):
+            return R, TH.real.T * scale
+        return R, TH.conj().T * scale
+
+    @pytest.mark.parametrize("amp,n1,n2,patched", [
+        (0.15, 9, 7, True), (0.15, 17, 13, False),
+        (0.05 + 0.1j, 11, 10, True), (0.05 + 0.1j, 20, 13, False)])
+    def test_blocks_match_unblocked_products_bit_for_bit(self, amp, n1, n2, patched,
+                                                         monkeypatch):
+        # patched: 16 lines per block; either way N is no multiple of the
+        # block, so the last block is shorter
+        if patched:
+            monkeypatch.setattr(inversion, "CHECK_BLOCK", 64 * n1 * n2)
+        blocks = inversion._blocks(n1 * n2)
+        step = blocks[0].stop
+        assert len(blocks) > 1 and len(range(n1 * n2)[blocks[-1]]) < step
+        s = samples_for(exp_kernel(amp=amp), n1, n2=n2, omega1=1.7, omega2=0.9)
+        R, T = build_rho_table(ConvOperator(s)), inverse_from_rho(ConvOperator(s))
+        R0, T0 = self.unblocked(ConvOperator(s))
+        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+        assert T.dtype == T0.dtype and np.array_equal(T, T0)
+        # T keeps the unblocked layout, which fixes svds's summation order
+        assert T.flags.f_contiguous
+
+    def test_traced_peak_at_32_within_three_arrays(self):
+        # Units of one complex N x N array.  Real S: the dense S, its LU and
+        # Y (half a unit each) beside R (one), 2.5 in all; products that
+        # each made a fresh array peaked at 4.
+        import tracemalloc
+
+        S = ConvOperator(samples_for(exp_kernel(), 32))
+        tracemalloc.start()
+        try:
+            inverse_from_rho(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 16 * S.grid.size ** 2
 
     def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):
