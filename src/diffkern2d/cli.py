@@ -330,11 +330,11 @@ def _cond_2(dense: np.ndarray, dense_inv: np.ndarray) -> float:
 
 def _inverse_residual(S: ConvOperator, X: np.ndarray) -> float:
     """||S X - I||_F, with S X by the FFT matvec over the cache-sized
-    column blocks of ``inversion._blocks``, so the work arrays stay
-    bounded."""
+    column blocks of ``inversion._blocks``, each copied contiguous, so the
+    work arrays stay bounded and a strided ``X`` is gathered only once."""
     norms = []
-    for cols in _blocks(X.shape[1]):
-        R = S.apply_fft(X[:, cols])
+    for cols in _blocks(*X.shape):
+        R = S.apply_fft(np.ascontiguousarray(X[:, cols]))
         k = np.arange(R.shape[1])
         R[cols.start + k, k] -= 1.0
         norms.append(np.linalg.norm(R))

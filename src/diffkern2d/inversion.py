@@ -85,18 +85,17 @@ GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
 GMRES_RESTART = 50      # Krylov basis length: iterations per restart cycle
 GMRES_MAXITER = 5000    # iterations a column may take over all its cycles
 
-# the LU path's backward check forms the dense product in blocks of about
-# 4 CHECK_BLOCK rhs entries; _blocks sizes the other blocked N x N work
+# the size of the library's one block rule for blocked work, read only by _blocks
 CHECK_BLOCK = 1 << 16
 
 
-def _blocks(N: int):
-    """Slices of range(N) for products that act on one index of an N x N
-    array: about CHECK_BLOCK / 4 entries each (256 KB complex, in cache)
-    beside the array.  Each is a multiple of 8 lines, at least 8, so BLAS's
+def _blocks(N: int, m: Optional[int] = None):
+    """Slices of range(m), m = N by default, for work on the N-long lines
+    of an N x m array: about CHECK_BLOCK / 4 entries each (256 KB complex,
+    in cache).  Each is a multiple of 8 lines, at least 8, so BLAS's
     micro-tiles fall as on the whole array and the bits are the same."""
     step = 8 * max(1, CHECK_BLOCK // (32 * N))
-    return [slice(j, j + step) for j in range(0, N, step)]
+    return [slice(j, j + step) for j in range(0, N if m is None else m, step)]
 
 
 # --------------------------------------------------------------------------
@@ -124,11 +123,12 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
     operator's cached ``onenormest`` estimate on the GMRES path (see
     :func:`_cond_estimate`).  Above the guard no condition is estimated.
-    Either way each column's backward error ||S x - b|| / ||b|| must stay
-    within BACKWARD_TOL.  The LU path checks it with the assembled matrix
-    it factored; a GMRES column's last true residual, by the FFT matvec,
-    is its check, as it must be within GMRES_RTOL <= BACKWARD_TOL (see
-    :func:`_gmres_column`).  An empty block returns with no backend run.
+    Either way one check by the FFT matvec judges the solve, whichever
+    backend ran: ||S x - b|| / ||b|| <= BACKWARD_TOL for each column, by
+    :func:`_check_backward` after the LU, never against the matrix it
+    factored, and by a GMRES column's last true residual, within
+    GMRES_RTOL <= BACKWARD_TOL (:func:`_gmres_column`).  An empty block
+    returns with no backend run.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
@@ -149,7 +149,7 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     X = None if S._lu is not None else _gmres_within_lu_cost(S, B)
     if X is None:
         X = _lu_solve(S, B)
-        _check_backward(S.dense(), B.reshape(N, -1), X.reshape(N, -1))
+        _check_backward(S, B.reshape(N, -1), X.reshape(N, -1))
     return X
 
 
@@ -409,29 +409,24 @@ def _cond_estimate(S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
     return est * S.norm1(), first, spent
 
 
-def _check_backward(dense: np.ndarray, B: np.ndarray, X: np.ndarray) -> None:
-    """Raise ConvergenceError unless every column has ||S x - b|| / ||b||
-    within BACKWARD_TOL; a nan backward error fails.
-
-    The LU path's check: S x is ``dense @ x`` with the assembled matrix
-    it factored, in blocks of about 4 CHECK_BLOCK entries.  A GMRES
-    solve's check is its last true residual (:func:`_gmres_column`).
-    """
-    step = max(1, 4 * CHECK_BLOCK // dense.shape[0])
-    for j in range(0, B.shape[1], step):
-        b, x = B[:, j:j + step], X[:, j:j + step]
-        Sx = _by_parts(dense.__matmul__, dense, x)
+def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
+    """Raise ConvergenceError unless every column of the (N, m) solve ``X``
+    of ``B`` has ||S x - b|| / ||b|| within BACKWARD_TOL; a nan backward
+    error fails.  S x is the FFT matvec over the column blocks of
+    :func:`_blocks`, independent of any assembled matrix."""
+    for cols in _blocks(*B.shape):
+        b = B[:, cols]
         # norms scaled by each column's largest |b|, so no square overflows
         scale = np.abs(b).max(axis=0)
         scale[scale == 0] = 1.0
         bnorm = np.linalg.norm(b / scale, axis=0)
-        res = np.linalg.norm((Sx - b) / scale, axis=0)
+        res = np.linalg.norm((S.apply_fft(X[:, cols]) - b) / scale, axis=0)
         back = np.divide(res, bnorm, out=res, where=bnorm > 0)
         worst = int(np.argmax(back))
         if not back[worst] <= BACKWARD_TOL:
             raise ConvergenceError(
                 f"backward error {back[worst]:.3e} above {BACKWARD_TOL:.1e} "
-                f"(column {j + worst})",
+                f"(column {cols.start + worst})",
                 residuals=[float(back[worst])],
             )
 

@@ -131,36 +131,60 @@ class TestSolve:
         S = ConvOperator(samples_for(exp_kernel(), 8))
         B = np.ones((64, 2))
         with pytest.raises(ConvergenceError, match="column 0"):
-            inversion._check_backward(S.dense(), B, np.full_like(B, np.nan))
+            inversion._check_backward(S, B, np.full_like(B, np.nan))
 
     @staticmethod
     def lu_path_returning(S, monkeypatch, spoil):
-        """Make solve_array's LU path return ``spoil(X)`` and refuse the FFT
-        matvec, so its backward check must run on the assembled matrix."""
+        """Make solve_array's LU path (its factor cached) return
+        ``spoil(X)``, for its backward check to judge."""
         S.solve_lu()
         solve = inversion._lu_solve
         monkeypatch.setattr(inversion, "_lu_solve", lambda S, B: spoil(solve(S, B)))
 
-        def no_fft(*args, **kwargs):
-            raise AssertionError("the LU path's check used the FFT matvec")
-
-        monkeypatch.setattr(S, "apply_fft", no_fft)
-
     def test_dense_check_names_perturbed_column_past_first_block(self, rng, monkeypatch):
-        monkeypatch.setattr(inversion, "CHECK_BLOCK", 64)   # 4 columns per block at 8^2
+        monkeypatch.setattr(inversion, "CHECK_BLOCK", 64)   # 8 columns per block, the floor
         S = ConvOperator(samples_for(exp_kernel(), 8))
         B = rng.standard_normal((64, 10))
         bump = []
 
         def perturb(X):
-            X[3, 6] += sum(bump)
+            X[3, 9] += sum(bump)
             return X
 
         self.lu_path_returning(S, monkeypatch, perturb)
         solve_array(S, B)       # every block passes unperturbed
         bump.append(1e-3)
-        with pytest.raises(ConvergenceError, match=r"\(column 6\)"):
+        with pytest.raises(ConvergenceError, match=r"\(column 9\)"):
             solve_array(S, B)
+
+    def test_check_names_column_in_shorter_last_block(self, rng, monkeypatch):
+        # an N x m block, m not N: 8 columns per block, the last of 5
+        monkeypatch.setattr(inversion, "CHECK_BLOCK", 64)
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        blocks = inversion._blocks(64, 21)
+        assert [len(range(21)[cols]) for cols in blocks] == [8, 8, 5]
+        B = rng.standard_normal((64, 21))
+        X = np.linalg.solve(S.dense(), B)
+        inversion._check_backward(S, B, X)      # every block passes
+        X[3, 19] += 1e-3
+        with pytest.raises(ConvergenceError, match=r"\(column 19\)"):
+            inversion._check_backward(S, B, X)
+
+    def test_mis_assembled_matrix_fails_the_lu_check(self, rng, monkeypatch):
+        # the LU solves the nudged matrix to rounding, so only a check
+        # independent of the assembly sees that it is not S
+        assemble = ConvOperator._assemble_dense
+
+        def nudged(self):
+            D = assemble(self)
+            D[5, 7] += 1e-6
+            return D
+
+        monkeypatch.setattr(ConvOperator, "_assemble_dense", nudged)
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        S.solve_lu()
+        with pytest.raises(ConvergenceError, match="backward error"):
+            solve_array(S, rng.standard_normal((64, 3)))
 
     def test_dense_check_fails_nan_solution(self, monkeypatch):
         S = ConvOperator(samples_for(exp_kernel(), 8))
@@ -169,8 +193,8 @@ class TestSolve:
             solve_array(S, np.ones((64, 3)))
 
     def test_dense_check_of_complex_rhs_matches_fft_check(self, rng, monkeypatch):
-        # the dense check of a complex rhs against a real S, taken by parts,
-        # reads the backward error the FFT matvec gives
+        # the check of a complex rhs against a real S reads the backward
+        # error of the assembled matrix's product
         monkeypatch.setattr(inversion, "BACKWARD_TOL", -1.0)   # report every column
         S = ConvOperator(samples_for(exp_kernel(), 5, n2=7, omega1=1.7, omega2=0.9))
         assert np.isrealobj(S.dense())
@@ -180,9 +204,9 @@ class TestSolve:
 
         for j in range(6):
             with pytest.raises(ConvergenceError) as err:
-                inversion._check_backward(S.dense(), B[:, [j]], X[:, [j]])
-            fft = np.linalg.norm(S.apply_fft(X[:, j]) - B[:, j]) / np.linalg.norm(B[:, j])
-            assert abs(err.value.residuals[0] - fft) <= 1e-13
+                inversion._check_backward(S, B[:, [j]], X[:, [j]])
+            dense = np.linalg.norm(S.dense() @ X[:, j] - B[:, j]) / np.linalg.norm(B[:, j])
+            assert abs(err.value.residuals[0] - dense) <= 1e-13
 
     @pytest.mark.filterwarnings("error")
     def test_huge_rhs_passes_the_backward_check(self, rng):
@@ -195,7 +219,7 @@ class TestSolve:
         assert np.linalg.norm(S.apply_fft(X[:, 0] / 1e300) - B[:, 0] / 1e300) <= (
             1e-12 * np.linalg.norm(B[:, 0] / 1e300))
         with pytest.raises(ConvergenceError, match="column 1"):
-            inversion._check_backward(S.dense(), B, X + [[0.0, 1e295, 0.0]])
+            inversion._check_backward(S, B, X + [[0.0, 1e295, 0.0]])
 
     @pytest.mark.filterwarnings("error")
     # GMRES (exp) and MINRES (gaussian), below / above the guard
@@ -515,9 +539,9 @@ class TestGmres:
         checks = []
         real = inversion._check_backward
 
-        def spy(dense, B, X):
-            checks.append(dense)
-            return real(dense, B, X)
+        def spy(S, B, X):
+            checks.append(S)
+            return real(S, B, X)
 
         monkeypatch.setattr(inversion, "_check_backward", spy)
         above = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
@@ -528,7 +552,7 @@ class TestGmres:
         assert checks == []
         lu = ConvOperator(samples_for(exp_kernel(), 8))
         solve_array(lu, rng.standard_normal(64))
-        assert len(checks) == 1 and checks[0] is lu.dense()
+        assert len(checks) == 1 and checks[0] is lu
 
     def test_overflowing_matvec_fails_within_one_cycle(self):
         # finite lattice kernels and spectra whose matvecs overflow, through
