@@ -58,9 +58,9 @@ class GridSpec:
     n2: int
 
     def __post_init__(self):
-        if not (self.omega1 > 0 and self.omega2 > 0):
+        if not (0 < self.omega1 < np.inf and 0 < self.omega2 < np.inf):
             raise InvalidArgumentError(
-                f"rectangle sides must be positive, got ({self.omega1}, {self.omega2})"
+                f"rectangle sides must be positive and finite, got ({self.omega1}, {self.omega2})"
             )
         if self.n1 < 2 or self.n2 < 2:
             raise InvalidArgumentError(

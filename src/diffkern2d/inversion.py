@@ -28,10 +28,9 @@ grid resolves S^{-1} exactly:  T = E R E^H / (omega1 omega2 n1 n2) where
 E = E2 (x) E1 holds the sampled exponentials (they are exactly orthogonal
 on the midpoint grid) and R[p, q] = rho(lam_q, mu_p).  Both products with
 E are evaluated axis by axis with the n_i x n_i factors E1 and E2, never
-with the N x N Kronecker matrix.  The table's solves run against the real
-Hartley basis F = F2 (x) F1, F_i = Re E_i + Im E_i, which spans the same
-space as E (Bracewell, J. Opt. Soc. Am. 73, 1983); for a real S they, their
-backward check and the reconstructed T are real.
+with the N x N Kronecker matrix.  The table's solves run against the unit
+columns, R = h1 h2 E^H S^{-1} I E; for a real S they, their backward check
+and the reconstructed T are real.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .operators import (
     PiPair,
     apply_along,
     assemble_pi,
+    check_dense_guard,
     k_op,
     line_integration_op,
     lu_factor_cond,
@@ -571,11 +571,11 @@ class RhoEvaluator:
 
     def psi(self, lam) -> Tuple[np.ndarray, np.ndarray]:
         """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side;
-        ``lam`` must be one pair, shape (2,).  Each call factors G(lam)
+        ``lam`` must be one finite pair, shape (2,).  Each call factors G(lam)
         afresh; its LU lives only in this call."""
         if np.shape(lam) != (2,):
             raise InvalidArgumentError(f"lam must be one pair, shape (2,); got {np.shape(lam)}")
-        key = (complex(lam[0]), complex(lam[1]))
+        key = tuple(map(complex, _pairs(lam, "lam")[0]))
         g = self.grid
         n1, n2 = g.n1, g.n2
         lu, piv, cond = lu_factor_cond(self._assemble_G(key))
@@ -616,10 +616,12 @@ def _exp_grid(grid: GridSpec, lams) -> np.ndarray:
 
 
 def _pairs(x, name: str) -> np.ndarray:
-    """``x`` as a complex (k, 2) array; it must have shape (2,) or (k, 2)."""
+    """``x``, finite and of shape (2,) or (k, 2), as a complex (k, 2) array."""
     a = np.asarray(x, dtype=complex)
     if a.shape != (2,) and not (a.ndim == 2 and a.shape[1] == 2 and len(a)):
         raise InvalidArgumentError(f"{name} must have shape (2,) or (k, 2), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError(f"{name} must be finite")
     return a.reshape(-1, 2)
 
 
@@ -741,35 +743,27 @@ def _apply_basis(E1: np.ndarray, E2: np.ndarray, grid: GridSpec, X: np.ndarray) 
 
 
 def build_rho_table(S: ConvOperator) -> np.ndarray:
-    """rho on the full DFT frequency grid from N solves against a real basis.
+    """rho on the full DFT frequency grid from N solves against the unit basis.
 
     Returns the (N, N) array R with R[p, q] = rho(lam_q, mu_p), where lam
     and mu run over the pairs of :func:`dft_frequencies`, flattened
     lam1-fastest like the grid: pair q is (l1[q % n1], l2[q // n1]).
 
-    The Hartley basis F = F2 (x) F1, F_i = Re E_i + Im E_i, has entries
-    cas(2 pi m (j + 1/2) / n_i) and satisfies F_i^T F_i = n_i I, so
-    E_i = F_i M_i with M_i = F_i^T E_i / n_i and
-
-        S^{-1} E = Y (M2 (x) M1),    Y = S^{-1} F.
-
-    For a real S the N columns of F are solved, and backward-checked, in
-    real arithmetic instead of the 2N real columns of E; a complex S
-    solves N complex columns.  Then R = h1 h2 E^H S^{-1} E, with both
-    Kronecker products applied axis by axis.  Beside Y the one N x N array
-    is R: Y (M2 (x) M1) fills it a block of rows at a time, then h1 h2 E^H
-    acts on it in place a block of columns at a time (:func:`_blocks`).
+    R = h1 h2 E^H X E with X = S^{-1} I, one solve of the N unit columns
+    (real for a real S), both Kronecker products applied axis by axis.
+    Beside X the one N x N array is R: X E fills it a block of rows at a
+    time, then h1 h2 E^H acts on it in place a block of columns at a time
+    (:func:`_blocks`).  Refused above DENSE_GUARD before any solve.
     """
     g = S.grid
+    check_dense_guard(g, "rho table")
+    X = solve_array(S, np.eye(g.size))
     E1, E2 = _basis_factors(g)
-    F1, F2 = E1.real + E1.imag, E2.real + E2.imag
-    Y = solve_array(S, np.kron(F2, F1))
-    # rows of Y (M2 (x) M1) = ((M2^T (x) M1^T) Y^T)^T are columns of R.T
-    M1T, M2T = (F1.T @ E1 / g.n1).T, (F2.T @ E2 / g.n2).T
+    # rows of X E = ((E2^T (x) E1^T) X^T)^T are columns of R.T
     R = np.empty((g.size, g.size), complex, order="F")
     for rows in _blocks(g.size):
-        R.T[:, rows] = _apply_basis(M1T, M2T, g, Y[rows].T)
-    del Y
+        R.T[:, rows] = _apply_basis(E1.T, E2.T, g, X[rows].T)
+    del X
     E1H, E2H = E1.conj().T, E2.conj().T
     for cols in _blocks(g.size):
         R[:, cols] = _apply_basis(E1H, E2H, g, R[:, cols])
@@ -788,7 +782,8 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     copy); otherwise T is the table's array.  T is Fortran-ordered, like
     the unblocked (E R E^H)^H transposed, which fixes the summation order
     of svds in ``cond_S``.  ``reconstruct`` judges T by ||S T - I||_F and
-    ||T S - I||_F, both by the FFT matvec.
+    ||T S - I||_F, both by the FFT matvec.  Like the table, T is refused
+    above DENSE_GUARD.
     """
     if not isinstance(S, ConvOperator):
         raise InvalidArgumentError(f"expected a ConvOperator, got {type(S).__name__}")

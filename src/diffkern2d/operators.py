@@ -55,12 +55,20 @@ __all__ = [
     "discrete_generator",
     "displacement_rank",
     "DENSE_GUARD",
+    "check_dense_guard",
 ]
 
-# ConvOperator.dense refuses grids with more points than this (the N x N
-# matrix and the identity checks on it are O(N^2) memory); above it
-# solve_array runs GMRES with the FFT matvec.
+# ConvOperator.dense and the rho table refuse grids with more points than
+# this (each N x N array, and the identity checks on the dense S, are
+# O(N^2) memory); above it solve_array runs GMRES with the FFT matvec.
 DENSE_GUARD = 64 * 64
+
+
+def check_dense_guard(grid: GridSpec, what: str) -> None:
+    """InvalidArgumentError refusing ``what``, an N x N array, above DENSE_GUARD."""
+    if grid.size > DENSE_GUARD:
+        raise InvalidArgumentError(f"{what} refused at {grid.n1}x{grid.n2} ({grid.size} "
+                                   f"points); keep n1*n2 <= {DENSE_GUARD}")
 
 
 # --------------------------------------------------------------------------
@@ -161,11 +169,7 @@ class ConvOperator:
     def dense(self) -> np.ndarray:
         """The N x N matrix, assembled once; refused above DENSE_GUARD."""
         if self._dense is None:
-            if self.grid.size > DENSE_GUARD:
-                raise InvalidArgumentError(
-                    f"dense assembly refused at {self.grid.n1}x{self.grid.n2} "
-                    f"({self.grid.size} points); keep n1*n2 <= {DENSE_GUARD}"
-                )
+            check_dense_guard(self.grid, "dense assembly")
             with self._lock:
                 if self._dense is None:
                     self._dense = self._assemble_dense()

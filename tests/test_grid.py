@@ -13,8 +13,9 @@ from diffkern2d.grid import (
     sample_kernel,
 )
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
+from diffkern2d.operators import ConvOperator
 
-from conftest import samples_for
+from conftest import MODEL_BUILDERS, samples_for
 from oracle import grid_inner, quadrant_sum_residual
 
 
@@ -45,6 +46,12 @@ class TestMakeGrid:
             make_grid(-1.0, 1.0, 4, 4)
         with pytest.raises(InvalidArgumentError):
             make_grid(1.0, 0.0, 4, 4)
+
+    @pytest.mark.parametrize("sides", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_sides(self, sides):
+        # h_i = omega_i / n_i must be a finite spacing
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            make_grid(*sides, 4, 4)
 
     def test_layout_is_x1_fastest(self):
         g = make_grid(1.0, 2.0, 3, 4)
@@ -183,10 +190,14 @@ class TestNormalize:
         assert quadrant_sum_residual(s) <= 1e-13
 
     def test_operator_part_unchanged(self):
-        # v, alpha', beta', c define S and must survive normalization
-        g = make_grid(1.0, 1.0, 6, 6)
-        raw = sample_kernel(exp_kernel(), g)
-        s = normalize_kernel(raw)
-        assert_allclose(s.v_lat, raw.v_lat, rtol=0, atol=1e-15)
-        assert_allclose(s.dalpha_lat, raw.dalpha_lat)
-        assert s.c == raw.c
+        # v, alpha', beta', c define S, so normalization leaves S's lattice
+        # kernel bit for bit, on every model kernel and a complex one
+        models = [*MODEL_BUILDERS.values(), lambda: exp_kernel(amp=0.05 + 0.1j)]
+        for build in models:
+            for n1, n2, omega1, omega2 in [(8, 8, 1.0, 1.0), (13, 10, 1.7, 0.9)]:
+                raw = samples_for(build(), n1, n2, omega1, omega2, normalize=False)
+                s = normalize_kernel(raw)
+                assert s is not raw
+                assert np.array_equal(ConvOperator(s).lattice_kernel,
+                                      ConvOperator(raw).lattice_kernel)
+                assert s.c == raw.c

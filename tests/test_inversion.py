@@ -1125,6 +1125,12 @@ class TestPsi:
         with pytest.raises(InvalidArgumentError, match="shape"):
             ev.psi(lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        S, s, ev = evaluator_for(exp_kernel(), 6)
+        with pytest.raises(InvalidArgumentError, match="^lam must be finite"):
+            ev.psi((0.3, bad))
+
 
 class TestRhoDirect:
     def test_jump_kernel_closed_form(self):
@@ -1210,6 +1216,21 @@ class TestRhoArguments:
                 rho_direct(S, lam, mu)
             else:
                 rho_structured(ev, lam, mu)
+
+    @pytest.mark.parametrize("form", ["direct", "structured", "axes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["lam", "mu"])
+    def test_non_finite_pairs_rejected(self, form, bad, name):
+        # a typed error naming the argument, before any solve or warning
+        S, s, ev = evaluator_for(exp_kernel(), 6)
+        args = {"lam": (2.0, 3.0), "mu": (2.5, 1.5), name: (bad, 1.0)}
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite"):
+            if form == "direct":
+                rho_direct(S, args["lam"], args["mu"])
+            elif form == "structured":
+                rho_structured(ev, args["lam"], args["mu"])
+            else:
+                structured_axes(args["lam"], args["mu"])
 
 
 class TestRhoStructured:
@@ -1410,24 +1431,36 @@ class TestInverseFromRho:
         build_rho_table(S)
         assert len(calls) == 1
         assert calls[0].shape == (64, 64) and np.isrealobj(calls[0])
+        assert np.array_equal(calls[0], np.eye(64))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 33])
-    def test_hartley_factors_orthogonal(self, n):
-        # F_i = Re E_i + Im E_i satisfies F_i^T F_i = n_i I, which
-        # build_rho_table uses to change basis back to the exponentials
+    def test_basis_factors_orthogonal(self, n):
+        # E_i^H E_i = n_i I on the midpoint grid, which the table and
+        # inverse_from_rho rely on to invert E with E^H
         from diffkern2d.inversion import _basis_factors
-        for F in (E.real + E.imag for E in _basis_factors(make_grid(1.7, 0.9, n, n))):
-            assert np.abs(F.T @ F - n * np.eye(n)).max() <= 1e-12
+        for E in _basis_factors(make_grid(1.7, 0.9, n, n)):
+            assert np.abs(E.conj().T @ E - n * np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("fn", [build_rho_table, inverse_from_rho])
+    def test_refused_above_dense_guard_before_any_solve(self, fn, monkeypatch):
+        # 66 x 64 = 4,224 points: the N x N rhs and table are never made
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_array called above the dense guard")
+
+        monkeypatch.setattr(inversion, "solve_array", no_solve)
+        S = ConvOperator(samples_for(exp_kernel(), 66, n2=64))
+        with pytest.raises(InvalidArgumentError,
+                           match=r"rho table refused at 66x64 \(4224 points\); "
+                                 r"keep n1\*n2 <= 4096"):
+            fn(S)
 
     @staticmethod
     def unblocked(S):
         """(R, T) by whole-array products, Kronecker factors axis by axis."""
         g = S.grid
         E1, E2 = inversion._basis_factors(g)
-        F1, F2 = E1.real + E1.imag, E2.real + E2.imag
-        Y = solve_array(S, np.kron(F2, F1))
-        X = apply_along((F1.T @ E1 / g.n1).T, Y.T, g, 1)
-        X = apply_along((F2.T @ E2 / g.n2).T, X, g, 2).T
+        X = solve_array(S, np.eye(g.size))
+        X = apply_along(E2.T, apply_along(E1.T, X.T, g, 1), g, 2).T
         R = apply_along(E2.conj().T, apply_along(E1.conj().T, X, g, 1), g, 2)
         R *= g.h1 * g.h2
         ER = apply_along(E2, apply_along(E1, R, g, 1), g, 2).conj()
@@ -1459,7 +1492,7 @@ class TestInverseFromRho:
 
     def test_traced_peak_at_32_within_three_arrays(self):
         # Units of one complex N x N array.  Real S: the dense S, its LU and
-        # Y (half a unit each) beside R (one), 2.5 in all; products that
+        # X (half a unit each) beside R (one), 2.5 in all; products that
         # each made a fresh array peaked at 4.
         import tracemalloc
 
