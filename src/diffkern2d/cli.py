@@ -8,10 +8,9 @@ Exit codes: 0 all contracts pass, 1 contract failure, 2 usage/config
 error.  Reports are byte-identical for a fixed (config, seed) at a fixed
 BLAS thread count: sorted JSON keys, shortest round-trip float repr, no
 timestamps.  ``rho`` evaluates the whole direct rho table from one
-batched solve against S, at any grid size; ``verify`` and
-``reconstruct`` assemble S densely, which is refused above 64 x 64
-points (exit 2).  ``reconstruct`` judges the inverse it builds from the
-rho table by its two residuals, with no dense inverse.
+batched solve against S, at any grid size.  Above 64 x 64 points
+``verify`` (the dense S) and ``reconstruct`` (the dense inverse from the
+rho table, judged by its two residuals) exit 2 before sampling.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .operators import (
     ConvOperator,
     apply_along,
     assemble_pi,
+    check_dense_guard,
     discrete_generator,
     displacement_identity_residual,
     displacement_rank,
@@ -87,6 +87,8 @@ def _build_samples(cfg: RunConfig, n: Optional[int] = None):
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     tol = cfg.tolerances
     sizes = cfg.sizes
+    for n in sizes:     # refused above the guard before any work
+        check_dense_guard(cfg.make_grid(n, n), "dense assembly")
     rng = np.random.default_rng(cfg.seed)
 
     per_size = {}
@@ -97,7 +99,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     for n in sizes:
         samples = _build_samples(cfg, n)
         S = ConvOperator(samples)
-        dense = S.dense()       # refused above the guard, before any output
+        dense = S.dense()
         # the g blocks solve against S first, so a near-singular S raises
         # SingularOperatorError before a residual's norm can overflow
         pis = {k: assemble_pi(samples, k) for k in (1, 2)}
@@ -306,24 +308,28 @@ def cmd_deconv(cfg: RunConfig, out: Path, input_path: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _cond_2(dense: np.ndarray, dense_inv: np.ndarray) -> float:
+def _cond_2(S: ConvOperator, T: np.ndarray) -> float:
     """cond_2(S) = ||S||_2 ||S^{-1}||_2 from the largest singular value of
-    S and of an inverse of it.
+    S, by the FFT matvec, and of an inverse T of it.
 
     ``reconstruct`` passes T, the inverse built from the rho table; it is
     S^{-1} to within its residual r = ||S T - I||_2, so ||T||_2 is
     ||S^{-1}||_2 to within a factor 1 +- r.  Each singular value comes
     from Lanczos (ARPACK through ``svds``; Golub & Kahan, SIAM J. Numer.
-    Anal. B 2, 1965) in a few dozen matvecs instead of a full SVD.  The
-    start vector x_i = (-1)^i (1 + i / (N - 1)), the one
-    ``inversion._cond_estimate`` uses, keeps the number reproducible.
+    Anal. B 2, 1965) in a few dozen matvecs instead of a full SVD, with
+    S^H b = J conj(S J conj(b)) by persymmetry.  The start vector x_i =
+    (-1)^i (1 + i / (N - 1)), the one ``inversion._cond_estimate`` uses,
+    keeps the number reproducible.
     """
-    N = dense.shape[0]
+    N = S.grid.size
+    op = scipy.sparse.linalg.LinearOperator(
+        (N, N), matvec=S.apply_fft, rmatvec=lambda b: S.apply_fft(b[::-1].conj())[::-1].conj(),
+        dtype=np.result_type(S.lattice_kernel, float))
     i = np.arange(N)
     v0 = (-1.0) ** i * (1.0 + i / (N - 1))
     s_max, s_inv_max = (
         scipy.sparse.linalg.svds(M, k=1, return_singular_vectors=False, tol=0, v0=v0)[0]
-        for M in (dense, dense_inv)
+        for M in (op, T)
     )
     return float(s_max * s_inv_max)
 
@@ -352,9 +358,8 @@ def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
     J S J = S^T, ||T S - I||_F = ||S (J T^T J) - I||_F.
     """
     tol = cfg.tolerances
+    check_dense_guard(cfg.make_grid(), "dense assembly")
     S = ConvOperator(_build_samples(cfg))
-
-    dense = S.dense()       # refused above the guard, before any output
     T = inverse_from_rho(S)
     rec_err = _inverse_residual(S, T)
     structure = _inverse_residual(S, T.T[::-1, ::-1])
@@ -368,7 +373,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
         "reconstruction_tol": tol["reconstruct"],
         "structure_residual": structure,
         "structure_tol": tol["structure"],
-        "cond_S": _cond_2(dense, T),
+        "cond_S": _cond_2(S, T),
         "overall_pass": bool(ok),
     }
     fileio.write_json_report(out / "reconstruct_report.json", report)

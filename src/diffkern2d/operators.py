@@ -58,7 +58,7 @@ __all__ = [
     "check_dense_guard",
 ]
 
-# ConvOperator.dense and the rho table refuse grids with more points than
+# ConvOperator.dense, its LU and the rho table refuse grids with more points than
 # this (each N x N array, and the identity checks on the dense S, are
 # O(N^2) memory); above it solve_array runs GMRES with the FFT matvec.
 DENSE_GUARD = 64 * 64
@@ -145,6 +145,7 @@ class ConvOperator:
             raise InvalidArgumentError(
                 f"input shape {flat.shape}, expected ({g.size},) or ({g.size}, m)"
             )
+        flat = flat.astype(np.result_type(flat, float), copy=False)  # never single precision
         f3 = flat.reshape(g.size, -1).T.reshape(-1, g.n2, g.n1)
         real = self.half_spectrum is not None and np.isrealobj(flat)
         fwd, inv = (scipy.fft.rfft, scipy.fft.irfft) if real else (scipy.fft.fft, scipy.fft.ifft)
@@ -167,7 +168,8 @@ class ConvOperator:
     # -- dense assembly ----------------------------------------------------
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix, assembled once; refused above DENSE_GUARD."""
+        """The N x N matrix for the dense identity checks, assembled once
+        (solve_lu factors an assembly of its own); refused above DENSE_GUARD."""
         if self._dense is None:
             check_dense_guard(self.grid, "dense assembly")
             with self._lock:
@@ -176,29 +178,21 @@ class ConvOperator:
         return self._dense
 
     def _assemble_dense(self) -> np.ndarray:
-        g = self.grid
-        n1, n2, N = g.n1, g.n2, g.size
-        W = self.lattice_kernel
-        A = np.arange(n1)
-        B = np.arange(n2)
-        P1 = A[:, None] - A[None, :] + (n1 - 1)   # (a, a')
-        P2 = B[:, None] - B[None, :] + (n2 - 1)   # (b, b')
-        out = np.empty((N, N), dtype=W.dtype)
-        for b in range(n2):
-            # block[a, b', a'] = W[p1(a,a'), p2(b,b')]
-            block = W[P1[:, None, :], P2[b][None, :, None]]
-            out[b * n1:(b + 1) * n1, :] = block.reshape(n1, N)
-        return out
+        # S[(b, a), (b', a')] = W[a-a'+n1-1, b-b'+n2-1]: window (n1-1-a', n2-1-b') at (a, b)
+        n1, n2, N = self.grid.n1, self.grid.n2, self.grid.size
+        windows = np.lib.stride_tricks.sliding_window_view(self.lattice_kernel, (n1, n2))
+        return np.ascontiguousarray(windows[::-1, ::-1].transpose(3, 2, 1, 0)).reshape(N, N)
 
     def solve_lu(self):
-        """Cached ``(lu, piv, cond)`` of the dense assembly, factored and
-        condition-estimated once (desk-scale solves).  Callers solving with
-        it pass a copy of ``piv``: scipy's getrs wrapper shifts the pivots
-        in place while it runs, which races between threads."""
+        """Cached ``(lu, piv, cond)`` of an assembly of its own, factored and
+        condition-estimated once; refused above DENSE_GUARD.  Callers solving
+        with it pass a copy of ``piv``: scipy's getrs wrapper shifts the
+        pivots in place while it runs, which races between threads."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
-                    self._lu = lu_factor_cond(self.dense())
+                    check_dense_guard(self.grid, "dense assembly")
+                    self._lu = lu_factor_cond(self._assemble_dense())
         return self._lu
 
 

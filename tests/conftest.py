@@ -60,7 +60,7 @@ def operator_for(model, n1, n2=None, **kw) -> ConvOperator:
 def dense_oracle_S(samples) -> np.ndarray:
     """Entrywise dense assembly straight from the model evaluators.
 
-    Independent of ConvOperator's gather-based assembly: every entry is
+    Independent of ConvOperator's lattice-kernel assembly: every entry is
     computed from its own kernel evaluation at the difference offsets.
     """
     g = samples.grid

@@ -248,6 +248,20 @@ class TestVerifyCommand:
         assert "field '--seed'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("command,sizes", [("verify", "8,1500"), ("reconstruct", None)])
+    def test_guard_refuses_before_sampling(self, tmp_path, monkeypatch, command, sizes):
+        # an oversized grid exits 2 before its kernel is sampled, here or
+        # after a smaller size; no report is written
+        grids = []
+        sample = cli.sample_kernel
+        monkeypatch.setattr(cli, "sample_kernel", lambda m, g: grids.append(g) or sample(m, g))
+        cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 1500\nn2 = 1500"))
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        assert main(argv + (["--sizes", sizes] if sizes else [])) == 2
+        assert grids == []
+        assert list(out.iterdir()) == []
+
     def test_dense_guard_refusal(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IDENTITY_CFG)
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -574,6 +588,20 @@ class TestReconstructCommand:
         assert code == 2
         assert "condition estimate inf" in capsys.readouterr().err
 
+    def test_gmres_table_never_assembles_S(self, tmp_path, monkeypatch):
+        # with the LU modelled as far too dear, GMRES solves the rho table,
+        # and no step of reconstruct reads a dense S
+        def refuse(S):
+            raise AssertionError("S assembled densely")
+
+        monkeypatch.setattr(inversion, "_t_lu", lambda N, m: 1e300)
+        monkeypatch.setattr(ConvOperator, "_assemble_dense", refuse)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", write_cfg(tmp_path, EXP_CFG),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["overall_pass"] is True
+
     def test_guard_refusal_with_guidance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 128\nn2 = 128"))
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -631,10 +659,9 @@ class TestCond2:
     def test_matches_full_svd(self, tag, n1, n2):
         # the default gaussian at 32^2 has its top two singular values
         # equal to 15 digits, the hard case for Lanczos
-        model = model_for(tag)
-        dense = operator_for(model, n1, n2).dense()
-        ref = np.linalg.cond(dense)
-        assert abs(cli._cond_2(dense, np.linalg.inv(dense)) - ref) <= 1e-12 * ref
+        S = operator_for(model_for(tag), n1, n2)
+        ref = np.linalg.cond(S.dense())
+        assert abs(cli._cond_2(S, np.linalg.inv(S.dense())) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
     @pytest.mark.parametrize("n1,n2", [(5, 7), (16, 16), (24, 24)])
@@ -643,7 +670,7 @@ class TestCond2:
         model = model_for(tag)
         S = operator_for(model, n1, n2)
         ref = np.linalg.cond(S.dense())
-        assert abs(cli._cond_2(S.dense(), inverse_from_rho(S)) - ref) <= 1e-12 * ref
+        assert abs(cli._cond_2(S, inverse_from_rho(S)) - ref) <= 1e-12 * ref
 
 
 class TestOverflowingKernel:

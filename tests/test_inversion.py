@@ -186,6 +186,17 @@ class TestSolve:
         with pytest.raises(ConvergenceError, match="backward error"):
             solve_array(S, rng.standard_normal((64, 3)))
 
+    def test_lu_keeps_no_dense_copy(self, rng):
+        # the LU factors an assembly of its own; dense() still assembles
+        # and caches S for its callers
+        S = ConvOperator(samples_for(exp_kernel(), 8))
+        B = rng.standard_normal((64, 64))
+        X = solve_array(S, B)
+        assert S._lu is not None and S._dense is None
+        D = S.dense()
+        assert S._dense is D and D.shape == (64, 64)
+        assert np.linalg.norm(D @ X - B) <= 1e-12 * np.linalg.norm(B)
+
     def test_dense_check_fails_nan_solution(self, monkeypatch):
         S = ConvOperator(samples_for(exp_kernel(), 8))
         self.lu_path_returning(S, monkeypatch, lambda X: np.full_like(X, np.nan))
@@ -434,7 +445,7 @@ class TestGmres:
         S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, omega1=1.7, omega2=0.9))
         D = S.dense()
         # cond_2 by Lanczos, which TestCond2 pins to np.linalg.cond
-        cond = _cond_2(D, scipy.linalg.inv(D, assume_a="general"))
+        cond = _cond_2(S, scipy.linalg.inv(D, assume_a="general"))
         rtol = inversion.GMRES_RTOL
         for b in (rng.standard_normal(n1 * n2),
                   rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)):
@@ -1490,20 +1501,31 @@ class TestInverseFromRho:
         # T keeps the unblocked layout, which fixes svds's summation order
         assert T.flags.f_contiguous
 
-    def test_traced_peak_at_32_within_three_arrays(self):
-        # Units of one complex N x N array.  Real S: the dense S, its LU and
-        # X (half a unit each) beside R (one), 2.5 in all; products that
-        # each made a fresh array peaked at 4.
+    @staticmethod
+    def traced_peak_units(amp):
+        """Traced peak of inverse_from_rho on exp at 32^2, in units of one
+        complex N x N array."""
         import tracemalloc
 
-        S = ConvOperator(samples_for(exp_kernel(), 32))
+        S = ConvOperator(samples_for(exp_kernel(amp=amp), 32))
         tracemalloc.start()
         try:
             inverse_from_rho(S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * 16 * S.grid.size ** 2
+        return peak / (16 * S.grid.size ** 2)
+
+    def test_traced_peak_at_32_within_three_arrays(self):
+        # Real S: the LU and X (half a unit each) beside R (one), 2 in all.
+        # A dense S kept beside its LU read 2.5; products that each made a
+        # fresh array peaked at 4.
+        assert self.traced_peak_units(0.15) <= 2.5
+
+    def test_traced_peak_of_complex_kernel_at_32(self):
+        # Complex S: the LU, X and R, one unit each, 3 in all; a dense S
+        # kept beside its LU read 4.
+        assert self.traced_peak_units(0.05 + 0.1j) <= 3.5
 
     def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):

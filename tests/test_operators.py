@@ -27,6 +27,22 @@ from conftest import (
 from oracle import grid_inner, s_values
 
 
+def gathered_dense(S):
+    """The BTTB matrix gathered block row by block row from index arrays:
+    entry ((b, a), (b', a')) is W[a - a' + n1 - 1, b - b' + n2 - 1]."""
+    n1, n2, N = S.grid.n1, S.grid.n2, S.grid.size
+    W = S.lattice_kernel
+    A, B = np.arange(n1), np.arange(n2)
+    P1 = A[:, None] - A[None, :] + (n1 - 1)   # (a, a')
+    P2 = B[:, None] - B[None, :] + (n2 - 1)   # (b, b')
+    out = np.empty((N, N), dtype=W.dtype)
+    for b in range(n2):
+        # block[a, b', a'] = W[p1(a,a'), p2(b,b')]
+        block = W[P1[:, None, :], P2[b][None, :, None]]
+        out[b * n1:(b + 1) * n1, :] = block.reshape(n1, N)
+    return out
+
+
 class TestConvApply:
     def test_identity_operator(self, rng):
         S = ConvOperator(samples_for(identity_kernel(c=1.0), 8))
@@ -75,6 +91,22 @@ class TestConvApply:
         got, want = S.apply_fft(f), S.dense() @ f
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kernel", ["real", "complex"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+    def test_low_precision_input_computed_in_double(self, rng, kernel, dtype):
+        # float32, complex64 and integer input come back in double
+        # precision, as the product of the dense S with the exact values
+        model = rich_model() if kernel == "real" else exp_kernel(amp=0.05 + 0.1j)
+        S = ConvOperator(samples_for(model, 16, n2=12, omega1=1.7, omega2=0.9))
+        f = 100 * rng.standard_normal((192, 2))
+        if dtype is np.complex64:
+            f = f + 100j * rng.standard_normal((192, 2))
+        f = f.astype(dtype)
+        got, want = S.apply_fft(f), S.dense() @ f.astype(np.result_type(f, float))
+        assert got.dtype == want.dtype == np.result_type(S.lattice_kernel, f, float)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(S.apply_fft(f[:, 0]) - want[:, 0]) <= 1e-12 * np.linalg.norm(want[:, 0])
 
     @staticmethod
     def padded_apply(S, flat):
@@ -127,6 +159,19 @@ class TestConvApply:
         S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
         want = np.linalg.norm(S.dense(), 1)
         assert abs(S.norm1() - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2,omega", [(8, 8, (1.0, 1.0)), (5, 7, (1.7, 0.9)),
+                                             (12, 9, (1.7, 0.9)), (7, 4, (1.7, 0.9)),
+                                             (6, 10, (1.7, 0.9))])
+    def test_assembly_matches_gather(self, tag, n1, n2, omega):
+        # the strided copy of the lattice kernel's windows is the gather,
+        # bit for bit, in the kernel's dtype and C order
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=omega[0], omega2=omega[1]))
+        got, want = S._assemble_dense(), gathered_dense(S)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
     def test_dense_has_constant_diagonals(self):
         s = samples_for(exp_kernel(), 6)
