@@ -16,6 +16,7 @@ rho table, judged by its two residuals) exit 2 before sampling.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -319,9 +320,13 @@ def _cond_2(S: ConvOperator, T: np.ndarray) -> float:
     Anal. B 2, 1965) in a few dozen matvecs instead of a full SVD, with
     S^H b = J conj(S J conj(b)) by persymmetry.  The start vector x_i =
     (-1)^i (1 + i / (N - 1)), the one ``inversion._cond_estimate`` uses,
-    keeps the number reproducible.
+    keeps the number reproducible.  S is scaled by 2^-e and T by 2^e, e
+    the binary exponent of ||S||_1, so that neither Lanczos product
+    S^H S nor T^H T overflows or underflows for a kernel of extreme size;
+    the scaling is exact and cancels in the product.
     """
     N = S.grid.size
+    e = math.frexp(S.norm1())[1] - 1
     op = scipy.sparse.linalg.LinearOperator(
         (N, N), matvec=S.apply_fft, rmatvec=lambda b: S.apply_fft(b[::-1].conj())[::-1].conj(),
         dtype=np.result_type(S.lattice_kernel, float))
@@ -329,7 +334,7 @@ def _cond_2(S: ConvOperator, T: np.ndarray) -> float:
     v0 = (-1.0) ** i * (1.0 + i / (N - 1))
     s_max, s_inv_max = (
         scipy.sparse.linalg.svds(M, k=1, return_singular_vectors=False, tol=0, v0=v0)[0]
-        for M in (op, T)
+        for M in (op * 2.0 ** -e, scipy.sparse.linalg.aslinearoperator(T) * 2.0 ** e)
     )
     return float(s_max * s_inv_max)
 

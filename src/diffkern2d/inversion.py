@@ -28,9 +28,12 @@ grid resolves S^{-1} exactly:  T = E R E^H / (omega1 omega2 n1 n2) where
 E = E2 (x) E1 holds the sampled exponentials (they are exactly orthogonal
 on the midpoint grid) and R[p, q] = rho(lam_q, mu_p).  Both products with
 E are evaluated axis by axis with the n_i x n_i factors E1 and E2, never
-with the N x N Kronecker matrix.  The table's solves run against the unit
-columns, R = h1 h2 E^H S^{-1} I E; for a real S they, their backward check
-and the reconstructed T are real.
+with the N x N Kronecker matrix.  The table follows from the axis-1
+displacement identity of S^{-1}, X A_1 - A_1^* X = (X G)(H X), and one
+solve of its 3 n2 generator columns; where the condition estimate of S
+shows that route too inaccurate, from a solve of the N unit columns
+instead, R = h1 h2 E^H S^{-1} I E.  For a real S the solves, their
+backward check and the reconstructed T are real.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .operators import (
     apply_along,
     assemble_pi,
     check_dense_guard,
+    generator_parts,
     k_op,
     line_integration_op,
     lu_factor_cond,
@@ -84,6 +88,11 @@ BACKWARD_TOL = 1e-9     # largest ||S x - b|| / ||b|| a solve may return
 GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
 GMRES_RESTART = 50      # Krylov basis length: iterations per restart cycle
 GMRES_MAXITER = 5000    # iterations a column may take over all its cycles
+
+# the largest 1-norm condition estimate for which build_rho_table takes the
+# generator, 671: its residual grows as cond^2 eps, kept within BACKWARD_TOL / 10
+# (the data are in build_rho_table)
+GENERATOR_COND = math.sqrt(BACKWARD_TOL / 10 / np.finfo(float).eps)
 
 # the size of the library's one block rule for blocked work, read only by _blocks
 CHECK_BLOCK = 1 << 16
@@ -743,20 +752,136 @@ def _apply_basis(E1: np.ndarray, E2: np.ndarray, grid: GridSpec, X: np.ndarray) 
 
 
 def build_rho_table(S: ConvOperator) -> np.ndarray:
-    """rho on the full DFT frequency grid from N solves against the unit basis.
+    """rho on the full DFT frequency grid from the generator of S^{-1}.
 
-    Returns the (N, N) array R with R[p, q] = rho(lam_q, mu_p), where lam
-    and mu run over the pairs of :func:`dft_frequencies`, flattened
-    lam1-fastest like the grid: pair q is (l1[q % n1], l2[q // n1]).
+    Returns the (N, N) Fortran-ordered array R with R[p, q] =
+    rho(lam_q, mu_p), where lam and mu run over the pairs of
+    :func:`dft_frequencies`, flattened lam1-fastest like the grid: pair q
+    is (l1[q % n1], l2[q // n1]).  R = h1 h2 E^H X E with X = S^{-1}.
 
-    R = h1 h2 E^H X E with X = S^{-1} I, one solve of the N unit columns
-    (real for a real S), both Kronecker products applied axis by axis.
-    Beside X the one N x N array is R: X E fills it a block of rows at a
-    time, then h1 h2 E^H acts on it in place a block of columns at a time
-    (:func:`_blocks`).  Refused above DENSE_GUARD before any solve.
+    With (G, H) = ``discrete_generator(S, 1)``, X obeys X A_1 - A_1^* X =
+    U V, U = X G and V = H X.  One solve of the 3 n2 columns [Phi, One,
+    J Psi^T] (:func:`~diffkern2d.operators.generator_parts`; real for a
+    real S) gives both: S^T = J S J, so One^T X = (J X J One)^T and
+    Psi X = (J X J Psi^T)^T.  On the DFT basis calA_1 e_lam = d_lam e_lam -
+    (h1 / (2 s_lam)) e_lam2 (x) 1, with s_lam = sin(lam1 h1 / 2), so
+
+        (h1/2) sin((mu1 - lam1) h1/2) R / (h1 h2)
+            = s_lam s_mu (E^H U)(V E) + (h1/2) s_mu T_1 - (h1/2) s_lam T_2,
+
+    T_1 = e_mu^H X (e_lam2 (x) 1) and T_2 = (e_mu2 (x) 1)^H X e_lam, both
+    read from X One.  Where mu1 = lam1 the sine vanishes, and R is the
+    mu1-derivative of the right side, which adds E^H (x1 . U).  The axis
+    products are n_i x n_i (:func:`_apply_basis`); the one N x N array is
+    R, filled a block of rows of R^T at a time (:func:`_blocks`).
+
+    This is the inversion-formula route of Kailath, Kung & Morf (J. Math.
+    Anal. Appl. 68, 1979) and Heinig & Rost (1984).  It is forward-stable
+    but not backward-stable: its T has a forward error near cond eps, as
+    the unit basis's has, but a residual ||S T - I|| near cond^2 eps.  So
+    the 1-norm condition estimate that the solve left on S (``gecon`` on
+    the LU path, ``onenormest`` on the GMRES path) picks the route: above
+    GENERATOR_COND the table is solved from the N unit columns instead
+    (:func:`_unit_table`), on the LU the first solve cached.
+    ``reconstruction_error`` by route, unit basis / generator, at 32x32
+    unless noted, with the estimate in brackets:
+
+        exp                                 2.3e-13 / 5.3e-13   [1.3]
+        gaussian amp 8, width 0.15          4.1e-13 / 1.3e-11   [574]
+          the same at 64x64                 1.7e-12 / 5.1e-11   [621]
+          at 31x33 on 1.7 x 0.9             6.9e-13 / 1.2e-10   [2,101]
+        gaussian amp 20, width 0.1          8.2e-13 / 4.1e-10   [3,516]
+        gaussian amp 40, width 0.08         2.1e-12 / 1.4e-9    [26,786]
+        gaussian amp 60, width 0.07         7.7e-12 / 1.2e-8    [44,573]
+
+    On every gaussian row the generator reads at most cond^2 eps, so below
+    the guard, cond^2 eps <= BACKWARD_TOL / 10 (cond <= 671), it stays 10x
+    inside the 1e-9 tolerance of ``reconstruct``; the last two rows fail
+    that tolerance.  Refused above DENSE_GUARD before any solve.
     """
     g = S.grid
     check_dense_guard(g, "rho table")
+    n1, n2, h1 = g.n1, g.n2, g.h1
+    U, V = _generator_solve(S)
+    cond = S._lu[2] if S._lu is not None else S._cond_est[0]
+    if cond > GENERATOR_COND:
+        del U, V
+        return _unit_table(S)
+    E1, E2 = _basis_factors(g)
+    E1H, E2H = E1.conj().T, E2.conj().T
+    B = _apply_basis(E1H, E2H, g, U)                                   # E^H U, [p, :]
+    U *= np.tile(g.x1, n2)[:, None]
+    Bx = _apply_basis(E1H, E2H, g, U)                                  # E^H (x1 . U)
+    C = _apply_basis(E1.T, E2.T, g, V.T)                               # (V E)^T, [q, :]
+    del U, V
+    # X One = (i / h1) U's last n2 columns and One^T X is V's first n2 rows
+    T1, T1x = ((1j / h1) * (A[:, n2:] @ E2) for A in (B, Bx))         # [p, q2]
+    T2 = C[:, :n2] @ E2.conj()                                         # [q, p2]
+    theta = np.pi * np.arange(-(n1 // 2), n1 - n1 // 2) / n1           # lam1 h1 / 2
+    s, c = np.sin(theta), np.cos(theta)
+    hh = g.h1 * g.h2
+
+    # where mu1 = lam1 (m = p1 = q1), the mu1-derivative, with s = s_m, c = c_m
+    # and T1x = E^H (x1 . X One) E2 (d/dmu1 of e_mu^H is -i (x1 . e_mu)^H):
+    # R / (h1 h2) = (2/h1) s c (E^H U)(V E) - i (2/h1)^2 s^2 (E^H (x1 . U))(V E)
+    #               + c T_1 - i (2/h1) s T1x, as [m, p2, q2]
+    def by_m(A):
+        return A.reshape(n2, n1, -1).transpose(1, 0, 2)
+
+    Cm = by_m(C).transpose(0, 2, 1)
+    sm, cm = s[:, None, None], c[:, None, None]
+    diag = by_m(B) @ Cm
+    diag *= (2 / h1) * sm * cm
+    diag -= (1j * (2 / h1) ** 2 * sm ** 2) * (by_m(Bx) @ Cm)
+    diag += cm * by_m(T1)
+    diag -= (1j * (2 / h1) * sm) * by_m(T1x)
+    diag *= hh
+    del Bx, T1x, Cm
+
+    # elsewhere divide by the sine of (mu1 - lam1) h1 / 2, [q1, p1]; 0 where it vanishes
+    d = np.arange(n1)
+    inv_sine = np.zeros((n1, n1))
+    np.divide(1.0, np.sin(np.pi * (d[None, :] - d[:, None]) / n1), out=inv_sine,
+              where=d[None, :] != d[:, None])
+    s_flat = s[np.arange(g.size) % n1][:, None]                        # s of row p or q
+    B *= s_flat                                                         # [p, :]
+    C *= (2 * hh / h1) * s_flat                                         # [q, :]
+    T1 *= hh * s_flat                                                   # [p, q2]
+    T2 *= hh * s_flat                                                   # [q, p2]
+    R = np.empty((g.size, g.size), complex, order="F")
+    RT = R.T                                                            # [q, p], C-ordered
+    for cols in _blocks(g.size):
+        q = np.arange(g.size)[cols]
+        block = np.matmul(C[cols], B.T, out=RT[cols])
+        block += T1.T[q // n1]
+        block -= np.repeat(T2[cols], n1, axis=1)
+        block *= np.tile(inv_sine[q % n1], n2)
+    m = np.arange(n1)
+    RT.reshape(n2, n1, n2, n1)[:, m, :, m] = diag.transpose(0, 2, 1)
+    return R
+
+
+def _generator_solve(S: ConvOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """``(U, V) = (X G, H X)`` for X = S^{-1} and ``(G, H) =
+    discrete_generator(S, 1)``, from one solve of the 3 n2 columns
+    [Phi, One, J Psi^T], real for a real S: G = i h1 [Phi, -One], and
+    by persymmetry, J S J = S^T, One^T X = (J X J One)^T with J One = One
+    column-reversed, and Psi X = (J X J Psi^T)^T."""
+    n2 = S.grid.n2
+    Phi, One, Psi = generator_parts(S, 1)
+    Y = solve_array(S, np.hstack([Phi, One, Psi.T[::-1]]))
+    U = 1j * S.grid.h1 * np.hstack([Y[:, :n2], -Y[:, n2:2 * n2]])
+    V = np.hstack([Y[::-1, 2 * n2 - 1:n2 - 1:-1], Y[::-1, 2 * n2:]]).T
+    return U, V
+
+
+def _unit_table(S: ConvOperator) -> np.ndarray:
+    """The rho table as R = h1 h2 E^H X E from one solve of the N unit
+    columns, X = S^{-1} I (real for a real S), both Kronecker products
+    applied axis by axis.  Beside X the one N x N array is R: X E fills it
+    a block of rows at a time, then h1 h2 E^H acts on it in place a block
+    of columns at a time (:func:`_blocks`)."""
+    g = S.grid
     X = solve_array(S, np.eye(g.size))
     E1, E2 = _basis_factors(g)
     # rows of X E = ((E2^T (x) E1^T) X^T)^T are columns of R.T

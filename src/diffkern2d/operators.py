@@ -53,6 +53,7 @@ __all__ = [
     "displacement_identity_residual",
     "m4_identity_residual",
     "discrete_generator",
+    "generator_parts",
     "displacement_rank",
     "DENSE_GUARD",
     "check_dense_guard",
@@ -169,7 +170,7 @@ class ConvOperator:
 
     def dense(self) -> np.ndarray:
         """The N x N matrix for the dense identity checks, assembled once
-        (solve_lu factors an assembly of its own); refused above DENSE_GUARD."""
+        (solve_lu factors it when it is cached); refused above DENSE_GUARD."""
         if self._dense is None:
             check_dense_guard(self.grid, "dense assembly")
             with self._lock:
@@ -184,22 +185,27 @@ class ConvOperator:
         return np.ascontiguousarray(windows[::-1, ::-1].transpose(3, 2, 1, 0)).reshape(N, N)
 
     def solve_lu(self):
-        """Cached ``(lu, piv, cond)`` of an assembly of its own, factored and
-        condition-estimated once; refused above DENSE_GUARD.  Callers solving
+        """Cached ``(lu, piv, cond)``, factored and condition-estimated once:
+        of the matrix ``dense`` cached, else of an assembly of its own, kept
+        no longer than the factoring; refused above DENSE_GUARD.  Callers solving
         with it pass a copy of ``piv``: scipy's getrs wrapper shifts the
         pivots in place while it runs, which races between threads."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
                     check_dense_guard(self.grid, "dense assembly")
-                    self._lu = lu_factor_cond(self._assemble_dense())
+                    # lu_factor copies its input, so a cached dense() stays intact
+                    D = self._dense if self._dense is not None else self._assemble_dense()
+                    self._lu = lu_factor_cond(D, self.norm1())
         return self._lu
 
 
-def lu_factor_cond(mat: np.ndarray):
+def lu_factor_cond(mat: np.ndarray, anorm: Optional[float] = None):
     """``(lu, piv, cond)``: the LU of ``mat`` and LAPACK's 1-norm condition
-    estimate, ``inf`` when the factor is exactly singular."""
-    anorm = np.linalg.norm(mat, 1)
+    estimate, ``inf`` when the factor is exactly singular.  ``anorm`` is
+    ||mat||_1 when the caller knows it, computed otherwise."""
+    if anorm is None:
+        anorm = np.linalg.norm(mat, 1)
     with warnings.catch_warnings():
         # exact singularity is reported through cond, not as a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -442,10 +448,18 @@ def discrete_generator(S: ConvOperator, k: int):
     calA T - T calA^* = i h_k (F(a) - F(-a' - 1)), with F(m) the sum of
     t(p) over p <= m.  So G = i h_k [Phi, -One] (N x 2 n_i) and
     H = [One^T; Psi] (2 n_i x N), where Phi[(b, a), b'] = F_{b-b'}(a),
-    Psi[b, (b', a')] = F_{b-b'}(-a' - 1) and One[(b, a), b'] = [b = b'].
-    For k = 2 the roles of the axes swap, and the rows of G and the
-    columns of H are put back in the x1-fastest order.
+    Psi[b, (b', a')] = F_{b-b'}(-a' - 1) and One[(b, a), b'] = [b = b']
+    (:func:`generator_parts`).
     """
+    Phi, One, Psi = generator_parts(S, k)
+    return 1j * S.grid.axis_h(k) * np.hstack([Phi, -One]), np.vstack([One.T, Psi])
+
+
+def generator_parts(S: ConvOperator, k: int):
+    """``(Phi, One, Psi)`` of :func:`discrete_generator` for axis k, in the
+    lattice kernel's dtype (One is real).  For k = 2 the roles of the axes
+    swap, and the rows of Phi and One and the columns of Psi are put back
+    in the x1-fastest order."""
     if k not in (1, 2):
         raise InvalidArgumentError(f"axis must be 1 or 2, got {k}")
     W = S.lattice_kernel if k == 1 else S.lattice_kernel.T
@@ -456,12 +470,10 @@ def discrete_generator(S: ConvOperator, k: int):
     Phi = F[n:][:, blocks].transpose(1, 0, 2).reshape(n * m, m)
     Psi = F[n - 1::-1][:, blocks].transpose(1, 2, 0).reshape(m, n * m)
     One = np.repeat(np.eye(m), n, axis=0)
-    G = 1j * S.grid.axis_h(k) * np.hstack([Phi, -One])
-    H = np.vstack([One.T, Psi])
     if k == 2:      # (a, b) x2-fastest order back to x1-fastest
-        G = G.reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1)
-        H = H.reshape(-1, m, n).transpose(0, 2, 1).reshape(-1, n * m)
-    return G, H
+        Phi, One = (A.reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1) for A in (Phi, One))
+        Psi = Psi.reshape(-1, m, n).transpose(0, 2, 1).reshape(-1, n * m)
+    return Phi, One, Psi
 
 
 def displacement_rank(S: ConvOperator, k: int, rel_tol: float = 1e-10) -> int:

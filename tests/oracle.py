@@ -217,3 +217,20 @@ def check_difference_kernel(Q: np.ndarray, grid: GridSpec) -> float:
     fit = means[KEY].reshape(Q.shape)
     qn = np.linalg.norm(Q)
     return float(np.linalg.norm(Q - fit) / qn) if qn > 0 else 0.0
+
+
+# --------------------------------------------------------------------------
+# the rho table on the unit basis
+# --------------------------------------------------------------------------
+
+
+def rho_table_unit_basis(S) -> np.ndarray:
+    """R[p, q] = rho(lam_q, mu_p) on the DFT frequency grid as
+    h1 h2 E^H S^{-1} E: the dense inverse of the dense S, and the N x N
+    basis E = E2 (x) E1 of sampled exponentials, pairs lam1-fastest."""
+    g = S.grid
+    m1 = np.arange(-(g.n1 // 2), g.n1 - g.n1 // 2)
+    m2 = np.arange(-(g.n2 // 2), g.n2 - g.n2 // 2)
+    E = np.kron(np.exp(2j * np.pi * np.outer(g.x2, m2) / g.omega2),
+                np.exp(2j * np.pi * np.outer(g.x1, m1) / g.omega1))
+    return g.h1 * g.h2 * (E.conj().T @ np.linalg.inv(S.dense()) @ E)

@@ -193,6 +193,17 @@ class TestVerifyCommand:
                      "--sizes", "8,12"]) == 0
         assert built == [(8, 1), (8, 2), (12, 1), (12, 2)]
 
+    def test_dense_S_assembled_once_per_size(self, tmp_path, monkeypatch):
+        # the g blocks' LU factors the S that the identity checks cached
+        sizes = []
+        assemble = ConvOperator._assemble_dense
+        monkeypatch.setattr(ConvOperator, "_assemble_dense",
+                            lambda S: sizes.append(S.grid.n1) or assemble(S))
+        cfg = write_cfg(tmp_path, EXP_CFG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--sizes", "8,16"]) == 0
+        assert sizes == [8, 16]
+
     def test_exp_kernel_orders(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)
         out = tmp_path / "out"
@@ -582,6 +593,27 @@ class TestReconstructCommand:
             outs.append((out / "reconstruct_report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("amp,width", [(20, 0.1), (40, 0.08)])
+    def test_ill_conditioned_gaussian_passes(self, tmp_path, amp, width):
+        # condition estimates 3.5e3 and 2.7e4: the table takes the unit basis
+        text = f"kernel = gaussian\namp = {amp}\nwidth = {width}\nn1 = 32\nn2 = 32\n"
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["overall_pass"] is True
+        assert report["reconstruction_error"] <= 1e-10
+
+    def test_unguarded_generator_table_fails_ill_conditioned_gaussian(self, tmp_path,
+                                                                     monkeypatch):
+        # the generator's residual grows as cond^2 eps: 1.4e-9 here, above
+        # the 1e-9 tolerance, where the unit basis reads 2.1e-12
+        monkeypatch.setattr(inversion, "GENERATOR_COND", np.inf)
+        text = "kernel = gaussian\namp = 40\nwidth = 0.08\nn1 = 32\nn2 = 32\n"
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["reconstruction_error"] > report["reconstruction_tol"]
+
     def test_singular_operator_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "kernel = identity\nc = 0.0\nn1 = 4\nn2 = 4\n")
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -705,6 +737,25 @@ class TestOverflowingKernel:
         assert main(["rho", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "G(lam) condition estimate" in err and "backward error" not in err
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_kernel_reconstructs_with_its_condition_number(self, tmp_path):
+        # both residuals pass near 1e-13; cond_S's Lanczos runs on 2^-e S
+        # and 2^e T, as S^H S would overflow
+        from diffkern2d.grid import make_grid, sample_kernel
+        from diffkern2d.kernels import gaussian_kernel
+
+        cfg = write_cfg(tmp_path, "kernel = gaussian\namp = 1e308\nwidth = 0.01\n"
+                                  "normalize = false\nn1 = 8\nn2 = 8\n")
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["overall_pass"] is True
+        S = ConvOperator(sample_kernel(gaussian_kernel(amp=1e308, width=0.01),
+                                       make_grid(1.0, 1.0, 8, 8)))
+        ref = np.linalg.cond(S.dense() / S.norm1())
+        assert abs(report["cond_S"] - ref) <= 1e-12 * ref
 
 
 class TestThreadedRho:

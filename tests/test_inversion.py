@@ -33,7 +33,7 @@ from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separab
 from diffkern2d.operators import ConvOperator, apply_along, assemble_pi, k_op
 
 from conftest import MODEL_BUILDERS, convergence_orders, rich_model, samples_for
-from oracle import check_difference_kernel, s_values
+from oracle import check_difference_kernel, rho_table_unit_basis, s_values
 
 
 def deconv_model():
@@ -1429,7 +1429,8 @@ class TestInverseFromRho:
             assert abs(R[p, q] - want) <= 1e-10 * abs(want), (p, q)
 
     def test_real_operator_table_takes_one_real_solve(self, monkeypatch):
-        import diffkern2d.inversion as inversion
+        # the 3 n2 generator columns [Phi, One, J Psi^T], not the N unit ones
+        from diffkern2d.operators import generator_parts
 
         calls = []
 
@@ -1441,8 +1442,9 @@ class TestInverseFromRho:
         S = ConvOperator(samples_for(exp_kernel(), 8))
         build_rho_table(S)
         assert len(calls) == 1
-        assert calls[0].shape == (64, 64) and np.isrealobj(calls[0])
-        assert np.array_equal(calls[0], np.eye(64))
+        assert calls[0].shape == (64, 24) and np.isrealobj(calls[0])
+        Phi, One, Psi = generator_parts(S, 1)
+        assert np.array_equal(calls[0], np.hstack([Phi, One, Psi.T[::-1]]))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 33])
     def test_basis_factors_orthogonal(self, n):
@@ -1466,28 +1468,40 @@ class TestInverseFromRho:
             fn(S)
 
     @staticmethod
-    def unblocked(S):
-        """(R, T) by whole-array products, Kronecker factors axis by axis."""
+    def unblocked_inverse(S, R):
+        """T = E R E^H / (omega1 omega2 N) by whole-array products,
+        Kronecker factors axis by axis."""
+        g = S.grid
+        E1, E2 = inversion._basis_factors(g)
+        ER = apply_along(E2, apply_along(E1, R, g, 1), g, 2).conj()
+        TH = apply_along(E2, apply_along(E1, ER.T, g, 1), g, 2)   # (E R E^H)^H
+        scale = 1.0 / (g.omega1 * g.omega2 * g.size)
+        if np.isrealobj(S.lattice_kernel):
+            return TH.real.T * scale
+        return TH.conj().T * scale
+
+    @staticmethod
+    def unblocked_unit_table(S):
+        """R = h1 h2 E^H S^{-1} E from the N unit columns by whole-array
+        products, Kronecker factors axis by axis."""
         g = S.grid
         E1, E2 = inversion._basis_factors(g)
         X = solve_array(S, np.eye(g.size))
         X = apply_along(E2.T, apply_along(E1.T, X.T, g, 1), g, 2).T
         R = apply_along(E2.conj().T, apply_along(E1.conj().T, X, g, 1), g, 2)
         R *= g.h1 * g.h2
-        ER = apply_along(E2, apply_along(E1, R, g, 1), g, 2).conj()
-        TH = apply_along(E2, apply_along(E1, ER.T, g, 1), g, 2)   # (E R E^H)^H
-        scale = 1.0 / (g.omega1 * g.omega2 * g.size)
-        if np.isrealobj(S.lattice_kernel):
-            return R, TH.real.T * scale
-        return R, TH.conj().T * scale
+        return R
 
-    @pytest.mark.parametrize("amp,n1,n2,patched", [
-        (0.15, 9, 7, True), (0.15, 17, 13, False),
-        (0.05 + 0.1j, 11, 10, True), (0.05 + 0.1j, 20, 13, False)])
+    BLOCK_CASES = [(0.15, 9, 7, True), (0.15, 17, 13, False),
+                   (0.05 + 0.1j, 11, 10, True), (0.05 + 0.1j, 20, 13, False)]
+
+    @pytest.mark.parametrize("amp,n1,n2,patched", BLOCK_CASES)
     def test_blocks_match_unblocked_products_bit_for_bit(self, amp, n1, n2, patched,
                                                          monkeypatch):
         # patched: 16 lines per block; either way N is no multiple of the
-        # block, so the last block is shorter
+        # block, so the last block is shorter.  T is the unblocked product
+        # of the table it was built from, and the unit-basis table, which
+        # an ill-conditioned S takes, the unblocked product of its solve.
         if patched:
             monkeypatch.setattr(inversion, "CHECK_BLOCK", 64 * n1 * n2)
         blocks = inversion._blocks(n1 * n2)
@@ -1495,11 +1509,21 @@ class TestInverseFromRho:
         assert len(blocks) > 1 and len(range(n1 * n2)[blocks[-1]]) < step
         s = samples_for(exp_kernel(amp=amp), n1, n2=n2, omega1=1.7, omega2=0.9)
         R, T = build_rho_table(ConvOperator(s)), inverse_from_rho(ConvOperator(s))
-        R0, T0 = self.unblocked(ConvOperator(s))
-        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+        T0 = self.unblocked_inverse(ConvOperator(s), R)
         assert T.dtype == T0.dtype and np.array_equal(T, T0)
         # T keeps the unblocked layout, which fixes svds's summation order
         assert T.flags.f_contiguous
+        R, R0 = inversion._unit_table(ConvOperator(s)), self.unblocked_unit_table(ConvOperator(s))
+        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+
+    @pytest.mark.parametrize("amp,n1,n2,patched", BLOCK_CASES)
+    def test_blocked_table_matches_unit_basis(self, amp, n1, n2, patched, monkeypatch):
+        if patched:
+            monkeypatch.setattr(inversion, "CHECK_BLOCK", 64 * n1 * n2)
+        S = ConvOperator(samples_for(exp_kernel(amp=amp), n1, n2=n2, omega1=1.7, omega2=0.9))
+        R, R0 = build_rho_table(S), rho_table_unit_basis(S)
+        assert R.flags.f_contiguous
+        assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
 
     @staticmethod
     def traced_peak_units(amp):
@@ -1517,15 +1541,17 @@ class TestInverseFromRho:
         return peak / (16 * S.grid.size ** 2)
 
     def test_traced_peak_at_32_within_three_arrays(self):
-        # Real S: the LU and X (half a unit each) beside R (one), 2 in all.
-        # A dense S kept beside its LU read 2.5; products that each made a
-        # fresh array peaked at 4.
+        # Real S: the LU (half a unit) beside R (one) and the real T (half),
+        # 2 in all.  The unit basis held X (half) beside the LU and R, 2 as
+        # well; a dense S kept beside its LU read 2.5; products that each
+        # made a fresh array peaked at 4.
         assert self.traced_peak_units(0.15) <= 2.5
 
     def test_traced_peak_of_complex_kernel_at_32(self):
-        # Complex S: the LU, X and R, one unit each, 3 in all; a dense S
-        # kept beside its LU read 4.
-        assert self.traced_peak_units(0.05 + 0.1j) <= 3.5
+        # Complex S: the LU and R, one unit each, and the generator's
+        # N x 3 n2 work arrays, 2.26 in all; the unit basis's X made it 3,
+        # and a dense S kept beside its LU 4.
+        assert self.traced_peak_units(0.05 + 0.1j) <= 2.5
 
     def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -1536,6 +1562,64 @@ class TestInverseFromRho:
         l1, l2 = dft_frequencies(g)
         assert_allclose(l1, 2 * np.pi * np.arange(-3, 3) / 2.0)
         assert_allclose(l2, 2 * np.pi * np.arange(-2, 3) / 1.0)
+
+
+class TestGeneratorTable:
+    """build_rho_table from U = X G and V = H X, X = S^{-1}, against the
+    dense unit-basis table, and its guard on the condition estimate."""
+
+    @pytest.mark.parametrize("tag", list(MODEL_BUILDERS))
+    @pytest.mark.parametrize("n1,n2", [(5, 7), (2, 6), (6, 2), (2, 3), (13, 10), (3, 2)])
+    def test_every_family_matches_unit_basis(self, tag, n1, n2):
+        # odd, even and non-square grids on unequal sides, n_i = 2 included
+        S = ConvOperator(samples_for(MODEL_BUILDERS[tag](), n1, n2=n2, omega1=1.7, omega2=0.9))
+        R, R0 = build_rho_table(S), rho_table_unit_basis(S)
+        assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
+
+    @pytest.mark.parametrize("model,n1,n2", [
+        (exp_kernel(amp=0.05 + 0.1j), 11, 10), (exp_kernel(amp=0.05 + 0.1j), 20, 13),
+        (deconv_model(), 32, 32), (identity_kernel(c=1.0), 8, 8)])
+    def test_complex_and_gaussian_match_unit_basis(self, model, n1, n2):
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+        R, R0 = build_rho_table(S), rho_table_unit_basis(S)
+        assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
+
+    @pytest.mark.parametrize("model,n1,n2", [
+        (exp_kernel(), 8, 8), (rich_model(), 5, 7), (exp_kernel(amp=0.05 + 0.1j), 6, 9)])
+    def test_u_v_are_x_g_and_h_x(self, model, n1, n2):
+        from diffkern2d.operators import discrete_generator
+
+        S = ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+        X = np.linalg.inv(S.dense())
+        G, H = discrete_generator(S, 1)
+        U, V = inversion._generator_solve(S)
+        for got, want in ((U, X @ G), (V, H @ X)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("amp,width", [(20.0, 0.1), (40.0, 0.08)])
+    def test_ill_conditioned_kernel_takes_the_unit_basis(self, amp, width, monkeypatch):
+        # 1-norm estimates 3.5e3 and 2.7e4, above GENERATOR_COND (671): the
+        # generator's residual, near cond^2 eps, would not stay 10x inside
+        # BACKWARD_TOL; the unit basis reuses the LU the first solve made
+        from diffkern2d.kernels import gaussian_kernel
+
+        unit = []
+        table = inversion._unit_table
+        monkeypatch.setattr(inversion, "_unit_table",
+                            lambda S: unit.append(S._lu) or table(S))
+        S = ConvOperator(samples_for(gaussian_kernel(amp=amp, width=width), 32))
+        R = build_rho_table(S)
+        assert S._lu[2] > inversion.GENERATOR_COND
+        assert len(unit) == 1 and unit[0] is S._lu and R.flags.f_contiguous
+        R0 = rho_table_unit_basis(S)
+        assert np.abs(R - R0).max() <= 1e-9 * np.abs(R0).max()
+
+    def test_guard_constant(self):
+        # cond^2 eps <= BACKWARD_TOL / 10
+        eps = np.finfo(float).eps
+        assert inversion.GENERATOR_COND ** 2 * eps == pytest.approx(inversion.BACKWARD_TOL / 10)
+        assert 670 < inversion.GENERATOR_COND < 672
 
 
 class TestStructureCheck:
