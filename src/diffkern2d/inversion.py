@@ -782,7 +782,9 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
     the 1-norm condition estimate that the solve left on S (``gecon`` on
     the LU path, ``onenormest`` on the GMRES path) picks the route: above
     GENERATOR_COND the table is solved from the N unit columns instead
-    (:func:`_unit_table`), on the LU the first solve cached.
+    (:func:`_unit_table`), on the LU the first solve cached.  An LU that
+    this call's own solve factored is dropped once its last solve is done,
+    on either route, before R is allocated; one the caller factored stays.
     ``reconstruction_error`` by route, unit basis / generator, at 32x32
     unless noted, with the estimate in brackets:
 
@@ -802,11 +804,14 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
     g = S.grid
     check_dense_guard(g, "rho table")
     n1, n2, h1 = g.n1, g.n2, g.h1
+    drop_lu = S._lu is None
     U, V = _generator_solve(S)
     cond = S._lu[2] if S._lu is not None else S._cond_est[0]
     if cond > GENERATOR_COND:
         del U, V
-        return _unit_table(S)
+        return _unit_table(S, drop_lu)
+    if drop_lu:
+        S._lu = None
     E1, E2 = _basis_factors(g)
     E1H, E2H = E1.conj().T, E2.conj().T
     B = _apply_basis(E1H, E2H, g, U)                                   # E^H U, [p, :]
@@ -875,14 +880,17 @@ def _generator_solve(S: ConvOperator) -> Tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
-def _unit_table(S: ConvOperator) -> np.ndarray:
+def _unit_table(S: ConvOperator, drop_lu: bool = False) -> np.ndarray:
     """The rho table as R = h1 h2 E^H X E from one solve of the N unit
     columns, X = S^{-1} I (real for a real S), both Kronecker products
-    applied axis by axis.  Beside X the one N x N array is R: X E fills it
-    a block of rows at a time, then h1 h2 E^H acts on it in place a block
-    of columns at a time (:func:`_blocks`)."""
+    applied axis by axis; S's LU is dropped after the solve when
+    ``drop_lu``.  Beside X the one N x N array is R: X E fills it a block
+    of rows at a time, then h1 h2 E^H acts on it in place a block of
+    columns at a time (:func:`_blocks`)."""
     g = S.grid
     X = solve_array(S, np.eye(g.size))
+    if drop_lu:
+        S._lu = None
     E1, E2 = _basis_factors(g)
     # rows of X E = ((E2^T (x) E1^T) X^T)^T are columns of R.T
     R = np.empty((g.size, g.size), complex, order="F")
@@ -903,8 +911,10 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     orthogonal basis.  E R and E (E R)^H = (E R E^H)^H are each evaluated
     axis by axis, in place on the table, E on a block of its columns and
     then E^H on a block of its rows at a time.  For a real lattice kernel
-    the exact T is real, and its real part is returned (float64, the one
-    copy); otherwise T is the table's array.  T is Fortran-ordered, like
+    the exact T is real: its real part is written over the first half of
+    the table's buffer, a block of columns at a time, and T is a float64
+    view of that buffer; otherwise T is the table's array.  Either way the
+    one N x N array is the table's.  T is Fortran-ordered, like
     the unblocked (E R E^H)^H transposed, which fixes the summation order
     of svds in ``cond_S``.  ``reconstruct`` judges T by ||S T - I||_F and
     ||T S - I||_F, both by the FFT matvec.  Like the table, T is refused
@@ -921,8 +931,14 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     for rows in _blocks(g.size):
         R.T[:, rows] = _apply_basis(E1, E2, g, R[rows].conj().T)
     scale = 1.0 / (g.omega1 * g.omega2 * g.size)
-    if np.isrealobj(S.lattice_kernel):
-        return R.real * scale
-    np.conjugate(R, out=R)
-    R *= scale
-    return R
+    if np.iscomplexobj(S.lattice_kernel):
+        np.conjugate(R, out=R)
+        R *= scale
+        return R
+    # the real T in the first half of R's buffer, Fortran-ordered: column j of T
+    # lies in column j // 2 of R, so columns taken in increasing order are read
+    # before they are written over
+    T = R.T.reshape(-1).view(float)[:R.size].reshape(R.shape).T
+    for cols in _blocks(g.size):
+        np.multiply(R[:, cols].real, scale, out=T[:, cols])
+    return T

@@ -169,8 +169,9 @@ class ConvOperator:
     # -- dense assembly ----------------------------------------------------
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix for the dense identity checks, assembled once
-        (solve_lu factors it when it is cached); refused above DENSE_GUARD."""
+        """The N x N matrix for the dense identity checks, assembled once in C
+        order (solve_lu factors a copy of it when it is cached); refused above
+        DENSE_GUARD."""
         if self._dense is None:
             check_dense_guard(self.grid, "dense assembly")
             with self._lock:
@@ -178,38 +179,54 @@ class ConvOperator:
                     self._dense = self._assemble_dense()
         return self._dense
 
-    def _assemble_dense(self) -> np.ndarray:
+    def _assemble_dense(self, order: str = "C") -> np.ndarray:
+        """S, a fresh N x N array in C order, or in Fortran order for ``"F"``:
+        by persymmetry, J S J = S^T, the C-ordered assembly of the reversed
+        lattice kernel is S^T, and its transpose is S.  The values are the
+        same either way."""
         # S[(b, a), (b', a')] = W[a-a'+n1-1, b-b'+n2-1]: window (n1-1-a', n2-1-b') at (a, b)
         n1, n2, N = self.grid.n1, self.grid.n2, self.grid.size
-        windows = np.lib.stride_tricks.sliding_window_view(self.lattice_kernel, (n1, n2))
-        return np.ascontiguousarray(windows[::-1, ::-1].transpose(3, 2, 1, 0)).reshape(N, N)
+        W = self.lattice_kernel if order == "C" else self.lattice_kernel[::-1, ::-1]
+        windows = np.lib.stride_tricks.sliding_window_view(W, (n1, n2))
+        D = np.ascontiguousarray(windows[::-1, ::-1].transpose(3, 2, 1, 0)).reshape(N, N)
+        return D if order == "C" else D.T
 
     def solve_lu(self):
         """Cached ``(lu, piv, cond)``, factored and condition-estimated once:
-        of the matrix ``dense`` cached, else of an assembly of its own, kept
-        no longer than the factoring; refused above DENSE_GUARD.  Callers solving
-        with it pass a copy of ``piv``: scipy's getrs wrapper shifts the
-        pivots in place while it runs, which races between threads."""
+        of a copy of the matrix ``dense`` cached, else of an assembly of its
+        own in Fortran order, factored in place, so that factoring holds one
+        N x N array; refused above DENSE_GUARD.  Callers solving with it pass
+        a copy of ``piv``: scipy's getrs wrapper shifts the pivots in place
+        while it runs, which races between threads."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
                     check_dense_guard(self.grid, "dense assembly")
-                    # lu_factor copies its input, so a cached dense() stays intact
-                    D = self._dense if self._dense is not None else self._assemble_dense()
-                    self._lu = lu_factor_cond(D, self.norm1())
+                    anorm = self.norm1()
+                    if self._dense is not None:
+                        self._lu = lu_factor_cond(self._dense, anorm)
+                    else:
+                        self._lu = lu_factor_cond(self._assemble_dense("F"), anorm,
+                                                  overwrite_a=True)
         return self._lu
 
 
-def lu_factor_cond(mat: np.ndarray, anorm: Optional[float] = None):
+def lu_factor_cond(mat: np.ndarray, anorm: Optional[float] = None, overwrite_a: bool = False):
     """``(lu, piv, cond)``: the LU of ``mat`` and LAPACK's 1-norm condition
     estimate, ``inf`` when the factor is exactly singular.  ``anorm`` is
-    ||mat||_1 when the caller knows it, computed otherwise."""
+    ||mat||_1 when the caller knows it, computed otherwise.  ``mat`` is
+    copied unless ``overwrite_a`` is set and it is Fortran-ordered in a
+    LAPACK dtype; then ``lu`` is ``mat`` itself, factored in place (scipy
+    copies any other input whatever ``overwrite_a`` says)."""
     if anorm is None:
         anorm = np.linalg.norm(mat, 1)
     with warnings.catch_warnings():
         # exact singularity is reported through cond, not as a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(mat)
+        # a finite 1-norm shows every entry finite: scipy's own check, and its
+        # N x N boolean array, run only when it is not
+        lu, piv = scipy.linalg.lu_factor(mat, overwrite_a=overwrite_a,
+                                         check_finite=not np.isfinite(anorm))
     rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
     return lu, piv, cond

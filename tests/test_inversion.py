@@ -175,8 +175,8 @@ class TestSolve:
         # independent of the assembly sees that it is not S
         assemble = ConvOperator._assemble_dense
 
-        def nudged(self):
-            D = assemble(self)
+        def nudged(self, order="C"):
+            D = assemble(self, order)
             D[5, 7] += 1e-6
             return D
 
@@ -1508,11 +1508,15 @@ class TestInverseFromRho:
         step = blocks[0].stop
         assert len(blocks) > 1 and len(range(n1 * n2)[blocks[-1]]) < step
         s = samples_for(exp_kernel(amp=amp), n1, n2=n2, omega1=1.7, omega2=0.9)
+        tables = []
+        monkeypatch.setattr(inversion, "build_rho_table",
+                            lambda S: tables.append(build_rho_table(S)) or tables[-1])
         R, T = build_rho_table(ConvOperator(s)), inverse_from_rho(ConvOperator(s))
         T0 = self.unblocked_inverse(ConvOperator(s), R)
         assert T.dtype == T0.dtype and np.array_equal(T, T0)
-        # T keeps the unblocked layout, which fixes svds's summation order
-        assert T.flags.f_contiguous
+        # T keeps the unblocked layout, which fixes svds's summation order, in
+        # the table's own buffer (its first half for a real kernel)
+        assert T.flags.f_contiguous and np.shares_memory(T, tables[0])
         R, R0 = inversion._unit_table(ConvOperator(s)), self.unblocked_unit_table(ConvOperator(s))
         assert R.dtype == R0.dtype and np.array_equal(R, R0)
 
@@ -1541,17 +1545,18 @@ class TestInverseFromRho:
         return peak / (16 * S.grid.size ** 2)
 
     def test_traced_peak_at_32_within_three_arrays(self):
-        # Real S: the LU (half a unit) beside R (one) and the real T (half),
-        # 2 in all.  The unit basis held X (half) beside the LU and R, 2 as
-        # well; a dense S kept beside its LU read 2.5; products that each
-        # made a fresh array peaked at 4.
-        assert self.traced_peak_units(0.15) <= 2.5
+        # Real S: R (one unit) and the generator's N x 3 n2 work arrays, 1.24
+        # in all; the LU is dropped before R is made, and T is written over
+        # R's buffer.  The LU kept beside R and a fresh real T read 2, a
+        # dense S kept beside its LU 2.5, products that each made a fresh
+        # array 4.
+        assert self.traced_peak_units(0.15) <= 1.5
 
     def test_traced_peak_of_complex_kernel_at_32(self):
-        # Complex S: the LU and R, one unit each, and the generator's
-        # N x 3 n2 work arrays, 2.26 in all; the unit basis's X made it 3,
-        # and a dense S kept beside its LU 4.
-        assert self.traced_peak_units(0.05 + 0.1j) <= 2.5
+        # Complex S: R, one unit, and the generator's work arrays, 1.38 in
+        # all; the LU (one unit) kept beside R read 2.24, the unit basis's X
+        # 3, and a dense S kept beside its LU 4.
+        assert self.traced_peak_units(0.05 + 0.1j) <= 1.5
 
     def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -1604,16 +1609,40 @@ class TestGeneratorTable:
         # BACKWARD_TOL; the unit basis reuses the LU the first solve made
         from diffkern2d.kernels import gaussian_kernel
 
-        unit = []
+        unit, factored = [], self.count_factoring(monkeypatch)
         table = inversion._unit_table
         monkeypatch.setattr(inversion, "_unit_table",
-                            lambda S: unit.append(S._lu) or table(S))
+                            lambda S, drop_lu: unit.append(S._lu) or table(S, drop_lu))
         S = ConvOperator(samples_for(gaussian_kernel(amp=amp, width=width), 32))
         R = build_rho_table(S)
-        assert S._lu[2] > inversion.GENERATOR_COND
-        assert len(unit) == 1 and unit[0] is S._lu and R.flags.f_contiguous
+        assert unit[0][2] > inversion.GENERATOR_COND
+        assert len(unit) == 1 and len(factored) == 1 and R.flags.f_contiguous
         R0 = rho_table_unit_basis(S)
         assert np.abs(R - R0).max() <= 1e-9 * np.abs(R0).max()
+
+    @staticmethod
+    def count_factoring(monkeypatch):
+        """A list that gets one entry per LU solve_lu factors."""
+        from diffkern2d import operators
+
+        factored, factor = [], operators.lu_factor_cond
+        monkeypatch.setattr(operators, "lu_factor_cond",
+                            lambda *a, **k: factored.append(1) or factor(*a, **k))
+        return factored
+
+    @pytest.mark.parametrize("guard", [np.inf, 0.0], ids=["generator", "unit"])
+    @pytest.mark.parametrize("caller_factored", [False, True])
+    def test_lu_left_as_found(self, guard, caller_factored, monkeypatch):
+        # an LU the table's own solve factored is dropped once its last
+        # solve is done, on either route; one the caller factored stays
+        monkeypatch.setattr(inversion, "GENERATOR_COND", guard)
+        S = ConvOperator(samples_for(exp_kernel(), 12, n2=10, omega1=1.7, omega2=0.9))
+        lu = S.solve_lu() if caller_factored else None
+        factored = self.count_factoring(monkeypatch)
+        R = build_rho_table(S)
+        assert S._lu is lu and len(factored) == (0 if caller_factored else 1)
+        R0 = rho_table_unit_basis(S)
+        assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
 
     def test_guard_constant(self):
         # cond^2 eps <= BACKWARD_TOL / 10

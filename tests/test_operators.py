@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from diffkern2d.errors import InvalidArgumentError
@@ -206,6 +207,60 @@ class TestConvApply:
         S = ConvOperator(s)
         with pytest.raises(InvalidArgumentError):
             S.dense()
+
+
+def lu_case(tag, n1, n2, omega1=1.7, omega2=0.9):
+    """The samples of MODEL_BUILDERS[tag], or of the complex exp kernel."""
+    model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+    return samples_for(model, n1, n2=n2, omega1=omega1, omega2=omega2)
+
+
+class TestSolveLu:
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2,omega", [(8, 8, (1.0, 1.0)), (5, 7, (1.7, 0.9)),
+                                             (13, 10, (1.7, 0.9))])
+    def test_own_assembly_factored_in_place(self, tag, n1, n2, omega):
+        # the Fortran-ordered assembly is S, and its LU is the LU of the
+        # C-ordered dense(), bit for bit
+        s = lu_case(tag, n1, n2, *omega)
+        S = ConvOperator(s)
+        F = S._assemble_dense("F")
+        assert F.flags.f_contiguous and F.dtype == S.lattice_kernel.dtype
+        assert np.array_equal(F, gathered_dense(S))
+        lu, piv, _ = S.solve_lu()
+        lu0, piv0 = scipy.linalg.lu_factor(ConvOperator(s).dense())
+        assert lu.flags.f_contiguous and lu.dtype == lu0.dtype
+        assert np.array_equal(lu, lu0) and np.array_equal(piv, piv0)
+        assert S._dense is None
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    @pytest.mark.parametrize("n1,n2", [(13, 10), (24, 20)])
+    def test_fresh_lu_holds_one_array(self, tag, n1, n2):
+        # factoring in place holds the one N x N array: a C-ordered assembly,
+        # which scipy copies to Fortran order, held two, and scipy's
+        # finiteness check adds an N x N boolean array (1.125 for a real S).
+        # Below N = 100 the O(N) work of gecon and the pivots passes a tenth
+        # of the array.
+        import tracemalloc
+
+        S = ConvOperator(lu_case(tag, n1, n2))
+        tracemalloc.start()
+        try:
+            lu = S.solve_lu()[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * S.grid.size ** 2 * lu.itemsize
+
+    @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
+    def test_cached_dense_is_copied(self, tag):
+        S = ConvOperator(lu_case(tag, 5, 7))
+        D = S.dense()
+        D0 = D.copy()
+        lu, piv, _ = S.solve_lu()
+        assert S.dense() is D and np.array_equal(D, D0) and not np.shares_memory(lu, D)
+        lu0, piv0 = scipy.linalg.lu_factor(D0)
+        assert np.array_equal(lu, lu0) and np.array_equal(piv, piv0)
 
 
 class TestIntegrationOps:
