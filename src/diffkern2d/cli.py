@@ -31,6 +31,7 @@ from .grid import normalize_kernel, sample_kernel
 from .inversion import (
     _blocks,
     _by_parts,
+    _eye_residuals,
     build_rho_evaluator,
     g_symmetry_residual,
     compute_g_blocks,
@@ -340,16 +341,10 @@ def _cond_2(S: ConvOperator, T: np.ndarray) -> float:
 
 
 def _inverse_residual(S: ConvOperator, X: np.ndarray) -> float:
-    """||S X - I||_F, with S X by the FFT matvec over the cache-sized
-    column blocks of ``inversion._blocks``, each copied contiguous, so the
-    work arrays stay bounded and a strided ``X`` is gathered only once."""
-    norms = []
-    for cols in _blocks(*X.shape):
-        R = S.apply_fft(np.ascontiguousarray(X[:, cols]))
-        k = np.arange(R.shape[1])
-        R[cols.start + k, k] -= 1.0
-        norms.append(np.linalg.norm(R))
-    return float(np.linalg.norm(norms))
+    """||S X - I||_F, by the FFT matvec over the cache-sized column blocks
+    of ``inversion._blocks``, so the work arrays stay bounded."""
+    D = _eye_residuals(S, X, _blocks(*X.shape))
+    return float(np.linalg.norm([np.linalg.norm(d) for d in D]))
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:

@@ -31,9 +31,8 @@ E are evaluated axis by axis with the n_i x n_i factors E1 and E2, never
 with the N x N Kronecker matrix.  The table follows from the axis-1
 displacement identity of S^{-1}, X A_1 - A_1^* X = (X G)(H X), and one
 solve of its 3 n2 generator columns; where the condition estimate of S
-shows that route too inaccurate, from a solve of the N unit columns
-instead, R = h1 h2 E^H S^{-1} I E.  For a real S the solves, their
-backward check and the reconstructed T are real.
+shows its T too inaccurate, one Newton-Schulz step refines T.  For a
+real S the solves, their backward check and the reconstructed T are real.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ GMRES_RTOL = 1e-10      # relative residual each GMRES column must reach
 GMRES_RESTART = 50      # Krylov basis length: iterations per restart cycle
 GMRES_MAXITER = 5000    # iterations a column may take over all its cycles
 
-# the largest 1-norm condition estimate for which build_rho_table takes the
-# generator, 671: its residual grows as cond^2 eps, kept within BACKWARD_TOL / 10
-# (the data are in build_rho_table)
+# the largest 1-norm condition estimate at which inverse_from_rho keeps the
+# generator's T unrefined, 671: its residual grows as cond^2 eps, kept within
+# BACKWARD_TOL / 10 (the data are in build_rho_table)
 GENERATOR_COND = math.sqrt(BACKWARD_TOL / 10 / np.finfo(float).eps)
 
 # the size of the library's one block rule for blocked work, read only by _blocks
@@ -440,6 +439,15 @@ def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
             )
 
 
+def _eye_residuals(S: ConvOperator, X: np.ndarray, blocks):
+    """S X[:, b] - I[:, b] by the FFT matvec for each column slice b of ``blocks``."""
+    for b in blocks:
+        D = S.apply_fft(np.ascontiguousarray(X[:, b]))
+        k = np.arange(D.shape[1])
+        D[b.start + k, k] -= 1.0
+        yield D
+
+
 # --------------------------------------------------------------------------
 # pair blocks g_ik and their flip symmetry
 # --------------------------------------------------------------------------
@@ -778,39 +786,41 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
     This is the inversion-formula route of Kailath, Kung & Morf (J. Math.
     Anal. Appl. 68, 1979) and Heinig & Rost (1984).  It is forward-stable
     but not backward-stable: its T has a forward error near cond eps, as
-    the unit basis's has, but a residual ||S T - I|| near cond^2 eps.  So
-    the 1-norm condition estimate that the solve left on S (``gecon`` on
-    the LU path, ``onenormest`` on the GMRES path) picks the route: above
-    GENERATOR_COND the table is solved from the N unit columns instead
-    (:func:`_unit_table`), on the LU the first solve cached.  An LU that
-    this call's own solve factored is dropped once its last solve is done,
-    on either route, before R is allocated; one the caller factored stays.
-    ``reconstruction_error`` by route, unit basis / generator, at 32x32
-    unless noted, with the estimate in brackets:
+    the dense inverse's has, but a residual ||S T - I|| near cond^2 eps.
+    So above GENERATOR_COND, for the 1-norm condition estimate that the
+    solve left on S (``gecon`` on the LU path, ``onenormest`` on the GMRES
+    path), :func:`inverse_from_rho` refines T by one Newton-Schulz step.
+    An LU that this call's own solve factored is dropped before R is
+    allocated; one the caller factored stays.  ``reconstruction_error``
+    from the N unit columns solved by the LU / the generator / the
+    generator and the step, at 32x32 unless noted, with the estimate in
+    brackets (-: no step):
 
-        exp                                 2.3e-13 / 5.3e-13   [1.3]
-        gaussian amp 8, width 0.15          4.1e-13 / 1.3e-11   [574]
-          the same at 64x64                 1.7e-12 / 5.1e-11   [621]
-          at 31x33 on 1.7 x 0.9             6.9e-13 / 1.2e-10   [2,101]
-        gaussian amp 20, width 0.1          8.2e-13 / 4.1e-10   [3,516]
-        gaussian amp 40, width 0.08         2.1e-12 / 1.4e-9    [26,786]
-        gaussian amp 60, width 0.07         7.7e-12 / 1.2e-8    [44,573]
+        exp                            2.3e-13 / 5.3e-13 / -         [1.3]
+        gaussian amp 8, width 0.15     4.1e-13 / 1.3e-11 / -         [574]
+          the same at 64x64            1.7e-12 / 5.1e-11 / -         [621]
+          at 31x33 on 1.7 x 0.9        6.9e-13 / 1.2e-10 / 2.5e-14   [2,101]
+        gaussian amp 20, width 0.1     8.2e-13 / 4.1e-10 / 4.3e-14   [3,516]
+        gaussian amp 40, width 0.08    2.1e-12 / 1.4e-9  / 1.6e-13   [26,786]
+        gaussian amp 60, width 0.07    7.7e-12 / 1.2e-8  / 4.8e-13   [44,573]
 
-    On every gaussian row the generator reads at most cond^2 eps, so below
+    The generator reads at most cond^2 eps on every gaussian row, so below
     the guard, cond^2 eps <= BACKWARD_TOL / 10 (cond <= 671), it stays 10x
-    inside the 1e-9 tolerance of ``reconstruct``; the last two rows fail
-    that tolerance.  Refused above DENSE_GUARD before any solve.
+    inside the 1e-9 tolerance of ``reconstruct``; R is within 4e-11 of the
+    dense table on the last three.  Refused above DENSE_GUARD before solving.
     """
+    return _rho_table(S)[0]
+
+
+def _rho_table(S: ConvOperator) -> Tuple[np.ndarray, float]:
+    """:func:`build_rho_table`'s R and the condition estimate of S it left."""
     g = S.grid
     check_dense_guard(g, "rho table")
     n1, n2, h1 = g.n1, g.n2, g.h1
-    drop_lu = S._lu is None
+    own_lu = S._lu is None
     U, V = _generator_solve(S)
     cond = S._lu[2] if S._lu is not None else S._cond_est[0]
-    if cond > GENERATOR_COND:
-        del U, V
-        return _unit_table(S, drop_lu)
-    if drop_lu:
+    if own_lu:
         S._lu = None
     E1, E2 = _basis_factors(g)
     E1H, E2H = E1.conj().T, E2.conj().T
@@ -863,7 +873,7 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
         block *= np.tile(inv_sine[q % n1], n2)
     m = np.arange(n1)
     RT.reshape(n2, n1, n2, n1)[:, m, :, m] = diag.transpose(0, 2, 1)
-    return R
+    return R, cond
 
 
 def _generator_solve(S: ConvOperator) -> Tuple[np.ndarray, np.ndarray]:
@@ -880,30 +890,6 @@ def _generator_solve(S: ConvOperator) -> Tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
-def _unit_table(S: ConvOperator, drop_lu: bool = False) -> np.ndarray:
-    """The rho table as R = h1 h2 E^H X E from one solve of the N unit
-    columns, X = S^{-1} I (real for a real S), both Kronecker products
-    applied axis by axis; S's LU is dropped after the solve when
-    ``drop_lu``.  Beside X the one N x N array is R: X E fills it a block
-    of rows at a time, then h1 h2 E^H acts on it in place a block of
-    columns at a time (:func:`_blocks`)."""
-    g = S.grid
-    X = solve_array(S, np.eye(g.size))
-    if drop_lu:
-        S._lu = None
-    E1, E2 = _basis_factors(g)
-    # rows of X E = ((E2^T (x) E1^T) X^T)^T are columns of R.T
-    R = np.empty((g.size, g.size), complex, order="F")
-    for rows in _blocks(g.size):
-        R.T[:, rows] = _apply_basis(E1.T, E2.T, g, X[rows].T)
-    del X
-    E1H, E2H = E1.conj().T, E2.conj().T
-    for cols in _blocks(g.size):
-        R[:, cols] = _apply_basis(E1H, E2H, g, R[:, cols])
-        R[:, cols] *= g.h1 * g.h2
-    return R
-
-
 def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     """Dense S^{-1} from its rho table: T = E R E^H / (omega1 omega2 n1 n2).
 
@@ -913,16 +899,18 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     then E^H on a block of its rows at a time.  For a real lattice kernel
     the exact T is real: its real part is written over the first half of
     the table's buffer, a block of columns at a time, and T is a float64
-    view of that buffer; otherwise T is the table's array.  Either way the
-    one N x N array is the table's.  T is Fortran-ordered, like
-    the unblocked (E R E^H)^H transposed, which fixes the summation order
-    of svds in ``cond_S``.  ``reconstruct`` judges T by ||S T - I||_F and
-    ||T S - I||_F, both by the FFT matvec.  Like the table, T is refused
-    above DENSE_GUARD.
+    view of that buffer; otherwise T is the table's array.  Above
+    GENERATOR_COND one Newton-Schulz step refines T, for a real kernel
+    over the second half of that buffer; a complex T fills the buffer, so
+    its step takes one more complex N x N array.  T is Fortran-ordered,
+    like the unblocked (E R E^H)^H transposed, which fixes the summation
+    order of svds in ``cond_S``.  ``reconstruct`` judges T by ||S T - I||_F
+    and ||T S - I||_F, both by the FFT matvec.  Like the table, T is
+    refused above DENSE_GUARD.
     """
     if not isinstance(S, ConvOperator):
         raise InvalidArgumentError(f"expected a ConvOperator, got {type(S).__name__}")
-    R = build_rho_table(S)
+    R, cond = _rho_table(S)
     g = S.grid
     E1, E2 = _basis_factors(g)
     for cols in _blocks(g.size):
@@ -934,11 +922,27 @@ def inverse_from_rho(S: ConvOperator) -> np.ndarray:
     if np.iscomplexobj(S.lattice_kernel):
         np.conjugate(R, out=R)
         R *= scale
-        return R
-    # the real T in the first half of R's buffer, Fortran-ordered: column j of T
-    # lies in column j // 2 of R, so columns taken in increasing order are read
-    # before they are written over
-    T = R.T.reshape(-1).view(float)[:R.size].reshape(R.shape).T
-    for cols in _blocks(g.size):
-        np.multiply(R[:, cols].real, scale, out=T[:, cols])
-    return T
+        T, out = R, None
+    else:
+        # the real T in the first half of R's buffer, Fortran-ordered: column j
+        # of T lies in column j // 2 of R, so columns taken in increasing order
+        # are read before they are written over; the second half is then free
+        T, out = (R.T.reshape(-1).view(float)[k * R.size:(k + 1) * R.size].reshape(R.shape).T
+                  for k in (0, 1))
+        for cols in _blocks(g.size):
+            np.multiply(R[:, cols].real, scale, out=T[:, cols])
+    if cond <= GENERATOR_COND:
+        return T
+    # T + T (I - S T) (Schulz, ZAMM 13, 1933; Pan & Schreiber, SIAM J. Sci. Stat. Comput. 12,
+    # 1991): residual cond^2 eps -> cond eps.  A panel P of N / 8 columns at a time, D = S T[:, P]
+    # - I[:, P] over P's _blocks, then out[:, P]^T = D^T T^T, one GEMM on C-ordered operands; on
+    # 8-column panels it is memory-bound (48x48, BLAS at 1 thread: 3.9 s, against 1.6 s at 256)
+    out = np.empty_like(T) if out is None else out
+    blocks = _blocks(g.size)
+    k = -(-len(blocks) // 8)
+    for panel in (blocks[i:i + k] for i in range(0, len(blocks), k)):
+        D = np.hstack(list(_eye_residuals(S, T, panel)))
+        P = slice(panel[0].start, panel[0].start + D.shape[1])
+        np.matmul(D.T, T.T, out=out[:, P].T)
+        np.subtract(T[:, P], out[:, P], out=out[:, P])
+    return out

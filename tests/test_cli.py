@@ -595,7 +595,7 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize("amp,width", [(20, 0.1), (40, 0.08)])
     def test_ill_conditioned_gaussian_passes(self, tmp_path, amp, width):
-        # condition estimates 3.5e3 and 2.7e4: the table takes the unit basis
+        # condition estimates 3.5e3 and 2.7e4: T takes one Newton-Schulz step
         text = f"kernel = gaussian\namp = {amp}\nwidth = {width}\nn1 = 32\nn2 = 32\n"
         out = tmp_path / "out"
         assert main(["reconstruct", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
@@ -606,7 +606,7 @@ class TestReconstructCommand:
     def test_unguarded_generator_table_fails_ill_conditioned_gaussian(self, tmp_path,
                                                                      monkeypatch):
         # the generator's residual grows as cond^2 eps: 1.4e-9 here, above
-        # the 1e-9 tolerance, where the unit basis reads 2.1e-12
+        # the 1e-9 tolerance, where the Newton-Schulz step reads 1.6e-13
         monkeypatch.setattr(inversion, "GENERATOR_COND", np.inf)
         text = "kernel = gaussian\namp = 40\nwidth = 0.08\nn1 = 32\nn2 = 32\n"
         out = tmp_path / "out"

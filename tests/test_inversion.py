@@ -1480,18 +1480,6 @@ class TestInverseFromRho:
             return TH.real.T * scale
         return TH.conj().T * scale
 
-    @staticmethod
-    def unblocked_unit_table(S):
-        """R = h1 h2 E^H S^{-1} E from the N unit columns by whole-array
-        products, Kronecker factors axis by axis."""
-        g = S.grid
-        E1, E2 = inversion._basis_factors(g)
-        X = solve_array(S, np.eye(g.size))
-        X = apply_along(E2.T, apply_along(E1.T, X.T, g, 1), g, 2).T
-        R = apply_along(E2.conj().T, apply_along(E1.conj().T, X, g, 1), g, 2)
-        R *= g.h1 * g.h2
-        return R
-
     BLOCK_CASES = [(0.15, 9, 7, True), (0.15, 17, 13, False),
                    (0.05 + 0.1j, 11, 10, True), (0.05 + 0.1j, 20, 13, False)]
 
@@ -1500,25 +1488,33 @@ class TestInverseFromRho:
                                                          monkeypatch):
         # patched: 16 lines per block; either way N is no multiple of the
         # block, so the last block is shorter.  T is the unblocked product
-        # of the table it was built from, and the unit-basis table, which
-        # an ill-conditioned S takes, the unblocked product of its solve.
+        # of the table it was built from, and the Newton-Schulz step, which
+        # an ill-conditioned S takes, agrees with the unblocked
+        # T + T (I - S T) and is reproducible bit for bit.
         if patched:
             monkeypatch.setattr(inversion, "CHECK_BLOCK", 64 * n1 * n2)
         blocks = inversion._blocks(n1 * n2)
         step = blocks[0].stop
         assert len(blocks) > 1 and len(range(n1 * n2)[blocks[-1]]) < step
         s = samples_for(exp_kernel(amp=amp), n1, n2=n2, omega1=1.7, omega2=0.9)
-        tables = []
-        monkeypatch.setattr(inversion, "build_rho_table",
-                            lambda S: tables.append(build_rho_table(S)) or tables[-1])
+        tables, table = [], inversion._rho_table
+        monkeypatch.setattr(inversion, "_rho_table",
+                            lambda S: tables.append(table(S)) or tables[-1])
         R, T = build_rho_table(ConvOperator(s)), inverse_from_rho(ConvOperator(s))
         T0 = self.unblocked_inverse(ConvOperator(s), R)
         assert T.dtype == T0.dtype and np.array_equal(T, T0)
         # T keeps the unblocked layout, which fixes svds's summation order, in
         # the table's own buffer (its first half for a real kernel)
-        assert T.flags.f_contiguous and np.shares_memory(T, tables[0])
-        R, R0 = inversion._unit_table(ConvOperator(s)), self.unblocked_unit_table(ConvOperator(s))
-        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+        assert T.flags.f_contiguous and np.shares_memory(T, tables[-1][0])
+        monkeypatch.setattr(inversion, "GENERATOR_COND", 0.0)
+        S = ConvOperator(s)
+        T1, T2 = inverse_from_rho(S), inverse_from_rho(ConvOperator(s))
+        want = T0 + T0 @ (np.eye(S.grid.size) - S.apply_fft(T0))
+        assert T1.dtype == T0.dtype and T1.flags.f_contiguous and not np.array_equal(T1, T0)
+        assert np.linalg.norm(T1 - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(T1, T2)
+        # a real kernel's step fills the second half of the table's buffer
+        assert np.shares_memory(T2, tables[-1][0]) == np.isrealobj(T2)
 
     @pytest.mark.parametrize("amp,n1,n2,patched", BLOCK_CASES)
     def test_blocked_table_matches_unit_basis(self, amp, n1, n2, patched, monkeypatch):
@@ -1530,12 +1526,12 @@ class TestInverseFromRho:
         assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
 
     @staticmethod
-    def traced_peak_units(amp):
-        """Traced peak of inverse_from_rho on exp at 32^2, in units of one
-        complex N x N array."""
+    def traced_peak_units(model):
+        """Traced peak of inverse_from_rho on ``model`` at 32^2, in units of
+        one complex N x N array."""
         import tracemalloc
 
-        S = ConvOperator(samples_for(exp_kernel(amp=amp), 32))
+        S = ConvOperator(samples_for(model, 32))
         tracemalloc.start()
         try:
             inverse_from_rho(S)
@@ -1550,13 +1546,22 @@ class TestInverseFromRho:
         # R's buffer.  The LU kept beside R and a fresh real T read 2, a
         # dense S kept beside its LU 2.5, products that each made a fresh
         # array 4.
-        assert self.traced_peak_units(0.15) <= 1.5
+        assert self.traced_peak_units(exp_kernel()) <= 1.5
 
     def test_traced_peak_of_complex_kernel_at_32(self):
         # Complex S: R, one unit, and the generator's work arrays, 1.38 in
         # all; the LU (one unit) kept beside R read 2.24, the unit basis's X
         # 3, and a dense S kept beside its LU 4.
-        assert self.traced_peak_units(0.05 + 0.1j) <= 1.5
+        assert self.traced_peak_units(exp_kernel(amp=0.05 + 0.1j)) <= 1.5
+
+    def test_traced_peak_of_newton_step_at_32(self):
+        # Estimate 2.7e4, so the step runs: R and the generator's work
+        # arrays, 1.24 in all, as without the step; the step writes T + T (I
+        # - S T) over the second half of R's buffer, with one panel of N / 8
+        # columns beside it.  Solving the N unit columns instead read 1.56.
+        from diffkern2d.kernels import gaussian_kernel
+
+        assert self.traced_peak_units(gaussian_kernel(amp=40.0, width=0.08)) <= 1.3
 
     def test_non_operator_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -1603,22 +1608,31 @@ class TestGeneratorTable:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("amp,width", [(20.0, 0.1), (40.0, 0.08)])
-    def test_ill_conditioned_kernel_takes_the_unit_basis(self, amp, width, monkeypatch):
+    def test_ill_conditioned_kernel_takes_one_newton_step(self, amp, width, monkeypatch):
         # 1-norm estimates 3.5e3 and 2.7e4, above GENERATOR_COND (671): the
-        # generator's residual, near cond^2 eps, would not stay 10x inside
-        # BACKWARD_TOL; the unit basis reuses the LU the first solve made
+        # generator's T has a residual near cond^2 eps (4.1e-10 and 1.4e-9),
+        # and one Newton-Schulz step brings it below the 8.2e-13 and 2.1e-12
+        # of a table solved from the N unit columns
+        from diffkern2d.cli import _inverse_residual
         from diffkern2d.kernels import gaussian_kernel
 
-        unit, factored = [], self.count_factoring(monkeypatch)
-        table = inversion._unit_table
-        monkeypatch.setattr(inversion, "_unit_table",
-                            lambda S, drop_lu: unit.append(S._lu) or table(S, drop_lu))
+        factored, tables, table = self.count_factoring(monkeypatch), [], inversion._rho_table
+
+        def spy(S):
+            # a copy, as inverse_from_rho works in place on the table
+            R, cond = table(S)
+            tables.append((R.copy(order="K"), cond))
+            return R, cond
+
+        monkeypatch.setattr(inversion, "_rho_table", spy)
         S = ConvOperator(samples_for(gaussian_kernel(amp=amp, width=width), 32))
-        R = build_rho_table(S)
-        assert unit[0][2] > inversion.GENERATOR_COND
-        assert len(unit) == 1 and len(factored) == 1 and R.flags.f_contiguous
+        T = inverse_from_rho(S)
+        R, cond = tables[0]
+        assert cond > inversion.GENERATOR_COND
+        assert len(tables) == 1 and len(factored) == 1 and R.flags.f_contiguous
         R0 = rho_table_unit_basis(S)
         assert np.abs(R - R0).max() <= 1e-9 * np.abs(R0).max()
+        assert _inverse_residual(S, T) <= 5e-13
 
     @staticmethod
     def count_factoring(monkeypatch):
@@ -1630,19 +1644,22 @@ class TestGeneratorTable:
                             lambda *a, **k: factored.append(1) or factor(*a, **k))
         return factored
 
-    @pytest.mark.parametrize("guard", [np.inf, 0.0], ids=["generator", "unit"])
+    @pytest.mark.parametrize("guard", [np.inf, 0.0], ids=["generator", "stepped"])
     @pytest.mark.parametrize("caller_factored", [False, True])
     def test_lu_left_as_found(self, guard, caller_factored, monkeypatch):
-        # an LU the table's own solve factored is dropped once its last
-        # solve is done, on either route; one the caller factored stays
+        # an LU the table's own solve factored is dropped once its solve is
+        # done, whether or not the Newton-Schulz step then runs; one the
+        # caller factored stays
         monkeypatch.setattr(inversion, "GENERATOR_COND", guard)
         S = ConvOperator(samples_for(exp_kernel(), 12, n2=10, omega1=1.7, omega2=0.9))
         lu = S.solve_lu() if caller_factored else None
         factored = self.count_factoring(monkeypatch)
-        R = build_rho_table(S)
+        if guard:
+            got, want = build_rho_table(S), rho_table_unit_basis(S)
+        else:
+            got, want = inverse_from_rho(S), np.linalg.inv(S.dense())
         assert S._lu is lu and len(factored) == (0 if caller_factored else 1)
-        R0 = rho_table_unit_basis(S)
-        assert np.abs(R - R0).max() <= 1e-11 * np.abs(R0).max()
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_guard_constant(self):
         # cond^2 eps <= BACKWARD_TOL / 10
