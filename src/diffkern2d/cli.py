@@ -29,9 +29,8 @@ from .config import RunConfig, check_seed, load_config, parse_sizes
 from .errors import DiffKernError, InvalidArgumentError
 from .grid import normalize_kernel, sample_kernel
 from .inversion import (
-    _blocks,
     _by_parts,
-    _eye_residuals,
+    _inverse_residual,
     build_rho_evaluator,
     g_symmetry_residual,
     compute_g_blocks,
@@ -340,13 +339,6 @@ def _cond_2(S: ConvOperator, T: np.ndarray) -> float:
     return float(s_max * s_inv_max)
 
 
-def _inverse_residual(S: ConvOperator, X: np.ndarray) -> float:
-    """||S X - I||_F, by the FFT matvec over the cache-sized column blocks
-    of ``inversion._blocks``, so the work arrays stay bounded."""
-    D = _eye_residuals(S, X, _blocks(*X.shape))
-    return float(np.linalg.norm([np.linalg.norm(d) for d in D]))
-
-
 def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
     """T = S^{-1} from the rho table, judged with no dense inverse.
 
@@ -358,7 +350,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path) -> int:
     J S J = S^T, ||T S - I||_F = ||S (J T^T J) - I||_F.
     """
     tol = cfg.tolerances
-    check_dense_guard(cfg.make_grid(), "dense assembly")
+    check_dense_guard(cfg.make_grid(), "rho table")
     S = ConvOperator(_build_samples(cfg))
     T = inverse_from_rho(S)
     rec_err = _inverse_residual(S, T)

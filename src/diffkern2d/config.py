@@ -87,7 +87,11 @@ def default_tolerances() -> Dict[str, float]:
                                    # grid; scales like h^2, so n = 8 sits
                                    # near 0.1 and n = 16 near 0.025
         "reconstruct": 1e-9,
-        "structure": 1e-8,
+        "structure": 1e-8,         # at float64's floor for a 1-norm estimate
+                                   # near 1e6: gaussian amp 400, width 0.04
+                                   # at 32^2 reads 1.4e-8 (the dense
+                                   # inverse 9.5e-9); judge such a kernel
+                                   # with --tol-override structure=...
         "psnr_min": 80.0,
     }
 

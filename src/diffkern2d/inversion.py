@@ -448,6 +448,13 @@ def _eye_residuals(S: ConvOperator, X: np.ndarray, blocks):
         yield D
 
 
+def _inverse_residual(S: ConvOperator, X: np.ndarray) -> float:
+    """||S X - I||_F, by the FFT matvec over the cache-sized column blocks
+    of :func:`_blocks`, so the work arrays stay bounded."""
+    D = _eye_residuals(S, X, _blocks(*X.shape))
+    return float(np.linalg.norm([np.linalg.norm(d) for d in D]))
+
+
 # --------------------------------------------------------------------------
 # pair blocks g_ik and their flip symmetry
 # --------------------------------------------------------------------------
@@ -575,7 +582,7 @@ class RhoEvaluator:
         n1, n2 = g.n1, g.n2
         T1 = np.eye(n1) - l1 * line_integration_op(g, 1)
         T2 = np.eye(n2) - l2 * line_integration_op(g, 2)
-        G = np.zeros((2 * (n1 + n2), 2 * (n1 + n2)), dtype=complex)
+        G = np.zeros((2 * (n1 + n2), 2 * (n1 + n2)), dtype=complex, order="F")
         G[:n1, :n1] = T1
         G[n1:2 * n1, n1:2 * n1] = T1
         G[2 * n1:2 * n1 + n2, 2 * n1:2 * n1 + n2] = T2
@@ -588,14 +595,16 @@ class RhoEvaluator:
 
     def psi(self, lam) -> Tuple[np.ndarray, np.ndarray]:
         """psi(lam) = theta(lam) G(lam)^{-1} col[0, 1, 0, 1], split by side;
-        ``lam`` must be one finite pair, shape (2,).  Each call factors G(lam)
-        afresh; its LU lives only in this call."""
+        ``lam`` must be one finite pair, shape (2,).  Each call assembles
+        G(lam) afresh in Fortran order and factors it in place; its LU lives
+        only in this call."""
         if np.shape(lam) != (2,):
             raise InvalidArgumentError(f"lam must be one pair, shape (2,); got {np.shape(lam)}")
         key = tuple(map(complex, _pairs(lam, "lam")[0]))
         g = self.grid
         n1, n2 = g.n1, g.n2
-        lu, piv, cond = lu_factor_cond(self._assemble_G(key))
+        G = self._assemble_G(key)
+        lu, piv, cond = lu_factor_cond(G, np.linalg.norm(G, 1))
         if cond > COND_LIMIT:
             raise NearSingularGError(
                 f"G(lam) condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e} "

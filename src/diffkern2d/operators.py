@@ -69,7 +69,7 @@ def check_dense_guard(grid: GridSpec, what: str) -> None:
     """InvalidArgumentError refusing ``what``, an N x N array, above DENSE_GUARD."""
     if grid.size > DENSE_GUARD:
         raise InvalidArgumentError(f"{what} refused at {grid.n1}x{grid.n2} ({grid.size} "
-                                   f"points); keep n1*n2 <= {DENSE_GUARD}")
+                                   f"points); keep n1*n2 <= {DENSE_GUARD} for dense N x N work")
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +170,8 @@ class ConvOperator:
 
     def dense(self) -> np.ndarray:
         """The N x N matrix for the dense identity checks, assembled once in C
-        order (solve_lu factors a copy of it when it is cached); refused above
-        DENSE_GUARD."""
+        order and cached for them; refused above DENSE_GUARD.  solve_lu never
+        reads it."""
         if self._dense is None:
             check_dense_guard(self.grid, "dense assembly")
             with self._lock:
@@ -193,39 +193,31 @@ class ConvOperator:
 
     def solve_lu(self):
         """Cached ``(lu, piv, cond)``, factored and condition-estimated once:
-        of a copy of the matrix ``dense`` cached, else of an assembly of its
-        own in Fortran order, factored in place, so that factoring holds one
-        N x N array; refused above DENSE_GUARD.  Callers solving with it pass
-        a copy of ``piv``: scipy's getrs wrapper shifts the pivots in place
-        while it runs, which races between threads."""
+        of an assembly of its own in Fortran order, factored in place, so that
+        factoring holds one N x N array and copies none; refused above
+        DENSE_GUARD.  Callers solving with it pass a copy of ``piv``: scipy's
+        getrs wrapper shifts the pivots in place while it runs, which races
+        between threads."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
                     check_dense_guard(self.grid, "dense assembly")
-                    anorm = self.norm1()
-                    if self._dense is not None:
-                        self._lu = lu_factor_cond(self._dense, anorm)
-                    else:
-                        self._lu = lu_factor_cond(self._assemble_dense("F"), anorm,
-                                                  overwrite_a=True)
+                    self._lu = lu_factor_cond(self._assemble_dense("F"), self.norm1())
         return self._lu
 
 
-def lu_factor_cond(mat: np.ndarray, anorm: Optional[float] = None, overwrite_a: bool = False):
-    """``(lu, piv, cond)``: the LU of ``mat`` and LAPACK's 1-norm condition
-    estimate, ``inf`` when the factor is exactly singular.  ``anorm`` is
-    ||mat||_1 when the caller knows it, computed otherwise.  ``mat`` is
-    copied unless ``overwrite_a`` is set and it is Fortran-ordered in a
-    LAPACK dtype; then ``lu`` is ``mat`` itself, factored in place (scipy
-    copies any other input whatever ``overwrite_a`` says)."""
-    if anorm is None:
-        anorm = np.linalg.norm(mat, 1)
+def lu_factor_cond(mat: np.ndarray, anorm: float):
+    """``(lu, piv, cond)``: the LU of ``mat``, factored in place, and LAPACK's
+    1-norm condition estimate, ``inf`` when the factor is exactly singular.
+    The library's one LU route: ``mat`` is a fresh Fortran-ordered array in
+    a LAPACK dtype that the caller hands over, and ``lu`` is ``mat`` itself;
+    ``anorm`` is its 1-norm, ||mat||_1."""
     with warnings.catch_warnings():
         # exact singularity is reported through cond, not as a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         # a finite 1-norm shows every entry finite: scipy's own check, and its
         # N x N boolean array, run only when it is not
-        lu, piv = scipy.linalg.lu_factor(mat, overwrite_a=overwrite_a,
+        lu, piv = scipy.linalg.lu_factor(mat, overwrite_a=True,
                                          check_finite=not np.isfinite(anorm))
     rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond

@@ -193,16 +193,22 @@ class TestVerifyCommand:
                      "--sizes", "8,12"]) == 0
         assert built == [(8, 1), (8, 2), (12, 1), (12, 2)]
 
-    def test_dense_S_assembled_once_per_size(self, tmp_path, monkeypatch):
-        # the g blocks' LU factors the S that the identity checks cached
-        sizes = []
+    def test_dense_S_assembled_twice_per_size(self, tmp_path, monkeypatch):
+        # once C-ordered, cached for the identity checks, and once
+        # Fortran-ordered for the g blocks' LU, which factors it in place
+        made = []
         assemble = ConvOperator._assemble_dense
-        monkeypatch.setattr(ConvOperator, "_assemble_dense",
-                            lambda S: sizes.append(S.grid.n1) or assemble(S))
+
+        def spy(S, order="C"):
+            D = assemble(S, order)
+            made.append((S.grid.n1, "F" if D.flags.f_contiguous else "C"))
+            return D
+
+        monkeypatch.setattr(ConvOperator, "_assemble_dense", spy)
         cfg = write_cfg(tmp_path, EXP_CFG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--sizes", "8,16"]) == 0
-        assert sizes == [8, 16]
+        assert made == [(8, "C"), (8, "F"), (16, "C"), (16, "F")]
 
     def test_exp_kernel_orders(self, tmp_path):
         cfg = write_cfg(tmp_path, EXP_CFG)
@@ -634,6 +640,15 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruct_report.json").read_text())
         assert report["overall_pass"] is True
 
+    def test_refusal_above_the_guard_names_the_rho_table(self, tmp_path, capsys):
+        # on the GMRES path S is never assembled: what the guard refuses is
+        # the N x N rho table and T
+        cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 66\nn2 = 64"))
+        code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "rho table refused at 66x64" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reconstruct_report.json").exists()
+
     def test_guard_refusal_with_guidance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EXP_CFG.replace("n1 = 8\nn2 = 8", "n1 = 128\nn2 = 128"))
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -653,8 +668,8 @@ class TestReconstructCommand:
         T = rng.standard_normal(D.shape)
         if tag == "complex":
             T = T + 1j * rng.standard_normal(D.shape)
-        for got, want in ((cli._inverse_residual(S, T), np.linalg.norm(D @ T - eye)),
-                          (cli._inverse_residual(S, T.T[::-1, ::-1]),
+        for got, want in ((inversion._inverse_residual(S, T), np.linalg.norm(D @ T - eye)),
+                          (inversion._inverse_residual(S, T.T[::-1, ::-1]),
                            np.linalg.norm(T @ D - eye))):
             assert abs(got - want) <= 1e-13 * want
 
@@ -669,8 +684,8 @@ class TestReconstructCommand:
         dense_inv = np.linalg.inv(S.dense())
         rec_err = np.linalg.norm(T - dense_inv) / np.linalg.norm(dense_inv)
         structure = check_difference_kernel(np.linalg.inv(T), S.grid)
-        assert rec_err <= cli._inverse_residual(S, T) <= 1e-12
-        assert structure <= cli._inverse_residual(S, T.T[::-1, ::-1]) <= 1e-12
+        assert rec_err <= inversion._inverse_residual(S, T) <= 1e-12
+        assert structure <= inversion._inverse_residual(S, T.T[::-1, ::-1]) <= 1e-12
 
     def test_perturbed_inverse_fails_both_gates(self, tmp_path, monkeypatch, capsys):
         E = np.random.default_rng(3).standard_normal((64, 64))
@@ -683,6 +698,51 @@ class TestReconstructCommand:
         assert report["structure_residual"] > report["structure_tol"]
         assert report["overall_pass"] is False
         assert "FAIL reconstruct" in capsys.readouterr().err
+
+
+RICH_6X9_CFG = """kernel = exp
+c = 1.0
+amp = 0.12
+b1 = 0.9
+b2 = 0.6
+alpha = sin
+alpha_amp = 0.1
+alpha_rate = 1.3
+beta = exp
+beta_amp = 0.08
+beta_rate = 0.5
+omega1 = 1.7
+omega2 = 0.9
+n1 = 6
+n2 = 9
+sizes = 6,9
+"""
+
+
+class TestOneLuRoute:
+    @pytest.mark.parametrize("command", ["verify", "rho", "reconstruct"])
+    @pytest.mark.parametrize("text", [EXP_CFG.replace("8,16,32", "8,12"), RICH_6X9_CFG],
+                             ids=["exp-8x8", "rich-6x9"])
+    def test_every_lu_factors_a_fortran_array_in_place(self, command, text, tmp_path,
+                                                        monkeypatch):
+        # the LU of S and of every G(lam): a Fortran-ordered array handed
+        # over with overwrite_a, which comes back as the factor
+        import scipy.linalg
+
+        calls = []
+        real = scipy.linalg.lu_factor
+
+        def spy(a, *args, **kwargs):
+            fortran, overwrite = a.flags.f_contiguous, kwargs.get("overwrite_a")
+            lu, piv = real(a, *args, **kwargs)
+            calls.append((fortran, overwrite, lu is a))
+            return lu, piv
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        code = main([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+        # rho on the rich model at 6x9 misses its 0.15 bound: the grid is too coarse
+        assert code == (1 if (command, text) == ("rho", RICH_6X9_CFG) else 0)
+        assert calls and set(calls) == {(True, True, True)}
 
 
 class TestCond2:

@@ -1281,9 +1281,9 @@ class TestRhoStructured:
         factored = []
         real = inversion.lu_factor_cond
 
-        def spy(mat):
+        def spy(mat, anorm):
             factored.append(mat)
-            return real(mat)
+            return real(mat, anorm)
 
         monkeypatch.setattr(inversion, "lu_factor_cond", spy)
         rho_structured(ev, lams, mus)
@@ -1613,7 +1613,7 @@ class TestGeneratorTable:
         # generator's T has a residual near cond^2 eps (4.1e-10 and 1.4e-9),
         # and one Newton-Schulz step brings it below the 8.2e-13 and 2.1e-12
         # of a table solved from the N unit columns
-        from diffkern2d.cli import _inverse_residual
+        from diffkern2d.inversion import _inverse_residual
         from diffkern2d.kernels import gaussian_kernel
 
         factored, tables, table = self.count_factoring(monkeypatch), [], inversion._rho_table
