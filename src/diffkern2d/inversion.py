@@ -1,6 +1,12 @@
 """Inverse application, g-operators, theta/psi machinery, and the
 rho-function of the inverse operator.
 
+Solves against S (:func:`solve_array`) take the LU, GMRES (MINRES for a
+Hermitian S) with the FFT matvec, or, for a lattice kernel that is a jump
+plus one separable term, the direct solve through the eigenvectors of the
+two Toeplitz factors of S = gamma I + T(v) (x) T(u); every solve is
+backward-checked by the FFT matvec.
+
 The rho-function is the bilinear form
 
     rho(lam, mu) = h1 h2 sum_x e^{-i mu x} (S^{-1} e^{i lam x})(x),
@@ -55,6 +61,7 @@ from .grid import GridSpec, KernelSamples
 from .operators import (
     DENSE_GUARD,
     ConvOperator,
+    KronSplit,
     PiPair,
     apply_along,
     assemble_pi,
@@ -117,31 +124,40 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     Above DENSE_GUARD a Krylov solver with the FFT matvec solves column by
     column (:func:`_gmres_column`): MINRES for a Hermitian S, GMRES
     otherwise; below, "GMRES" names that solver, MINRES included.
-    At desk scale (N <= DENSE_GUARD) one rule in FFT matvecs picks the
-    backend: the operator's LU when it is cached, otherwise GMRES when
+    At desk scale (N <= DENSE_GUARD) one rule in FFT matvecs picks a side:
+    the operator's LU when it is cached, otherwise the Krylov side when
     m (k + 1), plus ESTIMATE_SOLVES (k + 1) for the condition estimate
     when none is cached, is within the LU's cost t_lu(N, m) / t_it(N).  k
-    is the iteration count of the estimate's first solve, 2 before any.
-    GMRES below the guard, estimate included, may spend at most that many
-    matvecs; a run that would overdraw them, or that does not converge,
-    hands over to the LU, so the worst case costs about twice the LU path.
-    A non-finite ``rhs`` column is an InvalidArgumentError naming it.
+    is the iteration count of the estimate's first solve, 2 before any, 0
+    when it ran on the Kronecker split.  On the Krylov side a lattice
+    kernel that is a jump plus one separable term, W = gamma delta + u v^T
+    (exp, gaussian, separable, identity), is solved directly through the
+    eigenvectors of its two Toeplitz factors (:func:`_split_solve`); a grid
+    with max n_i > min n_i^2, whose O(max n_i^3) set-up exceeds O(N^2),
+    keeps GMRES.  GMRES, estimate included, may spend at most the LU's
+    cost in matvecs; a run that would overdraw them, or that does not
+    converge, hands over to the LU, so the worst case costs about twice
+    the LU path.  A split solve that meets a zero or non-finite divisor, or
+    misses its backward check, hands over to GMRES and the LU, so the
+    typed errors are theirs.  A non-finite ``rhs`` column is an
+    InvalidArgumentError naming it.
 
     Below the guard every returned solve has passed a condition check
     against COND_LIMIT: LAPACK's ``gecon`` estimate on the LU path, the
-    operator's cached ``onenormest`` estimate on the GMRES path (see
-    :func:`_cond_estimate`).  Above the guard no condition is estimated.
-    Either way one check by the FFT matvec judges the solve, whichever
-    backend ran: ||S x - b|| / ||b|| <= BACKWARD_TOL for each column, by
-    :func:`_check_backward` after the LU, never against the matrix it
-    factored, and by a GMRES column's last true residual, within
-    GMRES_RTOL <= BACKWARD_TOL (:func:`_gmres_column`).  An empty block
-    returns with no backend run.
+    operator's cached ``onenormest`` estimate, from the split's solves or
+    GMRES's, on the Krylov side (see :func:`_cond_estimate`).  Above the
+    guard no condition is estimated.  Either way one check by the FFT
+    matvec judges the solve, whichever backend ran: ||S x - b|| / ||b|| <=
+    BACKWARD_TOL for each column, by :func:`_check_backward` after the LU,
+    never against the matrix it factored, and after the split, and by a
+    GMRES column's last true residual, within GMRES_RTOL <= BACKWARD_TOL
+    (:func:`_gmres_column`).  An empty block returns with no backend run.
 
     The result is real exactly when S and ``rhs`` are real: the LU path
     solves a complex ``rhs`` against a real S as its real and imaginary
-    parts, and GMRES runs over real vectors when S and ``rhs`` are both
-    real, over complex ones otherwise.
+    parts, GMRES runs over real vectors when S and ``rhs`` are both real,
+    over complex ones otherwise, and the split keeps the real part of its
+    complex solve of a real ``rhs`` against a real S.
     """
     B = np.asarray(rhs)
     N = S.grid.size
@@ -154,7 +170,7 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"rhs column {bad} is not finite")
     if N > DENSE_GUARD:
         return _gmres(S, B)[0]
-    X = None if S._lu is not None else _gmres_within_lu_cost(S, B)
+    X = None if S._lu is not None else _krylov_side(S, B)
     if X is None:
         X = _lu_solve(S, B)
         _check_backward(S, B.reshape(N, -1), X.reshape(N, -1))
@@ -231,9 +247,10 @@ def _check_cond(cond: float) -> None:
         )
 
 
-def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
-    """S^{-1} B by GMRES when the rule of :func:`solve_array` picks it and
-    it finishes within the LU's cost in FFT matvecs; None hands over to LU."""
+def _krylov_side(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
+    """S^{-1} B by the Kronecker split or GMRES when the rule of
+    :func:`solve_array` picks the Krylov side and GMRES finishes within
+    the LU's cost in FFT matvecs; None hands over to LU."""
     N = S.grid.size
     m = B.reshape(N, -1).shape[1]
     allowance = int(_t_lu(N, m) / _t_it(N))
@@ -243,19 +260,69 @@ def _gmres_within_lu_cost(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray
     k = 2 if est is None else est[1]
     if (m + (ESTIMATE_SOLVES if est is None else 0)) * (k + 1) > allowance:
         return None
+    X = _split_solve(S, B)
+    if X is not None:
+        return X
+    est = S._cond_est       # a missed split check dropped its estimate
     try:
         if est is None:
             # the first solve stops once it, the estimate's other solves
             # and m columns like it overdraw
-            cond, k, spent = _cond_estimate(S, allowance, allowance // (ESTIMATE_SOLVES + m))
-            est = S._cond_est = (cond, k)
-            allowance -= spent
+            solve = _GmresSolve(S, allowance, allowance // (ESTIMATE_SOLVES + m))
+            est = S._cond_est = (_cond_estimate(S, solve), solve.first)
+            allowance -= solve.spent
         _check_cond(est[0])
         if m * (est[1] + 1) > allowance:
             return None
         return _gmres(S, B, allowance)[0]
     except ConvergenceError:
         return None
+
+
+def _split_solve(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
+    """S^{-1} B through the cached Kronecker split of S
+    (:meth:`~diffkern2d.operators.ConvOperator.kron_split`), condition- and
+    backward-checked; None hands over when S has no split, when the grid
+    has max n_i > min n_i^2, or when the solve is not finite or misses
+    BACKWARD_TOL.  A miss also drops the split and the estimate its solves
+    gave, so later solves take GMRES and estimate afresh."""
+    g = S.grid
+    if max(g.n1, g.n2) > min(g.n1, g.n2) ** 2:
+        return None
+    split = S.kron_split()
+    if split is None:
+        return None
+    if S._cond_est is None:
+        S._cond_est = (_cond_estimate(S, lambda b: _kron_solve(S, split, b)), 0)
+    _check_cond(S._cond_est[0])
+    X = _kron_solve(S, split, B)
+    if np.isfinite(X).all():
+        try:
+            _check_backward(S, B.reshape(g.size, -1), X.reshape(g.size, -1))
+            return X
+        except ConvergenceError:
+            pass
+    S._split, S._cond_est = False, None
+    return None
+
+
+def _kron_solve(S: ConvOperator, split: KronSplit, B: np.ndarray) -> np.ndarray:
+    """S^{-1} B = (V2 (x) V1) [(V2 (x) V1)^{-1} B ./ (gamma + lam2 lam1^T)]
+    for the split of S (:class:`~diffkern2d.operators.KronSplit`), axis by
+    axis with :func:`~diffkern2d.operators.apply_along`, in the shape of
+    ``B`` and the dtype of S and ``B``.  Unchecked: the caller judges it.
+    For a real S and a real B it keeps the real part of the complex solve."""
+    g = S.grid
+    dtype = np.result_type(S.lattice_kernel, B, float)
+    with np.errstate(all="ignore"):          # an overflow is judged as non-finite
+        Y = B.reshape(g.size, -1)
+        for V, Vinv, axis in ((split.V1, split.V1inv, 1), (split.V2, split.V2inv, 2)):
+            Y = apply_along(V.conj().T if Vinv is None else Vinv, Y, g, axis)
+        Y = Y * split.inv_divisor.reshape(g.size, 1)
+        Y = apply_along(split.V1, apply_along(split.V2, Y, g, 2), g, 1)
+    if dtype.kind != "c":
+        Y = Y.real
+    return np.ascontiguousarray(Y, dtype=dtype).reshape(B.shape)
 
 
 def _gmres(S: ConvOperator, B: np.ndarray, matvecs=math.inf):
@@ -379,9 +446,29 @@ def _gmres_column(S: ConvOperator, b: np.ndarray, j: int, matvecs):
     return x, len(history), len(history) + cycles
 
 
-def _cond_estimate(S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
-    """``(cond, k, spent)``: a 1-norm condition estimate of S from GMRES
-    solves, the iterations of its first solve and the FFT matvecs of all.
+class _GmresSolve:
+    """b -> S^{-1} b by :func:`_gmres` for :func:`_cond_estimate`: the
+    first solve may spend ``first_matvecs`` FFT matvecs and all of them
+    ``matvecs``.  ``first`` counts the first solve's iterations and
+    ``spent`` the FFT matvecs of all."""
+
+    def __init__(self, S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
+        self.S, self.matvecs, self.first_matvecs = S, matvecs, first_matvecs
+        self.first: Optional[int] = None
+        self.spent = 0
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        limit = self.first_matvecs if self.first is None else self.matvecs - self.spent
+        x, k, used = _gmres(self.S, b.ravel(), limit)
+        self.spent += used
+        self.first = k if self.first is None else self.first
+        return x
+
+
+def _cond_estimate(S: ConvOperator, solve) -> float:
+    """A 1-norm condition estimate of S from ``solve``, b -> S^{-1} b for
+    a flat b: the Kronecker split's (:func:`_kron_solve`) or GMRES's
+    (:class:`_GmresSolve`).
 
     scipy's ``onenormest`` at t = 1 (Higham & Tisseur, SIAM J. Matrix
     Anal. Appl. 21, 2000) is Hager's estimator of ||S^{-1}||_1 (SIAM J.
@@ -390,31 +477,20 @@ def _cond_estimate(S: ConvOperator, matvecs=math.inf, first_matvecs=math.inf):
     gives the lower bound 2 ||S^{-1} x||_1 / (3 N) (Higham, ACM TOMS 14,
     1988); the larger bound times the exact ||S||_1 is the estimate.  S is
     persymmetric, J S J = S^T for the index reversal J, so S^{-H} b =
-    J conj(S^{-1} J conj(b)) is a solve against S too.  The solves may
-    spend ``matvecs`` FFT matvecs in all and the first ``first_matvecs``
-    (see :func:`_gmres`).
+    J conj(S^{-1} J conj(b)) is a solve against S too.
     """
     # imported here so that ``import diffkern2d`` leaves scipy.sparse unloaded
     import scipy.sparse.linalg
 
     N = S.grid.size
-    spent, first = 0, None
-
-    def inv(b):
-        nonlocal spent, first
-        x, k, used = _gmres(S, b.ravel(), first_matvecs if first is None else matvecs - spent)
-        spent += used
-        first = k if first is None else first
-        return x
-
     op = scipy.sparse.linalg.LinearOperator(
-        (N, N), matvec=inv, rmatvec=lambda b: inv(b[::-1].conj())[::-1].conj(),
+        (N, N), matvec=solve, rmatvec=lambda b: solve(b[::-1].conj())[::-1].conj(),
         dtype=np.result_type(S.lattice_kernel, float))
     est = scipy.sparse.linalg.onenormest(op, t=1)
     i = np.arange(N)
     alt = (-1.0) ** i * (1.0 + i / max(N - 1, 1))
-    est = max(float(est), 2.0 * float(np.abs(inv(alt)).sum()) / (3 * N))
-    return est * S.norm1(), first, spent
+    est = max(float(est), 2.0 * float(np.abs(solve(alt)).sum()) / (3 * N))
+    return est * S.norm1()
 
 
 def _check_backward(S: ConvOperator, B: np.ndarray, X: np.ndarray) -> None:
@@ -797,8 +873,9 @@ def build_rho_table(S: ConvOperator) -> np.ndarray:
     but not backward-stable: its T has a forward error near cond eps, as
     the dense inverse's has, but a residual ||S T - I|| near cond^2 eps.
     So above GENERATOR_COND, for the 1-norm condition estimate that the
-    solve left on S (``gecon`` on the LU path, ``onenormest`` on the GMRES
-    path), :func:`inverse_from_rho` refines T by one Newton-Schulz step.
+    solve left on S (``gecon`` on the LU path, ``onenormest`` on the
+    Kronecker split or the GMRES path), :func:`inverse_from_rho` refines T
+    by one Newton-Schulz step.
     An LU that this call's own solve factored is dropped before R is
     allocated; one the caller factored stays.  ``reconstruction_error``
     from the N unit columns solved by the LU / the generator / the

@@ -42,7 +42,9 @@ from .grid import GridSpec, KernelSamples
 
 __all__ = [
     "ConvOperator",
+    "KronSplit",
     "PiPair",
+    "kron_split",
     "lu_factor_cond",
     "line_integration_op",
     "apply_along",
@@ -123,8 +125,10 @@ class ConvOperator:
 
         self._dense: Optional[np.ndarray] = None
         self._lu = None
-        self._cond_est = None   # (estimate, GMRES iterations of its first solve)
-        self._lock = threading.RLock()  # solve_lu assembles under the lock
+        self._split = None      # kron_split's KronSplit, or False for none
+        # (estimate, iterations of its first solve: 0 on the Kronecker split)
+        self._cond_est = None
+        self._lock = threading.RLock()  # solve_lu and kron_split build under the lock
 
     # -- application paths ------------------------------------------------
 
@@ -205,6 +209,16 @@ class ConvOperator:
                     self._lu = lu_factor_cond(self._assemble_dense("F"), self.norm1())
         return self._lu
 
+    def kron_split(self) -> Optional[KronSplit]:
+        """The cached :class:`KronSplit` of S, built once; None when the
+        lattice kernel is not a jump plus one separable term, or when S has
+        an eigenvalue zero to working precision (:func:`kron_split`)."""
+        if self._split is None:
+            with self._lock:
+                if self._split is None:
+                    self._split = kron_split(self.lattice_kernel, self.grid) or False
+        return self._split or None
+
 
 def lu_factor_cond(mat: np.ndarray, anorm: float):
     """``(lu, piv, cond)``: the LU of ``mat``, factored in place, and LAPACK's
@@ -222,6 +236,117 @@ def lu_factor_cond(mat: np.ndarray, anorm: float):
     rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
     return lu, piv, cond
+
+
+# --------------------------------------------------------------------------
+# the Kronecker split of a jump-plus-separable kernel
+# --------------------------------------------------------------------------
+
+# the largest remainder W - gamma delta - u v^T a split accepts, relative to
+# max |W|: a few ulps (the sampled exp, gaussian, separable and complex exp
+# kernels read at most 2.5 eps); the solve's backward check judges the rest
+SPLIT_RTOL = 8 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class KronSplit:
+    """S = gamma I + T(v) (x) T(u), diagonalised, for a lattice kernel
+    W = gamma delta + u v^T, with T(u) the n1 x n1 Toeplitz matrix
+    u[a - a' + n1 - 1] and T(v) its n2 x n2 counterpart.
+
+    With T(u) = V1 diag(lam1) V1^{-1} and T(v) = V2 diag(lam2) V2^{-1},
+    S^{-1} = (V2 (x) V1) diag(inv_divisor) (V2 (x) V1)^{-1}, where
+    ``inv_divisor`` is the (n2, n1) array 1 / (gamma + lam2[b] lam1[a]), the
+    reciprocal eigenvalues of S.  ``V1inv`` and ``V2inv`` are None where
+    V_i is unitary, so V_i^{-1} = V_i^H."""
+
+    V1: np.ndarray
+    V1inv: Optional[np.ndarray]
+    V2: np.ndarray
+    V2inv: Optional[np.ndarray]
+    inv_divisor: np.ndarray
+
+
+def kron_split(W: np.ndarray, grid: GridSpec) -> Optional[KronSplit]:
+    """The :class:`KronSplit` of the lattice kernel ``W`` on ``grid``, or
+    None: W is not a jump plus one separable term to SPLIT_RTOL, a factor's
+    eigenvectors are singular, or some eigenvalue of S is zero against the
+    largest to working precision (then cond_2 S >= 1 / eps, and the caller's
+    own route reports it).  A factor exactly Hermitian or skew-Hermitian
+    (the gaussian's are skew) is diagonalised by ``eigh``, with a unitary
+    V; any other (exp, complex exp) by ``eig`` and an inverse.  An identity
+    kernel has u = v = 0, and V1 and V2 are identities."""
+    n1, n2 = grid.n1, grid.n2
+    cross = _jump_plus_cross(W, n1, n2)
+    if cross is None:
+        return None
+    gamma, u, v = cross
+    try:
+        (lam1, V1, V1inv), (lam2, V2, V2inv) = (_diagonalise(f[_offsets(n)])
+                                                for f, n in ((u, n1), (v, n2)))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        D = gamma + np.outer(lam2, lam1)
+        size = np.abs(D)
+        inv_divisor = 1.0 / D
+        if not (size.min() > np.finfo(float).eps * size.max()
+                and np.isfinite(inv_divisor).all()):
+            return None
+    return KronSplit(V1, V1inv, V2, V2inv, inv_divisor)
+
+
+def _jump_plus_cross(W: np.ndarray, n1: int, n2: int):
+    """``(gamma, u, v)`` with |W - gamma delta - u v^T| <= SPLIT_RTOL max|W|
+    entrywise, delta the jump at the centre (n1 - 1, n2 - 1), or None.
+
+    The cross u v^T runs through the pivot, the largest |W| off the centre
+    row and column, where the jump cannot sit; the centre then gives gamma.
+    W is read a band of rows at a time, so no temporary of its size is
+    made.  A non-finite W is refused."""
+    c1, c2 = n1 - 1, n2 - 1
+    step = max(1, 4096 // W.shape[1])
+    bands = [slice(r, r + step) for r in range(0, W.shape[0], step)]
+    top, pivot, p, q = 0.0, -1.0, c1, c2
+    for rows in bands:
+        A = np.abs(W[rows])
+        most = float(A.max())
+        if not np.isfinite(most):
+            return None
+        top = max(top, most)
+        A[:, c2] = -1.0
+        if rows.start <= c1 < rows.stop:
+            A[c1 - rows.start] = -1.0
+        j = int(np.argmax(A))
+        if A.flat[j] > pivot:
+            pivot, p, q = float(A.flat[j]), rows.start + j // A.shape[1], j % A.shape[1]
+    u = np.zeros(W.shape[0], W.dtype)
+    v = np.zeros(W.shape[1], W.dtype)
+    with np.errstate(all="ignore"):
+        if pivot > 0:
+            u, v = W[:, q] / W[p, q], W[p].copy()
+        gamma = W[c1, c2] - u[c1] * v[c2]
+        for rows in bands:
+            R = np.abs(W[rows] - u[rows, None] * v)
+            if rows.start <= c1 < rows.stop:
+                R[c1 - rows.start, c2] = 0.0
+            if not R.max() <= SPLIT_RTOL * top:
+                return None
+    return gamma, u, v
+
+
+def _diagonalise(T: np.ndarray):
+    """``(lam, V, Vinv)`` with T = V diag(lam) Vinv; Vinv is None when V
+    is unitary (eigh, for T exactly Hermitian or skew-Hermitian).  A
+    singular V raises LinAlgError."""
+    if np.array_equal(T, T.conj().T):
+        lam, V = np.linalg.eigh(T)
+        return lam, V, None
+    if np.array_equal(T, -T.conj().T):
+        mu, V = np.linalg.eigh(1j * T)            # i T is Hermitian
+        return -1j * mu, V, None
+    lam, V = np.linalg.eig(T)
+    return lam, V, np.linalg.inv(V)
 
 
 # --------------------------------------------------------------------------

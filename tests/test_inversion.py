@@ -44,6 +44,15 @@ def deconv_model():
     return gaussian_kernel(amp=8.0, width=0.15)
 
 
+def unsplit_deconv_model():
+    """The deconv kernel with an exp beta profile: a jump plus two
+    separable terms, so the Kronecker split rejects it, and not Hermitian,
+    so GMRES (restarted) solves it."""
+    from diffkern2d.kernels import with_profiles
+
+    return with_profiles(deconv_model(), beta=("exp", 0.08, 0.5))
+
+
 def restart_operator():
     """A non-Hermitian operator whose GMRES crosses several restarts:
     gaussian amp 10 with an exp beta profile, 96 x 80 on 1.7 x 0.9."""
@@ -357,12 +366,29 @@ class TestBackendChoice:
         assert np.linalg.norm(rec - f0) <= 1e-12 * np.linalg.norm(f0)
 
     def test_one_deconv_column_at_48_takes_gmres(self, rng, gmres_calls):
-        S = ConvOperator(samples_for(deconv_model(), 48))
+        # with a beta profile the deconv kernel does not split
+        S = ConvOperator(samples_for(unsplit_deconv_model(), 48))
         f0 = rng.standard_normal(48 * 48)
         rec = solve_array(S, S.apply_fft(f0))
         assert S._dense is None and S._lu is None
         assert S._cond_est is not None and len(gmres_calls) > 1
         assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
+
+    # at 48^2, and deconv's P2 config in CI (40 x 24 on 1.7 x 0.9)
+    @pytest.mark.parametrize("n1,n2,omega", [(48, 48, (1.0, 1.0)), (40, 24, (1.7, 0.9))])
+    def test_one_deconv_column_takes_the_split(self, n1, n2, omega, gmres_calls):
+        # the deconv kernel is a jump plus one separable term: a direct
+        # solve, its estimate from the split's solves, and its one FFT
+        # matvec the backward check
+        S = ConvOperator(samples_for(deconv_model(), n1, n2=n2, omega1=omega[0],
+                                     omega2=omega[1]))
+        f0 = np.random.default_rng(2).integers(0, 256, n1 * n2).astype(float)
+        b = S.apply_fft(f0)
+        calls = TestGmres.counting(S)
+        rec = solve_array(S, b)
+        assert S._dense is None and S._lu is None and S._split
+        assert S._cond_est[1] == 0 and gmres_calls == [] and len(calls) == 1
+        assert np.linalg.norm(rec - f0) <= 1e-12 * np.linalg.norm(f0)
 
     def test_rho_table_block_at_32_takes_lu(self, rng, gmres_calls):
         S = ConvOperator(samples_for(exp_kernel(), 32))
@@ -382,27 +408,31 @@ class TestBackendChoice:
 
     def test_gaussian_evaluator_at_32_hands_over_after_one_gmres_solve(self, gmres_calls):
         # the 2 n2 + 1 columns are priced for GMRES at two iterations; the
-        # estimate's first solve needs far more (88, by MINRES: the kernel
-        # is Hermitian), and once the whole job at its count so far
-        # overdraws the LU's cost it stops and the LU takes over
-        from diffkern2d.kernels import gaussian_kernel
-
-        s = samples_for(gaussian_kernel(amp=8.0, width=0.15), 32, omega1=1.7, omega2=0.9)
+        # estimate's first solve needs far more (498 GMRES iterations on
+        # the deconv kernel with a beta profile, which does not split), and
+        # once the whole job at its count so far overdraws the LU's cost it
+        # stops and the LU takes over
+        s = samples_for(unsplit_deconv_model(), 32, omega1=1.7, omega2=0.9)
         S = ConvOperator(s)
         build_rho_evaluator(S, s)
         assert len(gmres_calls) == 1
         assert S._lu is not None and S._cond_est is None
 
-    def test_estimate_hands_over_once_its_first_solve_cannot_fit(self):
-        # deconv's P2 config in CI: one column, gaussian amp 8 at 40 x 24
-        # on 1.7 x 0.9, Hermitian.  The estimate's first solve would take
-        # 88 MINRES iterations, so it, the estimate's other solves and the
-        # column cannot fit the allowance (215 matvecs); that solve stops
-        # at its share and the LU takes over.  Spending the whole
-        # allowance on the estimate first took 214 matvecs.
+    def test_gaussian_evaluator_at_32_takes_the_split(self, gmres_calls):
         from diffkern2d.kernels import gaussian_kernel
 
-        S = ConvOperator(samples_for(gaussian_kernel(amp=8.0, width=0.15), 40, n2=24,
+        s = samples_for(gaussian_kernel(amp=8.0, width=0.15), 32, omega1=1.7, omega2=0.9)
+        S = ConvOperator(s)
+        build_rho_evaluator(S, s)
+        assert gmres_calls == [] and S._lu is None and S._cond_est[1] == 0
+
+    def test_estimate_hands_over_once_its_first_solve_cannot_fit(self):
+        # deconv's P2 config in CI with a beta profile, which does not
+        # split: one column, at 40 x 24 on 1.7 x 0.9.  The estimate's first
+        # solve would take 565 GMRES iterations, so it, the estimate's
+        # other solves and the column cannot fit the allowance (215
+        # matvecs); that solve stops at its share and the LU takes over.
+        S = ConvOperator(samples_for(unsplit_deconv_model(), 40, n2=24,
                                      omega1=1.7, omega2=0.9))
         f0 = np.random.default_rng(2).integers(0, 256, 40 * 24).astype(float)
         b = S.apply_fft(f0)
@@ -557,13 +587,26 @@ class TestGmres:
         monkeypatch.setattr(inversion, "_check_backward", spy)
         above = ConvOperator(samples_for(exp_kernel(amp=0.05), 80, normalize=False))
         solve_array(above, rng.standard_normal((6400, 2)))
-        below = ConvOperator(samples_for(deconv_model(), 48))
+        below = ConvOperator(samples_for(unsplit_deconv_model(), 48))
         solve_array(below, rng.standard_normal(48 * 48))
         assert below._cond_est is not None and below._lu is None
         assert checks == []
         lu = ConvOperator(samples_for(exp_kernel(), 8))
         solve_array(lu, rng.standard_normal(64))
         assert len(checks) == 1 and checks[0] is lu
+
+    def test_split_solves_take_the_check(self, rng, monkeypatch):
+        checks = []
+        real = inversion._check_backward
+
+        def spy(S, B, X):
+            checks.append(S)
+            return real(S, B, X)
+
+        monkeypatch.setattr(inversion, "_check_backward", spy)
+        S = ConvOperator(samples_for(deconv_model(), 48))
+        solve_array(S, rng.standard_normal((48 * 48, 2)))
+        assert S._split and S._lu is None and checks == [S]
 
     def test_overflowing_matvec_fails_within_one_cycle(self):
         # finite lattice kernels and spectra whose matvecs overflow, through
@@ -709,6 +752,143 @@ class TestMinres:
         assert np.linalg.norm(S.apply_fft(x) - b) <= inversion.GMRES_RTOL * np.linalg.norm(b)
 
 
+class TestSplitSolve:
+    """The direct solve through the Kronecker split of S
+    (ConvOperator.kron_split), on the Krylov side of solve_array's rule."""
+
+    SPLIT = ["zero", "exp", "gaussian", "separable", "complex"]
+
+    @staticmethod
+    def operator(tag, n1, n2):
+        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        return ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
+
+    @pytest.mark.parametrize("tag", SPLIT)
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (17, 11), (31, 33)])
+    @pytest.mark.parametrize("rhs", ["real", "complex"])
+    def test_matches_dense_solve(self, tag, n1, n2, rhs, rng):
+        S = self.operator(tag, n1, n2)
+        B = rng.standard_normal((S.grid.size, 3))
+        if rhs == "complex":
+            B = B + 1j * rng.standard_normal(B.shape)
+        X = inversion._kron_solve(S, S.kron_split(), B)
+        want = np.linalg.solve(S.dense(), B)
+        assert X.dtype == want.dtype == np.result_type(S.lattice_kernel, B)
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("tag", SPLIT)
+    def test_one_column_takes_the_split(self, tag, rng):
+        S = self.operator(tag, 31, 33)
+        b = rng.standard_normal(S.grid.size)
+        x = solve_array(S, b)
+        assert S._lu is None and S._split and S._cond_est[1] == 0
+        want = np.linalg.solve(S.dense(), b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_found_kernel_is_one_direct_solve(self, rng):
+        # MINRES took 1,119 iterations here (N = 768), and the rule handed
+        # the solve to the LU; the split solves it with one FFT matvec, the
+        # backward check, and estimates its condition with none
+        from diffkern2d.kernels import gaussian_kernel
+
+        S = ConvOperator(samples_for(gaussian_kernel(amp=40.0, width=0.08), 32, n2=24,
+                                     omega1=1.7, omega2=0.9))
+        b = rng.standard_normal(S.grid.size)
+        calls = TestGmres.counting(S)
+        x = solve_array(S, b)
+        assert len(calls) <= 2 and S._lu is None
+        assert np.linalg.norm(S.apply_fft(x) - b) <= inversion.BACKWARD_TOL * np.linalg.norm(b)
+        D = S.dense()
+        exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
+        assert exact / 3 <= S._cond_est[0] <= exact * (1 + 1e-9)
+
+    def test_two_threads_build_the_split_once(self, rng, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        from diffkern2d import operators
+
+        builds = []
+        real = operators.kron_split
+
+        def slow(W, grid):
+            builds.append(1)
+            time.sleep(0.05)
+            return real(W, grid)
+
+        monkeypatch.setattr(operators, "kron_split", slow)
+        S = self.operator("gaussian", 31, 33)
+        B = rng.standard_normal((S.grid.size, 2))
+        want = [np.linalg.solve(S.dense(), B[:, j]) for j in range(2)]
+        start = threading.Barrier(2)
+        got, errors = {}, []
+
+        def work(j):
+            try:
+                start.wait(timeout=30)
+                got[j] = solve_array(S, B[:, j])
+            except Exception as exc:      # reported by the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads) and errors == []
+        assert builds == [1] and S._lu is None
+        for j in range(2):
+            assert np.linalg.norm(got[j] - want[j]) <= 1e-12 * np.linalg.norm(want[j])
+
+    def test_elongated_grid_never_diagonalises(self, rng, monkeypatch):
+        # at 2048 x 2 the O(max n_i^3) set-up exceeds O(N^2): GMRES keeps it
+        from diffkern2d import operators
+
+        def refuse(T):
+            raise AssertionError("a factor was diagonalised")
+
+        monkeypatch.setattr(operators, "_diagonalise", refuse)
+        S = ConvOperator(samples_for(exp_kernel(), 2048, n2=2))
+        f0 = rng.standard_normal(S.grid.size)
+        rec = solve_array(S, S.apply_fft(f0))
+        assert S._split is None and S._cond_est[1] > 0
+        assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
+
+    def test_missed_backward_check_hands_over(self, rng, monkeypatch):
+        # a split solve that misses BACKWARD_TOL drops the split and its
+        # estimate; GMRES estimates afresh and solves
+        real = inversion._kron_solve
+        solves = []
+
+        def spoiled(S, split, B):
+            solves.append(1)
+            return 1.001 * real(S, split, B)
+
+        monkeypatch.setattr(inversion, "_kron_solve", spoiled)
+        S = ConvOperator(samples_for(exp_kernel(), 24))
+        f0 = rng.standard_normal(S.grid.size)
+        rec = solve_array(S, S.apply_fft(f0))
+        assert S._split is False and S._cond_est[1] > 0 and S._lu is None
+        assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
+        solves.clear()
+        solve_array(S, S.apply_fft(f0))
+        assert solves == []
+
+    def test_zero_divisor_hands_over_to_the_lu(self):
+        # rank one: no split, so the LU's condition check raises, as before
+        S = ConvOperator(samples_for(poly_kernel(c=0.0, amp=1.0, q=0.0), 40,
+                                     normalize=False))
+        with pytest.raises(SingularOperatorError):
+            solve_array(S, np.ones(1600))
+        assert S._split is False and S._lu is not None
+
+
 class TestConditionEstimate:
     @pytest.mark.parametrize("tag", [*MODEL_BUILDERS, "complex"])
     @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (12, 9)])
@@ -720,24 +900,39 @@ class TestConditionEstimate:
         D = S.dense()
         exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
         calls = TestGmres.counting(S)
-        cond, k, spent = _cond_estimate(S)
+        solve = inversion._GmresSolve(S)
+        cond = _cond_estimate(S, solve)
+        k, spent = solve.first, solve.spent
         # a lower bound up to the GMRES tolerance, and deterministic
         assert exact / 3 <= cond <= exact * (1 + 1e-9)
         assert k >= 1 and spent == len(calls) > k
-        assert _cond_estimate(S)[0] == cond
+        assert _cond_estimate(S, inversion._GmresSolve(S)) == cond
+
+    @pytest.mark.parametrize("tag", TestSplitSolve.SPLIT)
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 7), (12, 9)])
+    def test_on_the_split_within_factor_three_of_exact(self, tag, n1, n2):
+        S = TestSplitSolve.operator(tag, n1, n2)
+        D = S.dense()
+        exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
+        calls = TestGmres.counting(S)
+        split = S.kron_split()
+        cond = inversion._cond_estimate(S, lambda b: inversion._kron_solve(S, split, b))
+        assert exact / 3 <= cond <= exact * (1 + 1e-9) and calls == []
 
     @pytest.mark.parametrize("kernel", ["real", "complex"])
     def test_draws_no_random_numbers(self, kernel, monkeypatch):
         # onenormest with one column, t = 1, never samples a random sign vector
         model = rich_model() if kernel == "real" else exp_kernel(amp=0.05 + 0.1j)
         S = ConvOperator(samples_for(model, 5, n2=7, omega1=1.7, omega2=0.9))
-        want = inversion._cond_estimate(S)
+        solve = inversion._GmresSolve(S)
+        want = inversion._cond_estimate(S, solve), solve.first, solve.spent
 
         def refuse(*args, **kwargs):
             raise AssertionError("a random number was drawn")
 
         monkeypatch.setattr(np.random, "randint", refuse)
-        assert inversion._cond_estimate(S) == want
+        solve = inversion._GmresSolve(S)
+        assert (inversion._cond_estimate(S, solve), solve.first, solve.spent) == want
 
     def test_allowance_bounds_the_matvecs(self, monkeypatch):
         # every allowance below the estimate's spend stops it within what it
@@ -753,19 +948,22 @@ class TestConditionEstimate:
             return out
 
         monkeypatch.setattr(inversion, "_gmres", spy)
-        want = inversion._cond_estimate(S)
+        solve = inversion._GmresSolve(S)
+        want = inversion._cond_estimate(S, solve), solve.first, solve.spent
         spent, last = want[2], spends[-1]
         assert spent == sum(spends) and len(spends) >= 3
         calls = TestGmres.counting(S)
         for allowance in range(spent):
             calls.clear()
             with pytest.raises(ConvergenceError, match=r"did not reach") as err:
-                inversion._cond_estimate(S, allowance, allowance)
+                inversion._cond_estimate(S, inversion._GmresSolve(S, allowance, allowance))
             assert len(calls) <= allowance
             crossed = any("onenormest" in str(entry.path) for entry in err.traceback)
             assert crossed == (allowance < spent - last)
         calls.clear()
-        assert inversion._cond_estimate(S, spent, spent) == want and len(calls) == spent
+        solve = inversion._GmresSolve(S, spent, spent)
+        got = inversion._cond_estimate(S, solve), solve.first, solve.spent
+        assert got == want and len(calls) == spent
 
     @pytest.mark.parametrize("kernel", ["real", "complex"])
     def test_adjoint_solve_matches_dense(self, kernel, monkeypatch):
@@ -782,7 +980,7 @@ class TestConditionEstimate:
             return out
 
         monkeypatch.setattr(inversion, "_gmres", spy)
-        inversion._cond_estimate(S)
+        inversion._cond_estimate(S, inversion._GmresSolve(S))
         (_, y), (b, x) = calls[:2]
         xi = y / np.abs(y)
         assert np.array_equal(b, xi[::-1].conj())

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from diffkern2d import operators
 from diffkern2d.errors import InvalidArgumentError
 from diffkern2d.grid import make_grid
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel
@@ -261,6 +262,82 @@ class TestSolveLu:
         assert S.dense() is D and np.array_equal(D, D0) and not np.shares_memory(lu, D)
         lu0, piv0 = scipy.linalg.lu_factor(D0)
         assert np.array_equal(lu, lu0) and np.array_equal(piv, piv0)
+
+
+def toeplitz_of(f, n):
+    """T(f), entry by entry: T(f)[a, a'] = f[a - a' + n - 1]."""
+    return np.array([[f[a - b + n - 1] for b in range(n)] for a in range(n)])
+
+
+class TestKronSplit:
+    """A lattice kernel W = gamma delta + u v^T makes S = gamma I + T(v) (x)
+    T(u), diagonalised by the eigenvectors of the two Toeplitz factors."""
+
+    SPLIT = ["zero", "exp", "gaussian", "separable", "complex"]
+    GRIDS = [(8, 8, (1.0, 1.0)), (17, 11, (1.7, 0.9)), (31, 33, (1.7, 0.9))]
+
+    @pytest.mark.parametrize("tag", SPLIT)
+    @pytest.mark.parametrize("n1,n2,omega", GRIDS)
+    def test_cross_reproduces_dense(self, tag, n1, n2, omega):
+        S = ConvOperator(lu_case(tag, n1, n2, *omega))
+        gamma, u, v = operators._jump_plus_cross(S.lattice_kernel, n1, n2)
+        K = gamma * np.eye(S.grid.size) + np.kron(toeplitz_of(v, n2), toeplitz_of(u, n1))
+        D = S.dense()
+        assert np.abs(K - D).max() <= 1e-13 * np.abs(D).max()
+
+    @pytest.mark.parametrize("tag", SPLIT)
+    @pytest.mark.parametrize("n1,n2,omega", GRIDS)
+    def test_eigenvectors_diagonalise_S(self, tag, n1, n2, omega):
+        # (V2 (x) V1) diag(1 / inv_divisor) (V2 (x) V1)^{-1} is S; a missing
+        # inverse marks a unitary V
+        S = ConvOperator(lu_case(tag, n1, n2, *omega))
+        split = S.kron_split()
+        inv1, inv2 = (V.conj().T if Vinv is None else Vinv
+                      for V, Vinv in ((split.V1, split.V1inv), (split.V2, split.V2inv)))
+        for V, Vinv in ((split.V1, split.V1inv), (split.V2, split.V2inv)):
+            if Vinv is None:
+                assert np.abs(V.conj().T @ V - np.eye(len(V))).max() <= 1e-13
+        rebuilt = np.kron(split.V2, split.V1) @ (np.kron(inv2, inv1)
+                                                 / split.inv_divisor.reshape(-1, 1))
+        D = S.dense()
+        assert np.abs(rebuilt - D).max() <= 1e-12 * np.abs(D).max()
+
+    def test_eigh_exactly_where_a_factor_is_hermitian_or_skew(self):
+        # the gaussian's factors are odd, so skew-symmetric; exp's are neither
+        gauss = ConvOperator(lu_case("gaussian", 17, 11)).kron_split()
+        assert gauss.V1inv is None and gauss.V2inv is None
+        exp = ConvOperator(lu_case("exp", 17, 11)).kron_split()
+        assert exp.V1inv is not None and exp.V2inv is not None
+
+    def test_identity_is_the_trivial_split(self):
+        split = ConvOperator(samples_for(identity_kernel(c=2.0), 5, n2=7)).kron_split()
+        assert np.array_equal(split.V1, np.eye(5)) and np.array_equal(split.V2, np.eye(7))
+        assert np.array_equal(split.inv_divisor, np.full((7, 5), 0.5))
+
+    @pytest.mark.parametrize("model", ["poly", "rich", "gaussian+beta"])
+    @pytest.mark.parametrize("n1,n2,omega", GRIDS)
+    def test_rejects_more_than_one_separable_term(self, model, n1, n2, omega):
+        from diffkern2d.kernels import gaussian_kernel, with_profiles
+
+        if model == "gaussian+beta":
+            m = with_profiles(gaussian_kernel(amp=8.0, width=0.15), beta=("exp", 0.08, 0.5))
+        else:
+            m = MODEL_BUILDERS[model]()
+        S = ConvOperator(samples_for(m, n1, n2=n2, omega1=omega[0], omega2=omega[1]))
+        assert operators._jump_plus_cross(S.lattice_kernel, n1, n2) is None
+        assert S.kron_split() is None and S._split is False
+
+    def test_zero_eigenvalue_gives_no_split(self):
+        # c = 0 with constant v: W is one cross, but S has rank one
+        S = ConvOperator(samples_for(poly_kernel(c=0.0, amp=1.0, q=0.0), 40, normalize=False))
+        assert operators._jump_plus_cross(S.lattice_kernel, 40, 40) is not None
+        assert S.kron_split() is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_gives_no_split(self, bad):
+        S = ConvOperator(lu_case("exp", 8, 8))
+        S.lattice_kernel[2, 3] = bad
+        assert S.kron_split() is None
 
 
 class TestIntegrationOps:
