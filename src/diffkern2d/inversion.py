@@ -61,7 +61,6 @@ from .grid import GridSpec, KernelSamples
 from .operators import (
     DENSE_GUARD,
     ConvOperator,
-    KronSplit,
     PiPair,
     apply_along,
     assemble_pi,
@@ -132,9 +131,9 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
     when it ran on the Kronecker split.  On the Krylov side a lattice
     kernel that is a jump plus one separable term, W = gamma delta + u v^T
     (exp, gaussian, separable, identity), is solved directly through the
-    eigenvectors of its two Toeplitz factors (:func:`_split_solve`); a grid
-    with max n_i > min n_i^2, whose O(max n_i^3) set-up exceeds O(N^2),
-    keeps GMRES.  GMRES, estimate included, may spend at most the LU's
+    eigenvectors of its two Toeplitz factors (:func:`_split_solve`) when
+    the split takes the grid (it refuses max n_i > min n_i^2), and by
+    GMRES otherwise.  GMRES, estimate included, may spend at most the LU's
     cost in matvecs; a run that would overdraw them, or that does not
     converge, hands over to the LU, so the worst case costs about twice
     the LU path.  A split solve that meets a zero or non-finite divisor, or
@@ -179,7 +178,11 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 
 # Modelled seconds of the two backends below DENSE_GUARD (see solve_array),
 # fitted by nonnegative least squares on relative error, with BLAS at 1
-# thread on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4, scipy 1.17).
+# thread on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4, scipy 1.17), before
+# the Kronecker split existed; no constant has moved since.  Below the guard
+# the zero, exp, gaussian and separable kernels timed here now take the
+# split, and only kernels that do not split reach GMRES or MINRES: poly,
+# the rich model, any edge profile.
 #
 # LU path, s (assembly + lu_factor + gecon + lu_solve of m real columns):
 #
@@ -203,13 +206,12 @@ def solve_array(S: ConvOperator, rhs: np.ndarray) -> np.ndarray:
 #   64^2   0.85    1.46    2.25    3.10
 #
 # Complex columns are fitted because every multi-column caller passes
-# them; a real column costs about 0.75x as much.  For a non-Hermitian S
-# Gram-Schmidt work per iteration grows with k, so at k = 32 the model
-# reads 0.4-0.7x of the measured time.  MINRES, which solves a Hermitian
-# S, adds O(N) work per iteration to the matvec at any k: on the deconv
-# kernel (k = 34) the model reads 0.6-0.75x from 16^2 to 64^2.  Either
-# way the Krylov solve is then cheaper than LU by an order of magnitude
-# from 48^2 up, and the allowance bounds the loss below that.
+# them; a real column costs about 0.75x as much.  At k = 32 the model
+# reads 0.4-0.7x of the measured time for a non-Hermitian S (Gram-Schmidt
+# work grows with k), and under MINRES (O(N) more work per iteration) on
+# the deconv kernel (k = 34) 0.6-0.75x from 16^2 to 64^2.  Either way the
+# Krylov solve is then cheaper than LU by an order of magnitude from 48^2
+# up, and the allowance bounds the loss below that.
 ESTIMATE_SOLVES = 5     # solves of _cond_estimate, in the model
 
 
@@ -282,47 +284,26 @@ def _krylov_side(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
 def _split_solve(S: ConvOperator, B: np.ndarray) -> Optional[np.ndarray]:
     """S^{-1} B through the cached Kronecker split of S
     (:meth:`~diffkern2d.operators.ConvOperator.kron_split`), condition- and
-    backward-checked; None hands over when S has no split, when the grid
-    has max n_i > min n_i^2, or when the solve is not finite or misses
-    BACKWARD_TOL.  A miss also drops the split and the estimate its solves
-    gave, so later solves take GMRES and estimate afresh."""
-    g = S.grid
-    if max(g.n1, g.n2) > min(g.n1, g.n2) ** 2:
-        return None
+    backward-checked, by its own ``KronSplit.solve``; None hands over when
+    S has no split (the split refuses an elongated grid too), or when the
+    solve is not finite or misses BACKWARD_TOL.  A miss also drops the split
+    and the estimate its solves gave, so later solves take GMRES and
+    estimate afresh."""
     split = S.kron_split()
     if split is None:
         return None
     if S._cond_est is None:
-        S._cond_est = (_cond_estimate(S, lambda b: _kron_solve(S, split, b)), 0)
+        S._cond_est = (_cond_estimate(S, split.solve), 0)
     _check_cond(S._cond_est[0])
-    X = _kron_solve(S, split, B)
+    X = split.solve(B)
     if np.isfinite(X).all():
         try:
-            _check_backward(S, B.reshape(g.size, -1), X.reshape(g.size, -1))
+            _check_backward(S, B.reshape(len(B), -1), X.reshape(len(B), -1))
             return X
         except ConvergenceError:
             pass
     S._split, S._cond_est = False, None
     return None
-
-
-def _kron_solve(S: ConvOperator, split: KronSplit, B: np.ndarray) -> np.ndarray:
-    """S^{-1} B = (V2 (x) V1) [(V2 (x) V1)^{-1} B ./ (gamma + lam2 lam1^T)]
-    for the split of S (:class:`~diffkern2d.operators.KronSplit`), axis by
-    axis with :func:`~diffkern2d.operators.apply_along`, in the shape of
-    ``B`` and the dtype of S and ``B``.  Unchecked: the caller judges it.
-    For a real S and a real B it keeps the real part of the complex solve."""
-    g = S.grid
-    dtype = np.result_type(S.lattice_kernel, B, float)
-    with np.errstate(all="ignore"):          # an overflow is judged as non-finite
-        Y = B.reshape(g.size, -1)
-        for V, Vinv, axis in ((split.V1, split.V1inv, 1), (split.V2, split.V2inv, 2)):
-            Y = apply_along(V.conj().T if Vinv is None else Vinv, Y, g, axis)
-        Y = Y * split.inv_divisor.reshape(g.size, 1)
-        Y = apply_along(split.V1, apply_along(split.V2, Y, g, 2), g, 1)
-    if dtype.kind != "c":
-        Y = Y.real
-    return np.ascontiguousarray(Y, dtype=dtype).reshape(B.shape)
 
 
 def _gmres(S: ConvOperator, B: np.ndarray, matvecs=math.inf):
@@ -467,7 +448,7 @@ class _GmresSolve:
 
 def _cond_estimate(S: ConvOperator, solve) -> float:
     """A 1-norm condition estimate of S from ``solve``, b -> S^{-1} b for
-    a flat b: the Kronecker split's (:func:`_kron_solve`) or GMRES's
+    a flat b: the Kronecker split's (``KronSplit.solve``) or GMRES's
     (:class:`_GmresSolve`).
 
     scipy's ``onenormest`` at t = 1 (Higham & Tisseur, SIAM J. Matrix

@@ -210,9 +210,9 @@ class ConvOperator:
         return self._lu
 
     def kron_split(self) -> Optional[KronSplit]:
-        """The cached :class:`KronSplit` of S, built once; None when the
-        lattice kernel is not a jump plus one separable term, or when S has
-        an eigenvalue zero to working precision (:func:`kron_split`)."""
+        """The cached :class:`KronSplit` of S, built once; None, with
+        ``_split`` False, where :func:`kron_split` refuses S: its grid, its
+        lattice kernel or an eigenvalue zero to working precision."""
         if self._split is None:
             with self._lock:
                 if self._split is None:
@@ -251,33 +251,53 @@ SPLIT_RTOL = 8 * np.finfo(float).eps
 @dataclass(frozen=True)
 class KronSplit:
     """S = gamma I + T(v) (x) T(u), diagonalised, for a lattice kernel
-    W = gamma delta + u v^T, with T(u) the n1 x n1 Toeplitz matrix
-    u[a - a' + n1 - 1] and T(v) its n2 x n2 counterpart.
+    W = gamma delta + u v^T on ``grid``, with T(u) the n1 x n1 Toeplitz
+    matrix u[a - a' + n1 - 1] and T(v) its n2 x n2 counterpart.
 
     With T(u) = V1 diag(lam1) V1^{-1} and T(v) = V2 diag(lam2) V2^{-1},
     S^{-1} = (V2 (x) V1) diag(inv_divisor) (V2 (x) V1)^{-1}, where
     ``inv_divisor`` is the (n2, n1) array 1 / (gamma + lam2[b] lam1[a]), the
     reciprocal eigenvalues of S.  ``V1inv`` and ``V2inv`` are None where
-    V_i is unitary, so V_i^{-1} = V_i^H."""
+    V_i is unitary, so V_i^{-1} = V_i^H; ``real`` is whether W is real."""
 
+    grid: GridSpec
+    real: bool
     V1: np.ndarray
     V1inv: Optional[np.ndarray]
     V2: np.ndarray
     V2inv: Optional[np.ndarray]
     inv_divisor: np.ndarray
 
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """S^{-1} B = (V2 (x) V1) [(V2 (x) V1)^{-1} B ./ (gamma + lam2 lam1^T)]
+        for an (N,) or (N, m) ``B``, axis by axis (:func:`apply_along`), in
+        its shape and the dtype of S and ``B``; for a real S and B, the real
+        part of the complex solve.  Unchecked: the caller judges it."""
+        g = self.grid
+        dtype = np.result_type(B, float if self.real else complex)
+        with np.errstate(all="ignore"):          # an overflow is judged as non-finite
+            Y = B.reshape(g.size, -1)
+            for V, Vinv, axis in ((self.V1, self.V1inv, 1), (self.V2, self.V2inv, 2)):
+                Y = apply_along(V.conj().T if Vinv is None else Vinv, Y, g, axis)
+            Y = Y * self.inv_divisor.reshape(g.size, 1)
+            Y = apply_along(self.V1, apply_along(self.V2, Y, g, 2), g, 1)
+        if dtype.kind != "c":
+            Y = Y.real
+        return np.ascontiguousarray(Y, dtype=dtype).reshape(B.shape)
+
 
 def kron_split(W: np.ndarray, grid: GridSpec) -> Optional[KronSplit]:
     """The :class:`KronSplit` of the lattice kernel ``W`` on ``grid``, or
-    None: W is not a jump plus one separable term to SPLIT_RTOL, a factor's
-    eigenvectors are singular, or some eigenvalue of S is zero against the
-    largest to working precision (then cond_2 S >= 1 / eps, and the caller's
-    own route reports it).  A factor exactly Hermitian or skew-Hermitian
-    (the gaussian's are skew) is diagonalised by ``eigh``, with a unitary
-    V; any other (exp, complex exp) by ``eig`` and an inverse.  An identity
-    kernel has u = v = 0, and V1 and V2 are identities."""
+    None: max n_i > min n_i^2, where the O(max n_i^3) set-up exceeds O(N^2);
+    W is not finite, or not a jump plus one separable term to SPLIT_RTOL;
+    a factor's eigenvectors are singular; or some eigenvalue of S is zero
+    against the largest to working precision (then cond_2 S >= 1 / eps, and
+    the caller's own route reports it).  A factor exactly Hermitian or
+    skew-Hermitian (the gaussian's are skew) is diagonalised by ``eigh``,
+    with a unitary V; any other (exp, complex exp) by ``eig`` and an
+    inverse.  An identity kernel has u = v = 0, and V1 and V2 are identities."""
     n1, n2 = grid.n1, grid.n2
-    cross = _jump_plus_cross(W, n1, n2)
+    cross = None if max(n1, n2) > min(n1, n2) ** 2 else _jump_plus_cross(W, n1, n2)
     if cross is None:
         return None
     gamma, u, v = cross
@@ -293,58 +313,42 @@ def kron_split(W: np.ndarray, grid: GridSpec) -> Optional[KronSplit]:
         if not (size.min() > np.finfo(float).eps * size.max()
                 and np.isfinite(inv_divisor).all()):
             return None
-    return KronSplit(V1, V1inv, V2, V2inv, inv_divisor)
+    return KronSplit(grid, not np.iscomplexobj(W), V1, V1inv, V2, V2inv, inv_divisor)
 
 
 def _jump_plus_cross(W: np.ndarray, n1: int, n2: int):
     """``(gamma, u, v)`` with |W - gamma delta - u v^T| <= SPLIT_RTOL max|W|
     entrywise, delta the jump at the centre (n1 - 1, n2 - 1), or None.
 
-    The cross u v^T runs through the pivot, the largest |W| off the centre
-    row and column, where the jump cannot sit; the centre then gives gamma.
-    W is read a band of rows at a time, so no temporary of its size is
-    made.  A non-finite W is refused."""
+    The cross u v^T runs through the pivot, the first largest |W| in C
+    order off the centre row and column, where the jump cannot sit; the
+    centre then gives gamma.  A non-finite W is refused."""
     c1, c2 = n1 - 1, n2 - 1
-    step = max(1, 4096 // W.shape[1])
-    bands = [slice(r, r + step) for r in range(0, W.shape[0], step)]
-    top, pivot, p, q = 0.0, -1.0, c1, c2
-    for rows in bands:
-        A = np.abs(W[rows])
-        most = float(A.max())
-        if not np.isfinite(most):
-            return None
-        top = max(top, most)
-        A[:, c2] = -1.0
-        if rows.start <= c1 < rows.stop:
-            A[c1 - rows.start] = -1.0
-        j = int(np.argmax(A))
-        if A.flat[j] > pivot:
-            pivot, p, q = float(A.flat[j]), rows.start + j // A.shape[1], j % A.shape[1]
-    u = np.zeros(W.shape[0], W.dtype)
-    v = np.zeros(W.shape[1], W.dtype)
+    A = np.abs(W)
+    top = float(A.max())
+    if not np.isfinite(top):
+        return None
+    A[:, c2] = A[c1] = -1.0
+    p, q = divmod(int(np.argmax(A)), A.shape[1])
+    u, v = (np.zeros(n, W.dtype) for n in W.shape)
     with np.errstate(all="ignore"):
-        if pivot > 0:
+        if A[p, q] > 0:
             u, v = W[:, q] / W[p, q], W[p].copy()
         gamma = W[c1, c2] - u[c1] * v[c2]
-        for rows in bands:
-            R = np.abs(W[rows] - u[rows, None] * v)
-            if rows.start <= c1 < rows.stop:
-                R[c1 - rows.start, c2] = 0.0
-            if not R.max() <= SPLIT_RTOL * top:
-                return None
-    return gamma, u, v
+        R = np.abs(W - u[:, None] * v)
+    R[c1, c2] = 0.0
+    return (gamma, u, v) if R.max() <= SPLIT_RTOL * top else None
 
 
 def _diagonalise(T: np.ndarray):
     """``(lam, V, Vinv)`` with T = V diag(lam) Vinv; Vinv is None when V
-    is unitary (eigh, for T exactly Hermitian or skew-Hermitian).  A
-    singular V raises LinAlgError."""
-    if np.array_equal(T, T.conj().T):
-        lam, V = np.linalg.eigh(T)
-        return lam, V, None
-    if np.array_equal(T, -T.conj().T):
-        mu, V = np.linalg.eigh(1j * T)            # i T is Hermitian
-        return -1j * mu, V, None
+    is unitary (eigh, for T exactly Hermitian, or skew-Hermitian so that
+    i T is Hermitian).  A singular V raises LinAlgError."""
+    for phase in (1, 1j):
+        H = phase * T
+        if np.array_equal(H, H.conj().T):
+            mu, V = np.linalg.eigh(H)
+            return mu / phase, V, None
     lam, V = np.linalg.eig(T)
     return lam, V, np.linalg.inv(V)
 

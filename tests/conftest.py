@@ -37,6 +37,12 @@ def x1_only_model():
     return separable_kernel(c1=1.0, amp1=0.3, r1=0.8, c2=1.0, amp2=0.0, r2=1.0)
 
 
+def even_model():
+    """v = 0.5 exp(-(x1^2 + x2^2)) and the unit jump: one separable term
+    whose Toeplitz factors are real symmetric."""
+    return KernelModel(v=lambda x1, x2: 0.5 * np.exp(-(x1**2 + x2**2)), name="even")
+
+
 MODEL_BUILDERS = {
     "zero": lambda: identity_kernel(c=1.0),
     "exp": lambda: exp_kernel(),

@@ -32,7 +32,7 @@ from diffkern2d.inversion import (
 from diffkern2d.kernels import exp_kernel, identity_kernel, poly_kernel, separable_kernel
 from diffkern2d.operators import ConvOperator, apply_along, assemble_pi, k_op
 
-from conftest import MODEL_BUILDERS, convergence_orders, rich_model, samples_for
+from conftest import MODEL_BUILDERS, convergence_orders, even_model, rich_model, samples_for
 from oracle import check_difference_kernel, rho_table_unit_basis, s_values
 
 
@@ -756,11 +756,12 @@ class TestSplitSolve:
     """The direct solve through the Kronecker split of S
     (ConvOperator.kron_split), on the Krylov side of solve_array's rule."""
 
-    SPLIT = ["zero", "exp", "gaussian", "separable", "complex"]
+    SPLIT = ["zero", "exp", "gaussian", "separable", "complex", "even"]
 
     @staticmethod
     def operator(tag, n1, n2):
-        model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+        model = {"complex": lambda: exp_kernel(amp=0.05 + 0.1j), "even": even_model,
+                 **MODEL_BUILDERS}[tag]()
         return ConvOperator(samples_for(model, n1, n2=n2, omega1=1.7, omega2=0.9))
 
     @pytest.mark.parametrize("tag", SPLIT)
@@ -771,7 +772,7 @@ class TestSplitSolve:
         B = rng.standard_normal((S.grid.size, 3))
         if rhs == "complex":
             B = B + 1j * rng.standard_normal(B.shape)
-        X = inversion._kron_solve(S, S.kron_split(), B)
+        X = S.kron_split().solve(B)
         want = np.linalg.solve(S.dense(), B)
         assert X.dtype == want.dtype == np.result_type(S.lattice_kernel, B)
         assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
@@ -847,7 +848,8 @@ class TestSplitSolve:
             assert np.linalg.norm(got[j] - want[j]) <= 1e-12 * np.linalg.norm(want[j])
 
     def test_elongated_grid_never_diagonalises(self, rng, monkeypatch):
-        # at 2048 x 2 the O(max n_i^3) set-up exceeds O(N^2): GMRES keeps it
+        # at 2048 x 2 the O(max n_i^3) set-up exceeds O(N^2): the split
+        # refuses the grid itself, and GMRES keeps it
         from diffkern2d import operators
 
         def refuse(T):
@@ -855,22 +857,25 @@ class TestSplitSolve:
 
         monkeypatch.setattr(operators, "_diagonalise", refuse)
         S = ConvOperator(samples_for(exp_kernel(), 2048, n2=2))
+        assert operators.kron_split(S.lattice_kernel, S.grid) is None
         f0 = rng.standard_normal(S.grid.size)
         rec = solve_array(S, S.apply_fft(f0))
-        assert S._split is None and S._cond_est[1] > 0
+        assert S._split is False and S._cond_est[1] > 0
         assert np.linalg.norm(rec - f0) <= 1e-8 * np.linalg.norm(f0)
 
     def test_missed_backward_check_hands_over(self, rng, monkeypatch):
         # a split solve that misses BACKWARD_TOL drops the split and its
         # estimate; GMRES estimates afresh and solves
-        real = inversion._kron_solve
+        from diffkern2d import operators
+
+        real = operators.KronSplit.solve
         solves = []
 
-        def spoiled(S, split, B):
+        def spoiled(split, B):
             solves.append(1)
-            return 1.001 * real(S, split, B)
+            return 1.001 * real(split, B)
 
-        monkeypatch.setattr(inversion, "_kron_solve", spoiled)
+        monkeypatch.setattr(operators.KronSplit, "solve", spoiled)
         S = ConvOperator(samples_for(exp_kernel(), 24))
         f0 = rng.standard_normal(S.grid.size)
         rec = solve_array(S, S.apply_fft(f0))
@@ -916,7 +921,7 @@ class TestConditionEstimate:
         exact = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
         calls = TestGmres.counting(S)
         split = S.kron_split()
-        cond = inversion._cond_estimate(S, lambda b: inversion._kron_solve(S, split, b))
+        cond = inversion._cond_estimate(S, split.solve)
         assert exact / 3 <= cond <= exact * (1 + 1e-9) and calls == []
 
     @pytest.mark.parametrize("kernel", ["real", "complex"])

@@ -22,6 +22,7 @@ from diffkern2d.operators import (
 from conftest import (
     MODEL_BUILDERS,
     dense_oracle_S,
+    even_model,
     kron_integration,
     rich_model,
     samples_for,
@@ -211,8 +212,10 @@ class TestConvApply:
 
 
 def lu_case(tag, n1, n2, omega1=1.7, omega2=0.9):
-    """The samples of MODEL_BUILDERS[tag], or of the complex exp kernel."""
-    model = exp_kernel(amp=0.05 + 0.1j) if tag == "complex" else MODEL_BUILDERS[tag]()
+    """The samples of MODEL_BUILDERS[tag], of the complex exp kernel or of
+    the even kernel."""
+    model = {"complex": lambda: exp_kernel(amp=0.05 + 0.1j), "even": even_model,
+             **MODEL_BUILDERS}[tag]()
     return samples_for(model, n1, n2=n2, omega1=omega1, omega2=omega2)
 
 
@@ -273,7 +276,7 @@ class TestKronSplit:
     """A lattice kernel W = gamma delta + u v^T makes S = gamma I + T(v) (x)
     T(u), diagonalised by the eigenvectors of the two Toeplitz factors."""
 
-    SPLIT = ["zero", "exp", "gaussian", "separable", "complex"]
+    SPLIT = ["zero", "exp", "gaussian", "separable", "complex", "even"]
     GRIDS = [(8, 8, (1.0, 1.0)), (17, 11, (1.7, 0.9)), (31, 33, (1.7, 0.9))]
 
     @pytest.mark.parametrize("tag", SPLIT)
@@ -302,12 +305,27 @@ class TestKronSplit:
         D = S.dense()
         assert np.abs(rebuilt - D).max() <= 1e-12 * np.abs(D).max()
 
-    def test_eigh_exactly_where_a_factor_is_hermitian_or_skew(self):
-        # the gaussian's factors are odd, so skew-symmetric; exp's are neither
+    def test_eigh_exactly_where_a_factor_is_hermitian_or_skew(self, monkeypatch):
+        # the gaussian's factors are odd, so skew-symmetric, and eigh takes
+        # i T; the even kernel's are real symmetric, and eigh takes T itself;
+        # exp's are neither
+        real_eigh, inputs = np.linalg.eigh, []
+
+        def eigh(H):
+            inputs.append(H.dtype)
+            return real_eigh(H)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         gauss = ConvOperator(lu_case("gaussian", 17, 11)).kron_split()
         assert gauss.V1inv is None and gauss.V2inv is None
+        assert inputs == [np.complex128] * 2
+        inputs.clear()
+        even = ConvOperator(lu_case("even", 17, 11)).kron_split()
+        assert even.V1inv is None and even.V2inv is None
+        assert inputs == [np.float64] * 2
+        inputs.clear()
         exp = ConvOperator(lu_case("exp", 17, 11)).kron_split()
-        assert exp.V1inv is not None and exp.V2inv is not None
+        assert exp.V1inv is not None and exp.V2inv is not None and inputs == []
 
     def test_identity_is_the_trivial_split(self):
         split = ConvOperator(samples_for(identity_kernel(c=2.0), 5, n2=7)).kron_split()
